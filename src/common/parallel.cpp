@@ -22,8 +22,9 @@ namespace {
 /// Innermost ThreadLimit override for this thread (0 = none).
 thread_local int tlsThreadLimit = 0;
 
-/// True while this thread is executing chunks of some parallelFor — both
-/// pool workers and the calling thread set it, so nested calls run inline.
+/// True while this thread is executing chunks of some multi-chunk
+/// parallelFor — both pool workers and the calling thread set it, so nested
+/// calls run inline. A one-chunk call leaves it untouched.
 thread_local bool tlsInParallelRegion = false;
 
 int envOrHardwareThreads() {
@@ -79,7 +80,8 @@ struct Job {
 };
 
 /// Lazily grown global worker pool. Workers sleep until a job is
-/// published; one job runs at a time (nested calls never reach the pool).
+/// published; one job runs at a time (calls nested in a multi-chunk region
+/// never reach the pool).
 class Pool {
  public:
   static Pool& instance() {
@@ -179,8 +181,17 @@ void parallelFor(std::int64_t begin, std::int64_t end, std::int64_t grain,
   const std::int64_t chunks = chunkCount(begin, end, grain);
   if (chunks == 0) return;
 
+  if (chunks == 1) {
+    // A lone chunk has nothing to share, so it runs on the caller without
+    // claiming the pool or entering a region: calls nested inside it (a
+    // one-session service frame's recover()) still fan out. Inside a
+    // multi-chunk region the flag is already set and they stay inline.
+    fn(begin, end);
+    return;
+  }
+
   const int threads = maxThreads();
-  if (threads <= 1 || chunks == 1 || tlsInParallelRegion) {
+  if (threads <= 1 || tlsInParallelRegion) {
     // Inline path: same chunk boundaries, same order, no pool. Also taken
     // for nested calls so inner loops of an already-parallel region stay
     // serial instead of deadlocking or oversubscribing.

@@ -45,8 +45,10 @@ class ThreadLimit {
 /// work-shared across up to `maxThreads()` threads (a lazily created
 /// global pool; the caller participates). Guarantees:
 ///  - chunk boundaries are a pure function of (begin, end, grain);
-///  - a nested call from inside a worker runs inline (no deadlock, no
-///    oversubscription);
+///  - a one-chunk call runs `fn` on the caller without claiming the pool,
+///    so regions nested inside it may still fan out;
+///  - a nested call from inside a multi-chunk region runs inline (no
+///    deadlock, no oversubscription);
 ///  - the first exception thrown by any chunk is rethrown on the caller
 ///    after all in-flight chunks drain (remaining chunks are skipped).
 void parallelFor(std::int64_t begin, std::int64_t end, std::int64_t grain,

@@ -392,12 +392,13 @@ std::vector<SessionFrameResult> CooperationService::processFrame(
     }
   }
 
-  // Frame-scoped ego-feature sharing: each session "gets" this frame's
-  // ego features from the cache — the first get computes them
-  // (cache.ego_miss), every later get returns the same immutable set
-  // (cache.ego_hit). One ego feature pipeline per frame instead of one
-  // per peer; results are byte-identical either way because the cached
-  // features come from the identical deterministic pipeline.
+  // Frame-scoped ego-feature sharing: this frame's ego features are taken
+  // once from the cache and every session borrows the same immutable set.
+  // They are computed here (cache.ego_miss) unless recordEgoKeyframe()
+  // already computed them for this frame (cache.ego_hit). One ego feature
+  // pipeline per frame instead of one per peer; results are byte-identical
+  // either way because the cached features come from the identical
+  // deterministic pipeline.
   // Skipped when the ego payload is absent or mis-sized (callers whose
   // every input coasts may legitimately pass an empty ego).
   // Skipped entirely when no session was granted a slot: an all-skipped/
@@ -408,15 +409,15 @@ std::vector<SessionFrameResult> CooperationService::processFrame(
       ego.bvImage.width() == egoExpected &&
       ego.bvImage.height() == egoExpected) {
     BBA_SPAN("service.ego-features");
-    for (std::int64_t i = 0; i < n; ++i)
-      sharedEgo = egoCache_.features(static_cast<std::uint64_t>(frames_),
-                                     featureAligner_, ego);
+    sharedEgo = egoCache_.features(static_cast<std::uint64_t>(frames_),
+                                   featureAligner_, ego);
   }
 
   // Cross-session parallel, per-session serial: every input owns its
   // session exclusively (ids are distinct), so chunk grain 1 gives one
   // independent task per session and results are byte-identical at any
-  // thread count.
+  // thread count. With one input the lone chunk claims no pool, so that
+  // session's recover() spreads its own loops over every thread.
   parallelFor(0, n, 1, [&](std::int64_t b, std::int64_t e) {
     for (std::int64_t i = b; i < e; ++i) {
       const PeerFrameInput& in = inputs[static_cast<std::size_t>(i)];

@@ -435,18 +435,18 @@ ImageF ComplexImage::magnitude() const {
 
 namespace {
 
-/// Blocked out-of-place transpose of the first `xCount` columns:
-/// dst(y, x) = src(x, y) for x < xCount (dst is xCount rows of length
-/// src.height()). Parallel over block rows; every destination element is
-/// written by exactly one chunk.
-void transposeCols(const ComplexImage& src, ComplexImage& dst, int xCount) {
+/// Blocked out-of-place full transpose: dst(y, x) = src(x, y). Parallel
+/// over block rows; every destination element is written by exactly one
+/// chunk.
+void transpose(const ComplexImage& src, ComplexImage& dst) {
+  const int w = src.width();
   const int h = src.height();
   constexpr int kBlock = 32;
-  const std::int64_t blockRows = (xCount + kBlock - 1) / kBlock;
+  const std::int64_t blockRows = (w + kBlock - 1) / kBlock;
   parallelFor(0, blockRows, 1, [&](std::int64_t b0, std::int64_t b1) {
     for (std::int64_t br = b0; br < b1; ++br) {
       const int x0 = static_cast<int>(br) * kBlock;
-      const int x1 = std::min(xCount, x0 + kBlock);
+      const int x1 = std::min(w, x0 + kBlock);
       for (int y0 = 0; y0 < h; y0 += kBlock) {
         const int y1 = std::min(h, y0 + kBlock);
         for (int x = x0; x < x1; ++x) {
@@ -455,11 +455,6 @@ void transposeCols(const ComplexImage& src, ComplexImage& dst, int xCount) {
       }
     }
   });
-}
-
-/// Full transpose: dst(y, x) = src(x, y).
-void transpose(const ComplexImage& src, ComplexImage& dst) {
-  transposeCols(src, dst, src.width());
 }
 
 /// Independent per-row FFTs over a contiguous-row image, in parallel.
@@ -493,38 +488,6 @@ void fft2d(ComplexImage& img, bool inverse) {
   transpose(img, t);
   fftRows(t, inverse);
   transpose(t, img);
-}
-
-HalfSpectrum fftReal2d(const ImageF& img) {
-  BBA_SPAN("fft-real2d");
-  const int w = img.width();
-  const int h = img.height();
-  BBA_ASSERT_MSG(isPowerOfTwo(w) && isPowerOfTwo(h),
-                 "fftReal2d requires power-of-two dimensions");
-  const int hw = w / 2 + 1;
-
-  // The row pass must run over every row in full: a real input row still
-  // accumulates the same tiny rounding artifacts in its imaginary parts,
-  // and bit-identity with the complex transform demands the same ops. The
-  // symmetry saving is the column pass: only hw of w columns are
-  // transformed and stored.
-  ComplexImage rows = ComplexImage::fromReal(img);
-  fftRows(rows, /*inverse=*/false);
-
-  ComplexImage t(h, hw);
-  transposeCols(rows, t, hw);
-  fftRows(t, /*inverse=*/false);
-
-  HalfSpectrum out(w, h);
-  const std::int64_t grain = 16;
-  parallelFor(0, h, grain, [&](std::int64_t y0, std::int64_t y1) {
-    for (std::int64_t y = y0; y < y1; ++y) {
-      for (int x = 0; x < hw; ++x) {
-        out(x, static_cast<int>(y)) = t(static_cast<int>(y), x);
-      }
-    }
-  });
-  return out;
 }
 
 void multiplySpectrum(ComplexImage& spectrum, const ImageF& filter) {

@@ -60,65 +60,6 @@ class ComplexImage {
 /// common/parallel.hpp) with bit-identical results at any thread count.
 void fft2d(ComplexImage& img, bool inverse);
 
-/// The forward spectrum of a *real* image, exploiting conjugate symmetry:
-/// only columns 0..width/2 are stored (the rest satisfy
-/// S(W-x, (H-y) mod H) == conj(S(x, y)) up to rounding). Produced by
-/// fftReal2d(), which runs the column pass on width/2 + 1 columns instead
-/// of width — the stored half is bit-identical to the corresponding
-/// entries of the full complex transform (asserted by tests/simd_test.cpp).
-class HalfSpectrum {
- public:
-  HalfSpectrum() = default;
-  HalfSpectrum(int fullWidth, int height)
-      : fw_(fullWidth), h_(height),
-        data_(static_cast<std::size_t>(fullWidth / 2 + 1) *
-              static_cast<std::size_t>(height)) {}
-
-  /// Width of the full (logical) spectrum.
-  [[nodiscard]] int fullWidth() const { return fw_; }
-  /// Number of stored columns: fullWidth()/2 + 1.
-  [[nodiscard]] int halfWidth() const { return fw_ / 2 + 1; }
-  [[nodiscard]] int height() const { return h_; }
-
-  /// Stored entry, x in [0, halfWidth()).
-  Complexf& operator()(int x, int y) {
-    return data_[static_cast<std::size_t>(y) *
-                     static_cast<std::size_t>(fw_ / 2 + 1) +
-                 static_cast<std::size_t>(x)];
-  }
-  const Complexf& operator()(int x, int y) const {
-    return data_[static_cast<std::size_t>(y) *
-                     static_cast<std::size_t>(fw_ / 2 + 1) +
-                 static_cast<std::size_t>(x)];
-  }
-
-  std::vector<Complexf>& data() { return data_; }
-  [[nodiscard]] const std::vector<Complexf>& data() const { return data_; }
-
-  /// Any entry of the full spectrum: stored columns verbatim, mirrored
-  /// columns reconstructed as conj(S(W-x, (H-y) mod H)). The mirror is
-  /// exact in real arithmetic but NOT bit-identical to what the full
-  /// complex transform computes for those columns (its butterflies round
-  /// differently); consumers needing bit-exact full spectra must run
-  /// fft2d.
-  [[nodiscard]] Complexf at(int x, int y) const {
-    if (x <= fw_ / 2) return (*this)(x, y);
-    return std::conj((*this)(fw_ - x, y == 0 ? 0 : h_ - y));
-  }
-
- private:
-  int fw_ = 0;
-  int h_ = 0;
-  std::vector<Complexf> data_;
-};
-
-/// Real-to-complex forward 2-D FFT: the row pass runs over every row (the
-/// butterfly rounding on a real row is reproduced exactly), the column
-/// pass only over the width/2 + 1 stored columns — roughly halving the
-/// column-pass and storage cost. Stored entries are bit-identical to
-/// fft2d(ComplexImage::fromReal(img), false).
-[[nodiscard]] HalfSpectrum fftReal2d(const ImageF& img);
-
 /// In-place element-wise multiply of a complex spectrum by a real filter
 /// response: spectrum[i] *= filter[i]. The one operation every
 /// spectrum-domain filtering pass (Log-Gabor bank, correlation) performs.

@@ -2,7 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 
+#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "match/matcher.hpp"
 #include "match/ransac.hpp"
@@ -71,6 +74,113 @@ TEST(Matcher, EmptyInputs) {
   const DescriptorSet one = makeSet({{1, 0}});
   EXPECT_TRUE(matchDescriptors(empty, one, {}).empty());
   EXPECT_TRUE(matchDescriptors(one, empty, {}).empty());
+}
+
+/// `n` descriptors on a 2x2 grid with 4 orientations whose entries take
+/// only the values {0, 0.5, 1}, so equal distances are common, and where
+/// every third descriptor repeats an earlier one, so whole rows tie.
+DescriptorSet tiedGridSet(int n, std::uint64_t seed) {
+  constexpr int kGrid = 2;
+  constexpr int kOrientations = 4;
+  Rng rng(seed);
+  std::vector<std::vector<float>> descs;
+  for (int i = 0; i < n; ++i) {
+    if (i % 3 == 2) {
+      std::vector<float> repeat =
+          descs[static_cast<std::size_t>(rng.uniformInt(0, i - 1))];
+      descs.push_back(std::move(repeat));
+      continue;
+    }
+    std::vector<float> d(kGrid * kGrid * kOrientations);
+    for (float& v : d) v = 0.5f * static_cast<float>(rng.uniformInt(0, 2));
+    descs.push_back(std::move(d));
+  }
+  std::vector<Keypoint> kps(descs.size());
+  for (std::size_t i = 0; i < kps.size(); ++i)
+    kps[i].px = {static_cast<double>(i), 0.0};
+  return DescriptorSet(kps, descs, kGrid, kOrientations);
+}
+
+std::vector<Match> matchAt(int threads, const DescriptorSet& src,
+                           const DescriptorSet& dst, const MatchParams& prm) {
+  ThreadLimit limit(threads);
+  return matchDescriptors(src, dst, prm);
+}
+
+void expectSameMatches(const std::vector<Match>& a,
+                       const std::vector<Match>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t m = 0; m < a.size(); ++m) {
+    EXPECT_EQ(a[m].srcIndex, b[m].srcIndex) << m;
+    EXPECT_EQ(a[m].dstIndex, b[m].dstIndex) << m;
+    EXPECT_EQ(std::memcmp(&a[m].distance, &b[m].distance, sizeof(float)), 0)
+        << m;
+  }
+}
+
+TEST(Matcher, RowParallelMatchesAreIdenticalAt1And8Threads) {
+  // 70 source rows span 5 row chunks; duplicated rows tie across chunks.
+  const DescriptorSet src = tiedGridSet(70, 11);
+  const DescriptorSet dst = tiedGridSet(50, 12);
+
+  const MatchParams defaults;
+  const std::vector<Match> serial = matchAt(1, src, dst, defaults);
+  EXPECT_EQ(serial.size(), src.size() * 2);  // topK = 2, no pruning
+  expectSameMatches(serial, matchAt(8, src, dst, defaults));
+
+  MatchParams mutual;
+  mutual.topK = 1;
+  mutual.mutualCheck = true;
+  const std::vector<Match> mutualSerial = matchAt(1, src, dst, mutual);
+  EXPECT_FALSE(mutualSerial.empty());
+  expectSameMatches(mutualSerial, matchAt(8, src, dst, mutual));
+}
+
+TEST(Matcher, MutualCheckKeepsFirstMinimalRowAcrossChunks) {
+  // Reference: one serial sweep per side, ties to the lowest index. Each
+  // destination's best source is merged from per-chunk partials, so a tie
+  // between rows in different chunks must still go to the first row.
+  const DescriptorSet src = tiedGridSet(70, 21);
+  const DescriptorSet dst = tiedGridSet(50, 22);
+  MatchParams prm;
+  prm.topK = 1;
+  prm.mutualCheck = true;
+
+  const auto dist = [&](std::size_t i, std::size_t j) {
+    return std::min(descriptorDistance2(src.descriptor(i), dst.descriptor(j)),
+                    descriptorDistance2(src.flipped(i), dst.descriptor(j)));
+  };
+  std::vector<int> bestDst(src.size(), -1);
+  std::vector<int> bestSrc(dst.size(), -1);
+  std::vector<float> bestSrcD(dst.size(),
+                              std::numeric_limits<float>::infinity());
+  for (std::size_t i = 0; i < src.size(); ++i) {
+    float bestD = std::numeric_limits<float>::infinity();
+    for (std::size_t j = 0; j < dst.size(); ++j) {
+      const float d = dist(i, j);
+      if (d < bestD) {
+        bestD = d;
+        bestDst[i] = static_cast<int>(j);
+      }
+      if (d < bestSrcD[j]) {
+        bestSrcD[j] = d;
+        bestSrc[j] = static_cast<int>(i);
+      }
+    }
+  }
+  std::vector<std::pair<int, int>> expected;
+  for (std::size_t i = 0; i < src.size(); ++i) {
+    const int j = bestDst[i];
+    if (bestSrc[static_cast<std::size_t>(j)] == static_cast<int>(i))
+      expected.emplace_back(static_cast<int>(i), j);
+  }
+
+  for (int threads : {1, 8}) {
+    const std::vector<Match> got = matchAt(threads, src, dst, prm);
+    std::vector<std::pair<int, int>> pairs;
+    for (const Match& m : got) pairs.emplace_back(m.srcIndex, m.dstIndex);
+    EXPECT_EQ(pairs, expected) << threads << " threads";
+  }
 }
 
 class RansacOutliers : public ::testing::TestWithParam<double> {};

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <mutex>
@@ -92,6 +93,60 @@ TEST(ParallelFor, NestedCallsRunInlineWithoutDeadlock) {
     }
   });
   EXPECT_EQ(total.load(), 16 * 100);
+}
+
+TEST(ParallelFor, LoneChunkNestedRegionFansOut) {
+  // A one-chunk region claims no pool, so a 2-chunk region nested inside
+  // it gets a worker. Its chunks meet at a rendezvous that only two
+  // threads running at once can pass; run one after the other on a single
+  // thread, the first chunk times out alone.
+  ThreadLimit limit(4);
+  std::atomic<int> arrived{0};
+  std::atomic<int> met{0};
+  parallelFor(0, 1, 1, [&](std::int64_t, std::int64_t) {
+    parallelFor(0, 2, 1, [&](std::int64_t, std::int64_t) {
+      ++arrived;
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(2);
+      while (arrived.load() < 2 && std::chrono::steady_clock::now() < deadline)
+        std::this_thread::yield();
+      if (arrived.load() == 2) ++met;
+    });
+  });
+  EXPECT_EQ(met.load(), 2);
+}
+
+TEST(ParallelFor, LoneChunkNestedRegionStaysOnCallerAtThreadLimitOne) {
+  ThreadLimit limit(1);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::int64_t> order;
+  parallelFor(0, 1, 1, [&](std::int64_t, std::int64_t) {
+    parallelFor(0, 40, 8, [&](std::int64_t b, std::int64_t) {
+      EXPECT_EQ(std::this_thread::get_id(), caller);
+      order.push_back(b);
+    });
+  });
+  std::vector<std::int64_t> expected{0, 8, 16, 24, 32};
+  EXPECT_EQ(order, expected);
+}
+
+TEST(ParallelFor, LoneChunkInsideRegionKeepsNestedCallsInline) {
+  // The lone chunk does not reopen the pool to calls nested in a
+  // multi-chunk region: they stay on the thread running the outer chunk.
+  ThreadLimit limit(4);
+  std::atomic<int> offThread{0};
+  std::atomic<int> calls{0};
+  parallelFor(0, 4, 1, [&](std::int64_t, std::int64_t) {
+    const std::thread::id outer = std::this_thread::get_id();
+    parallelFor(0, 1, 1, [&](std::int64_t, std::int64_t) {
+      parallelFor(0, 8, 1, [&](std::int64_t, std::int64_t) {
+        ++calls;
+        if (std::this_thread::get_id() != outer) ++offThread;
+      });
+    });
+  });
+  EXPECT_EQ(calls.load(), 4 * 8);
+  EXPECT_EQ(offThread.load(), 0);
 }
 
 TEST(ParallelFor, ThreadLimitCapsConcurrency) {

@@ -11,6 +11,8 @@
 #include "common/rng.hpp"
 #include "dataset/fault.hpp"
 #include "dataset/sequence.hpp"
+#include "map/keyframe_store.hpp"
+#include "obs/metrics.hpp"
 #include "service/cooperation_service.hpp"
 #include "wire/message.hpp"
 
@@ -332,6 +334,88 @@ TEST(ServicePipeline, ByteIdenticalReportsAt1And8Threads) {
     }
   }
 }
+
+// ---- one peer: the session step fans out on the pool ----------------------
+
+/// The paper's setting: one peer with clean traffic for two frames. Its
+/// session is the frame's only chunk, so recover()'s nested loops run on
+/// the pool. Reduced RANSAC draws keep the run cheap enough for TSan.
+ServiceRun runLonePeerService(int threads) {
+  ThreadLimit limit(threads);
+  ServiceConfig cfg;
+  cfg.seed = 42;
+  cfg.tracker.aligner.ransacBv.iterations = 2000;
+  cfg.tracker.aligner.ransacBox.iterations = 200;
+  CooperationService svc(cfg);
+  const BBAlign aligner(cfg.tracker.aligner);
+
+  ServiceRun run;
+  for (std::size_t k = 0; k < 2; ++k) {
+    const StreamFrame& f = scenarioFrames()[k];
+    const CarPerceptionData ego = aligner.makeCarData(f.egoCloud, f.egoDets);
+    const CarPerceptionData other =
+        aligner.makeCarData(f.otherCloud, f.otherDets);
+    const std::vector<std::uint8_t> payload =
+        svc.sendFrame(other, 1, static_cast<std::uint32_t>(k));
+    run.frames.push_back(svc.processFrame(ego, {{1, &payload}}));
+  }
+  run.report = svc.report();
+  run.reportJson = run.report.toJson();
+  return run;
+}
+
+TEST(ServiceLonePeer, ByteIdenticalAt1And8Threads) {
+  const ServiceRun one = runLonePeerService(1);
+  EXPECT_TRUE(one.frames[0][0].track.poseValid);
+  expectRunsByteIdentical(one, runLonePeerService(8));
+}
+
+#if defined(BBA_OBSERVABILITY_ENABLED)
+struct ScopedMetrics {
+  explicit ScopedMetrics(obs::MetricsRegistry& r) {
+    obs::installMetricsRegistry(&r);
+  }
+  ~ScopedMetrics() { obs::installMetricsRegistry(nullptr); }
+};
+
+TEST(ServiceEgoCache, HitMeansTheKeyframeAndTheFrameSharedFeatures) {
+  // Three granted peers whose payloads cannot be aligned (wrong image
+  // size), so each frame costs the ego features and nothing else.
+  constexpr int kFrames = 3;
+  ServiceConfig cfg;
+  cfg.enableHealth = false;  // mismatches must not quarantine the peers
+  const BBAlign aligner(cfg.tracker.aligner);
+  const StreamFrame& f = scenarioFrames()[0];
+  const CarPerceptionData ego = aligner.makeCarData(f.egoCloud, f.egoDets);
+
+  const auto run = [&](bool recordKeyframes) {
+    obs::MetricsRegistry reg;
+    ScopedMetrics scoped(reg);
+    CooperationService svc(cfg);
+    map::KeyframeStore store;
+    if (recordKeyframes) svc.attachMapStore(&store);
+    for (int k = 0; k < kFrames; ++k) {
+      const auto frame = static_cast<std::uint32_t>(k);
+      const std::vector<std::uint8_t> a = tinyPayload(1, frame);
+      const std::vector<std::uint8_t> b = tinyPayload(2, frame);
+      const std::vector<std::uint8_t> c = tinyPayload(3, frame);
+      if (recordKeyframes)
+        (void)svc.recordEgoKeyframe(ego, Pose2(10.0 * k, 0.0, 0.0));
+      const auto results = svc.processFrame(ego, {{1, &a}, {2, &b}, {3, &c}});
+      for (const SessionFrameResult& r : results)
+        EXPECT_TRUE(r.payloadMismatch);
+    }
+    return std::make_pair(reg.counter("cache.ego_miss").value(),
+                          reg.counter("cache.ego_hit").value());
+  };
+
+  // No map: one computation per frame, no reuse to count.
+  EXPECT_EQ(run(false), std::make_pair(std::int64_t{kFrames}, std::int64_t{0}));
+  // recordEgoKeyframe computes them first; the frame reuses them.
+  EXPECT_EQ(run(true),
+            std::make_pair(std::int64_t{kFrames}, std::int64_t{kFrames}));
+}
+#endif  // BBA_OBSERVABILITY_ENABLED
 
 // ---- PR 5 adversarial 3-peer scenario, cache on vs off --------------------
 

@@ -1,8 +1,7 @@
 // SIMD determinism: every vectorized kernel must produce BYTE-identical
-// results at every dispatched ISA level (scalar / SSE2 / AVX2), and the
-// real-to-complex FFT's stored half must be bit-identical to the full
-// complex transform. These are the determinism contracts DESIGN.md
-// promises; every comparison here is on raw bits, not within a tolerance.
+// results at every dispatched ISA level (scalar / SSE2 / AVX2). This is the
+// determinism contract DESIGN.md promises; every comparison here is on raw
+// bits, not within a tolerance.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -128,37 +127,6 @@ TEST(SimdIdentity, AbsAccumulateBitIdenticalAcrossLevels) {
     std::vector<float> probe = init;
     absAccumulate(src.data(), probe.data(), src.size());
     EXPECT_TRUE(bitsEqual(probe, reference)) << toString(level);
-  }
-}
-
-TEST(SimdIdentity, RealToComplexFftMatchesFullTransformBitExactly) {
-  Rng rng(4242);
-  ImageF img(64, 32);
-  for (float& v : img.data()) v = static_cast<float>(rng.uniform(0.0, 1.0));
-
-  ComplexImage full = ComplexImage::fromReal(img);
-  fft2d(full, false);
-  const HalfSpectrum half = fftReal2d(img);
-
-  ASSERT_EQ(half.fullWidth(), img.width());
-  ASSERT_EQ(half.height(), img.height());
-  for (int y = 0; y < img.height(); ++y) {
-    for (int x = 0; x < half.halfWidth(); ++x) {
-      const Complexf a = half(x, y);
-      const Complexf b = full(x, y);
-      EXPECT_EQ(std::memcmp(&a, &b, sizeof a), 0) << "(" << x << "," << y
-                                                  << ")";
-    }
-  }
-  // The mirrored columns are exact in real arithmetic (documented as not
-  // necessarily bit-exact): conj symmetry within float tolerance.
-  for (int y = 0; y < img.height(); ++y) {
-    for (int x = half.halfWidth(); x < img.width(); ++x) {
-      const Complexf a = half.at(x, y);
-      const Complexf b = full(x, y);
-      EXPECT_NEAR(a.real(), b.real(), 2e-3f);
-      EXPECT_NEAR(a.imag(), b.imag(), 2e-3f);
-    }
   }
 }
 
