@@ -43,19 +43,27 @@ CarPerceptionData BBAlign::makeCarData(const PointCloud& cloud,
 }
 
 namespace {
+/// Keypoints of one BV image; the one place detection runs, so
+/// stage1.keypoints_detected counts each detection once, however many
+/// recover() calls then read the list.
 std::vector<Keypoint> detectKeypoints(const BBAlignConfig& cfg,
                                       const ImageF& bvImage,
                                       const MimResult& mim) {
   BBA_SPAN("keypoints");
-  switch (cfg.keypointSurface) {
-    case BBAlignConfig::KeypointSurface::BvDense:
-      return detectBlockMaxima(bvImage, cfg.blockMax);
-    case BBAlignConfig::KeypointSurface::Amplitude:
-      return detectLocalMaxima(mim.totalAmplitude, cfg.localMax);
-    case BBAlignConfig::KeypointSurface::BvFast:
-      return detectFast(bvImage, cfg.fast);
-  }
-  throw ComputationError("unknown keypoint surface");
+  std::vector<Keypoint> keypoints = [&] {
+    switch (cfg.keypointSurface) {
+      case BBAlignConfig::KeypointSurface::BvDense:
+        return detectBlockMaxima(bvImage, cfg.blockMax);
+      case BBAlignConfig::KeypointSurface::Amplitude:
+        return detectLocalMaxima(mim.totalAmplitude, cfg.localMax);
+      case BBAlignConfig::KeypointSurface::BvFast:
+        return detectFast(bvImage, cfg.fast);
+    }
+    throw ComputationError("unknown keypoint surface");
+  }();
+  BBA_COUNTER_ADD("stage1.keypoints_detected",
+                  static_cast<std::int64_t>(keypoints.size()));
+  return keypoints;
 }
 }  // namespace
 
@@ -416,6 +424,20 @@ void recordRecoveryMetrics(const PoseRecoveryReport& rep) {
 #endif
 }
 
+/// The other image's descriptor pass at relative yaw `yaw` (sampled at
+/// dp.fixedAngle = -yaw), computed on the first request for that yaw.
+const DescriptorSet& memoizedPass(OtherFeatures& features, double yaw,
+                                  const DescriptorParams& dp) {
+  auto it = features.passes.find(yaw);
+  if (it == features.passes.end()) {
+    it = features.passes
+             .emplace(yaw,
+                      computeDescriptors(features.mim, features.keypoints, dp))
+             .first;
+  }
+  return it->second;
+}
+
 }  // namespace
 
 std::shared_ptr<const EgoFeatures> BBAlign::computeEgoFeatures(
@@ -434,7 +456,8 @@ PoseRecoveryResult BBAlign::recover(const CarPerceptionData& other,
                                     const CarPerceptionData& ego, Rng& rng,
                                     PoseRecoveryReport* report,
                                     const RecoveryHints* hints,
-                                    const EgoFeatures* egoFeatures) const {
+                                    const EgoFeatures* egoFeatures,
+                                    OtherFeatures* otherFeatures) const {
   BBA_SPAN("recover");
   PoseRecoveryResult result;
   PoseRecoveryReport rep;
@@ -442,51 +465,62 @@ PoseRecoveryResult BBAlign::recover(const CarPerceptionData& other,
   LapTimer lap(report != nullptr);
 
   // ---- Stage 1: BV image matching (Algorithm 1 lines 5–11) -------------
-  // The ego-side products either arrive precomputed (frame-scoped cache:
-  // the same deterministic pipeline ran once, shared across peers) or are
-  // computed inline; both paths yield byte-identical features.
-  EgoFeatures egoOwned;
-  if (egoFeatures == nullptr) {
-    egoOwned.mim = computeImageMim(ego.bvImage);
+  // Each side's features come from the caller when it holds them (the
+  // frame's shared ego features; the tracker step's peer memo) and are
+  // computed here otherwise, stage by stage so the report's stage times
+  // cover exactly the work this call did.
+  EgoFeatures egoLocal;
+  const bool fillEgo = egoFeatures == nullptr;
+  if (fillEgo) {
+    egoFeatures = &egoLocal;
   } else {
     BBA_ASSERT_MSG(egoFeatures->mim.mim.width() == bank_->width() &&
                        egoFeatures->mim.mim.height() == bank_->height(),
                    "shared ego features sized for a different bank");
   }
-  const MimResult& mimEgo = egoFeatures ? egoFeatures->mim : egoOwned.mim;
-  const MimResult mimOther = computeImageMim(other.bvImage);
+  OtherFeatures otherLocal;
+  if (otherFeatures == nullptr) otherFeatures = &otherLocal;
+  const bool fillOther = !otherFeatures->computed;
+
+  if (fillEgo) egoLocal.mim = computeImageMim(ego.bvImage);
+  if (fillOther) otherFeatures->mim = computeImageMim(other.bvImage);
   rep.msMim = lap.lap();
-  if (egoFeatures == nullptr) {
-    egoOwned.keypoints = detectKeypoints(cfg_, ego.bvImage, egoOwned.mim);
+  if (fillEgo) {
+    egoLocal.keypoints = detectKeypoints(cfg_, ego.bvImage, egoLocal.mim);
   }
-  const std::vector<Keypoint>& kpsEgo =
-      egoFeatures ? egoFeatures->keypoints : egoOwned.keypoints;
-  std::vector<Keypoint> kpsOther =
-      detectKeypoints(cfg_, other.bvImage, mimOther);
+  if (fillOther) {
+    otherFeatures->keypoints =
+        detectKeypoints(cfg_, other.bvImage, otherFeatures->mim);
+    otherFeatures->computed = true;
+  }
+  const MimResult& mimOther = otherFeatures->mim;
+  const std::vector<Keypoint>& kpsEgo = egoFeatures->keypoints;
   // Fast path: a confident tracker prior caps the other image's keypoint
-  // budget (detector order, strongest blocks first). The caller falls
-  // back to a full call when the narrowed attempt fails.
+  // budget (detector order, strongest blocks first) on a copy of the
+  // list, and its descriptor passes stay out of the memo. The caller
+  // falls back to a full call when the narrowed attempt fails.
   const bool fastPath = hints != nullptr && hints->fastPath;
+  std::vector<Keypoint> kpsCapped;
   if (fastPath) {
     BBA_COUNTER_ADD("fastpath.engaged", 1);
+    kpsCapped = otherFeatures->keypoints;
     if (hints->maxKeypointsOther > 0 &&
-        static_cast<int>(kpsOther.size()) > hints->maxKeypointsOther) {
-      kpsOther.resize(static_cast<std::size_t>(hints->maxKeypointsOther));
+        static_cast<int>(kpsCapped.size()) > hints->maxKeypointsOther) {
+      kpsCapped.resize(static_cast<std::size_t>(hints->maxKeypointsOther));
     }
   }
+  const std::vector<Keypoint>& kpsOther =
+      fastPath ? kpsCapped : otherFeatures->keypoints;
   rep.msKeypoints = lap.lap();
   rep.keypointsEgo = static_cast<int>(kpsEgo.size());
   rep.keypointsOther = static_cast<int>(kpsOther.size());
-  BBA_COUNTER_ADD("stage1.keypoints_detected",
-                  static_cast<std::int64_t>(kpsEgo.size() + kpsOther.size()));
 
-  if (egoFeatures == nullptr) {
+  if (fillEgo) {
     DescriptorParams dpEgo = cfg_.descriptor;
     dpEgo.fixedAngle = 0.0;
-    egoOwned.descriptors = computeDescriptors(egoOwned.mim, kpsEgo, dpEgo);
+    egoLocal.descriptors = computeDescriptors(egoLocal.mim, kpsEgo, dpEgo);
   }
-  const DescriptorSet& descEgo =
-      egoFeatures ? egoFeatures->descriptors : egoOwned.descriptors;
+  const DescriptorSet& descEgo = egoFeatures->descriptors;
   rep.msDescriptors += lap.lap();
   rep.descriptorsEgo = static_cast<int>(descEgo.size());
 
@@ -506,7 +540,8 @@ PoseRecoveryResult BBAlign::recover(const CarPerceptionData& other,
       // spread offsets below). Misses fall back to a full call.
       peaks.push_back(hints->posePrior.theta);
     } else {
-      peaks = globalYawCandidates(mimEgo, mimOther, cfg_.yawCandidates);
+      peaks = globalYawCandidates(egoFeatures->mim, mimOther,
+                                  cfg_.yawCandidates);
       // A caller-side pose prior (streaming tracker prediction) becomes
       // the first candidate evaluated; the histogram peaks still follow,
       // so a wrong prior costs one extra candidate but can never hide the
@@ -547,8 +582,10 @@ PoseRecoveryResult BBAlign::recover(const CarPerceptionData& other,
     // -yaw reads the content that ego's unrotated offsets read.
     dpOther.fixedAngle = -yaw;
     lap.lap();
-    const DescriptorSet descOther =
-        computeDescriptors(mimOther, kpsOther, dpOther);
+    DescriptorSet fastPass;
+    if (fastPath) fastPass = computeDescriptors(mimOther, kpsOther, dpOther);
+    const DescriptorSet& descOther =
+        fastPath ? fastPass : memoizedPass(*otherFeatures, yaw, dpOther);
     rep.msDescriptors += lap.lap();
     const std::vector<Match> matches =
         matchDescriptors(descOther, descEgo, cfg_.matching);

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <map>
 #include <memory>
 #include <vector>
 
@@ -181,6 +182,22 @@ struct RecoveryHints {
   int maxKeypointsOther = 300;
 };
 
+/// The peer ("other") image's stage-1 features, memoized across the
+/// recover() calls one tracker step makes on that image: its MIM, its full
+/// keypoint list and the descriptor passes computed so far, one per exact
+/// relative-yaw candidate. recover() fills the MIM and keypoints on first
+/// use and adds only the yaws it does not yet hold. Every product is an
+/// RNG-free function of the image and the feature-side config, so a reused
+/// product is byte-identical to a recomputed one. Bind one value to one
+/// image, and share it only between aligners whose configs are
+/// egoFeatureCompatible (core/ego_cache.hpp).
+struct OtherFeatures {
+  bool computed = false;  ///< mim and keypoints hold the image's features
+  MimResult mim;
+  std::vector<Keypoint> keypoints;  ///< full detector output, never capped
+  std::map<double, DescriptorSet> passes;  ///< keyed by the yaw candidate
+};
+
 /// The BB-Align two-stage pose recovery framework (Algorithm 1).
 ///
 /// Typical use:
@@ -217,11 +234,19 @@ class BBAlign {
   /// EgoFeatureCache); they must come from a config for which
   /// egoFeatureCompatible(cfg, this->config()) holds — then the result is
   /// byte-identical to computing them inline.
+  ///
+  /// `otherFeatures` (optional) is the memo of `other`'s features (see
+  /// OtherFeatures): read where it holds a product, filled where it does
+  /// not. The same compatibility rule applies. A fast-path call shares its
+  /// MIM and keypoints but neither reads nor adds descriptor passes, since
+  /// it describes a capped keypoint list. Without either argument,
+  /// recover() computes that side's features itself.
   [[nodiscard]] PoseRecoveryResult recover(
       const CarPerceptionData& other, const CarPerceptionData& ego, Rng& rng,
       PoseRecoveryReport* report = nullptr,
       const RecoveryHints* hints = nullptr,
-      const EgoFeatures* egoFeatures = nullptr) const;
+      const EgoFeatures* egoFeatures = nullptr,
+      OtherFeatures* otherFeatures = nullptr) const;
 
   /// Compute the ego-side feature products (MIM, keypoints, fixed-angle-0
   /// descriptors) exactly as recover() would inline — the sharable,

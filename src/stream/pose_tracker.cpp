@@ -454,18 +454,22 @@ TrackerResult PoseTracker::update(const CarPerceptionData& other,
     hintsPtr = &hints;
   }
 
-  // Ego-side features: computed once here (or supplied by the caller —
-  // e.g. CooperationService's per-frame cache shared across peers) and fed
-  // to every rung instead of each recover() recomputing them. The relaxed
-  // aligner joins only when its config runs the identical feature
-  // pipeline.
+  // Both images' features are computed once per step and fed to every
+  // rung instead of each recover() recomputing them: the ego side here (or
+  // supplied by the caller, e.g. CooperationService's per-frame cache
+  // shared across peers), the peer side by the first recover() into a memo
+  // the later rungs read. The relaxed aligner joins only when its config
+  // runs the identical feature pipeline.
   std::shared_ptr<const EgoFeatures> ownedFeatures;
-  if (egoFeatures == nullptr && cfg_.shareEgoFeatures) {
+  if (egoFeatures == nullptr) {
     ownedFeatures = primary_.computeEgoFeatures(ego);
     egoFeatures = ownedFeatures.get();
   }
-  const EgoFeatures* relaxedFeatures =
+  OtherFeatures otherFeatures;
+  const EgoFeatures* relaxedEgo =
       relaxedSharesFeatures_ ? egoFeatures : nullptr;
+  OtherFeatures* relaxedOther =
+      relaxedSharesFeatures_ ? &otherFeatures : nullptr;
 
   // Rung 0a: tracker-seeded fast path — only on a steady track (confident
   // velocity-capable prediction, no misses in flight); a bootstrapping or
@@ -480,8 +484,9 @@ TrackerResult PoseTracker::update(const CarPerceptionData& other,
     RecoveryHints fastHints = hints;
     fastHints.fastPath = true;
     fastHints.maxKeypointsOther = cfg_.fastPathMaxKeypoints;
-    const PoseRecoveryResult fast = primary_.recover(
-        other, ego, rng, &rep.recovery, &fastHints, egoFeatures);
+    const PoseRecoveryResult fast =
+        primary_.recover(other, ego, rng, &rep.recovery, &fastHints,
+                         egoFeatures, &otherFeatures);
     if (fast.success && withinGate(fast.estimate) && validated(fast)) {
       rep.fastPathAccepted = true;
       primary = fast;
@@ -492,7 +497,7 @@ TrackerResult PoseTracker::update(const CarPerceptionData& other,
   // Rung 0: the primary measurement.
   if (!fastAccepted) {
     primary = primary_.recover(other, ego, rng, &rep.recovery, hintsPtr,
-                               egoFeatures);
+                               egoFeatures, &otherFeatures);
   }
   if (prediction && primary.success) {
     const PoseError innov = poseError(primary.estimate, *prediction);
@@ -530,8 +535,9 @@ TrackerResult PoseTracker::update(const CarPerceptionData& other,
   if (prediction && cfg_.enableRelaxedRetry) {
     BBA_SPAN("tracker-relaxed-retry");
     rep.relaxedAttempted = true;
-    const PoseRecoveryResult retried = relaxed_.recover(
-        other, ego, rng, &rep.relaxedRecovery, hintsPtr, relaxedFeatures);
+    const PoseRecoveryResult retried =
+        relaxed_.recover(other, ego, rng, &rep.relaxedRecovery, hintsPtr,
+                         relaxedEgo, relaxedOther);
     if (retried.success && withinGate(retried.estimate) &&
         !validated(retried)) {
       rep.validationRejected = true;

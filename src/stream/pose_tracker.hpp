@@ -91,15 +91,6 @@ struct PoseTrackerConfig {
   /// re-bootstraps from scratch.
   int maxConsecutiveMisses = 4;
 
-  /// Compute the ego-side features (MIM, keypoints, descriptors) once per
-  /// update() and hand them to every recover() rung instead of letting
-  /// each rung recompute them. The relaxed aligner joins the sharing only
-  /// when egoFeatureCompatible() holds for its config (it does for
-  /// relaxedRecoveryConfig(), which touches matching/RANSAC parameters
-  /// only). Byte-identical on or off — the shared features come from the
-  /// same deterministic pipeline.
-  bool shareEgoFeatures = true;
-
   /// Tracker-seeded fast path (rung 0a): with a steady track (confident
   /// prediction, zero consecutive misses, velocity-capable history), try a
   /// narrowed recover() first — yaw search collapsed to the prediction,
@@ -244,8 +235,12 @@ class PoseTracker {
   /// `egoFeatures` (optional) supplies the ego-side features precomputed
   /// elsewhere (e.g. CooperationService's per-frame EgoFeatureCache shared
   /// across peer sessions); they must be compatible with the primary
-  /// aligner's config (egoFeatureCompatible). When null and
-  /// cfg.shareEgoFeatures, the tracker computes them once itself.
+  /// aligner's config (egoFeatureCompatible). When null, the tracker
+  /// computes them once itself. Either way every rung of the step reads
+  /// the same ego features, and the peer image's features (OtherFeatures)
+  /// are computed by the first rung and reused by the later ones; the
+  /// relaxed rung joins both only when egoFeatureCompatible() holds for its
+  /// config (it does for relaxedRecoveryConfig()).
   TrackerResult update(const CarPerceptionData& other,
                        const CarPerceptionData& ego, Rng& rng,
                        TrackerReport* report = nullptr,

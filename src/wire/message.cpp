@@ -30,6 +30,7 @@ constexpr double kMaxAbsPosition = 1.0e5;            // meters
 constexpr double kMaxHalfExtent = 1.0e3;             // meters
 constexpr double kMaxAbsYaw = 16.0;                  // radians (unwrapped)
 
+#if defined(BBA_OBSERVABILITY_ENABLED)
 const char* rejectCounterName(DecodeError e) {
   switch (e) {
     case DecodeError::None:
@@ -51,6 +52,7 @@ const char* rejectCounterName(DecodeError e) {
   }
   return nullptr;
 }
+#endif
 
 /// Encode with the first `boxCount` boxes. The budget logic re-runs this
 /// with smaller counts; stats reflect the final call.

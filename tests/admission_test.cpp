@@ -256,7 +256,9 @@ TEST(Starvation, RoundRobinGrantsEverySessionEqually) {
     for (std::uint64_t id : g) {
       const int idx = static_cast<int>(id) - 1;
       // No session waits longer than ceil(S/budget) = 4 frames.
-      if (lastGrant[idx] >= 0) EXPECT_LE(f - lastGrant[idx], 4);
+      if (lastGrant[idx] >= 0) {
+        EXPECT_LE(f - lastGrant[idx], 4);
+      }
       lastGrant[idx] = f;
       grants[idx] += 1;
     }

@@ -14,7 +14,9 @@
 
 #include "common/parallel.hpp"
 #include "core/bb_align.hpp"
+#include "core/ego_cache.hpp"
 #include "dataset/generator.hpp"
+#include "stream/pose_tracker.hpp"
 
 namespace bba {
 namespace {
@@ -471,6 +473,56 @@ TEST(ObservabilityContract, RecoverEmitsStageSpansAndInlierMetrics) {
   EXPECT_TRUE(JsonChecker(metricsJson).valid());
   EXPECT_NE(metricsJson.find("\"stage1.inliers_bv\""), std::string::npos);
   EXPECT_NE(metricsJson.find("\"stage2.inliers_box\""), std::string::npos);
+}
+
+TEST(ObservabilityContract, KeypointsDetectedCountsEachDetectionOnce) {
+  const FramePair& pair = fixturePair();
+  const BBAlign aligner;
+  const CarPerceptionData ego =
+      aligner.makeCarData(pair.egoCloud, pair.egoDets);
+  const CarPerceptionData other =
+      aligner.makeCarData(pair.otherCloud, pair.otherDets);
+  // Detected before the registry is installed: the recover() below reads
+  // these ego keypoints and detects only the other image's.
+  const auto egoFeatures = aligner.computeEgoFeatures(ego);
+  obs::MetricsRegistry reg;
+  PoseRecoveryReport rep;
+  {
+    ScopedMetrics installM(reg);
+    Rng rng(3);
+    (void)aligner.recover(other, ego, rng, &rep, nullptr, egoFeatures.get());
+  }
+  ASSERT_GT(rep.keypointsOther, 0);
+  EXPECT_EQ(reg.counter("stage1.keypoints_detected").value(),
+            rep.keypointsOther);
+}
+
+TEST(ObservabilityContract, TrackerStepComputesEachImageMimOnce) {
+  const FramePair& pair = fixturePair();
+  PoseTracker tracker;
+  const BBAlign aligner(tracker.config().aligner);
+  const CarPerceptionData ego =
+      aligner.makeCarData(pair.egoCloud, pair.egoDets);
+  const CarPerceptionData other =
+      aligner.makeCarData(pair.otherCloud, pair.otherDets);
+  // A prediction far from the true pose: rung 0 cannot pass the
+  // innovation gate, so the relaxed rung runs on the same images.
+  tracker.acceptExternalPose(Pose2{Vec2{40.0, -40.0}, 1.0});
+
+  obs::TraceRecorder rec;
+  TrackerReport rep;
+  {
+    ScopedTrace installT(rec);
+    Rng rng(3);
+    (void)tracker.update(other, ego, rng, &rep);
+  }
+  ASSERT_TRUE(rep.relaxedAttempted);
+
+  const std::vector<obs::ExportedEvent> events = rec.events();
+  const auto mimSpans = std::count_if(
+      events.begin(), events.end(),
+      [](const obs::ExportedEvent& e) { return e.name == "mim"; });
+  EXPECT_EQ(mimSpans, 2);  // ego + peer; the relaxed rung reuses both
 }
 #endif  // BBA_OBSERVABILITY_ENABLED
 

@@ -16,6 +16,7 @@
 #include "features/mim.hpp"
 #include "signal/fft.hpp"
 #include "signal/log_gabor.hpp"
+#include "stream/pose_tracker.hpp"
 
 namespace bba {
 namespace {
@@ -254,6 +255,104 @@ TEST(EgoFeatureCache, CachedRecoverIsByteIdenticalToInline) {
   EXPECT_EQ(cachedRun.inliersBox, inlineRun.inliersBox);
   EXPECT_EQ(cachedRun.keypointMatches, inlineRun.keypointMatches);
   EXPECT_EQ(cachedRun.overlapScore, inlineRun.overlapScore);
+}
+
+/// One recover() call of a tracker-step-shaped sequence.
+struct MemoCall {
+  const BBAlign* aligner;
+  const RecoveryHints* hints;
+};
+
+struct MemoRun {
+  std::vector<PoseRecoveryResult> results;
+  std::vector<PoseRecoveryReport> reports;
+};
+
+/// Run `calls` in order on the pinned pair from one Rng(7), as a tracker
+/// step does, with the peer features memoized in `memo` (or not at all).
+MemoRun runSequence(const PinnedPair& pair, const EgoFeatures& ego,
+                    const std::vector<MemoCall>& calls,
+                    OtherFeatures* memo) {
+  MemoRun out;
+  Rng rng(7);
+  for (const MemoCall& c : calls) {
+    PoseRecoveryReport rep;
+    out.results.push_back(c.aligner->recover(pair.other, pair.ego, rng, &rep,
+                                             c.hints, &ego, memo));
+    out.reports.push_back(rep);
+  }
+  return out;
+}
+
+void expectSameRuns(const MemoRun& a, const MemoRun& b) {
+  ASSERT_EQ(a.results.size(), b.results.size());
+  for (std::size_t i = 0; i < a.results.size(); ++i) {
+    const PoseRecoveryResult& ra = a.results[i];
+    const PoseRecoveryResult& rb = b.results[i];
+    EXPECT_EQ(ra.success, rb.success) << "call " << i;
+    EXPECT_EQ(std::memcmp(&ra.estimate, &rb.estimate, sizeof ra.estimate), 0)
+        << "call " << i;
+    EXPECT_EQ(ra.inliersBv, rb.inliersBv) << "call " << i;
+    EXPECT_EQ(ra.inliersBox, rb.inliersBox) << "call " << i;
+    EXPECT_EQ(ra.keypointMatches, rb.keypointMatches) << "call " << i;
+    EXPECT_EQ(ra.overlapScore, rb.overlapScore) << "call " << i;
+    EXPECT_EQ(a.reports[i].toJson(false), b.reports[i].toJson(false))
+        << "call " << i;
+  }
+}
+
+TEST(OtherFeatures, RelaxedRungReusesPrimaryFeaturesByteIdentically) {
+  const BBAlign primary;
+  const PinnedPair& pair = pinnedPair(primary);
+  const BBAlign relaxed(relaxedRecoveryConfig(primary.config()));
+  BBAlignConfig wideCfg = relaxedRecoveryConfig(primary.config());
+  wideCfg.yawSpreadSteps = primary.config().yawSpreadSteps + 1;
+  const BBAlign wide(wideCfg);
+  ASSERT_TRUE(egoFeatureCompatible(primary.config(), relaxed.config()));
+  ASSERT_TRUE(egoFeatureCompatible(primary.config(), wide.config()));
+  const auto ego = primary.computeEgoFeatures(pair.ego);
+
+  const std::vector<MemoCall> calls{
+      {&primary, nullptr}, {&relaxed, nullptr}, {&wide, nullptr}};
+  const MemoRun fresh = runSequence(pair, *ego, calls, nullptr);
+  OtherFeatures memo;
+  const MemoRun shared = runSequence(pair, *ego, calls, &memo);
+  expectSameRuns(fresh, shared);
+
+  // The relaxed rung found every yaw in the memo; the wider spread found
+  // some and computed the rest.
+  const auto yaws = [&](std::size_t i) {
+    return static_cast<std::size_t>(shared.reports[i].yawCandidates);
+  };
+  EXPECT_EQ(yaws(1), yaws(0));
+  EXPECT_GT(memo.passes.size(), yaws(0));
+  EXPECT_LT(memo.passes.size(), yaws(0) + yaws(2));
+}
+
+TEST(OtherFeatures, FastPathKeypointCapDoesNotLeakIntoLaterCalls) {
+  const BBAlign primary;
+  const PinnedPair& pair = pinnedPair(primary);
+  const BBAlign relaxed(relaxedRecoveryConfig(primary.config()));
+  const auto ego = primary.computeEgoFeatures(pair.ego);
+
+  RecoveryHints fast;
+  fast.fastPath = true;
+  fast.maxKeypointsOther = 100;
+  const std::vector<MemoCall> calls{
+      {&primary, &fast}, {&primary, nullptr}, {&relaxed, nullptr}};
+  OtherFeatures probe;
+  const MemoRun fastOnly =
+      runSequence(pair, *ego, {calls.front()}, &probe);
+  ASSERT_LT(fastOnly.reports[0].keypointsOther,
+            static_cast<int>(probe.keypoints.size()));
+  EXPECT_TRUE(probe.passes.empty());
+
+  const MemoRun fresh = runSequence(pair, *ego, calls, nullptr);
+  OtherFeatures memo;
+  const MemoRun shared = runSequence(pair, *ego, calls, &memo);
+  expectSameRuns(fresh, shared);
+  EXPECT_EQ(shared.reports[1].keypointsOther,
+            static_cast<int>(memo.keypoints.size()));
 }
 
 TEST(EgoFeatureCache, CompatibilityTracksFeatureParametersOnly) {
