@@ -6,7 +6,6 @@
 #include <chrono>
 
 #include "common/assert.hpp"
-#include "core/ego_cache.hpp"
 #include "features/mim.hpp"
 #include "geom/iou.hpp"
 #include "geom/kabsch.hpp"
@@ -493,24 +492,8 @@ PoseRecoveryResult BBAlign::recover(const CarPerceptionData& other,
         detectKeypoints(cfg_, other.bvImage, otherFeatures->mim);
     otherFeatures->computed = true;
   }
-  const MimResult& mimOther = otherFeatures->mim;
   const std::vector<Keypoint>& kpsEgo = egoFeatures->keypoints;
-  // Fast path: a confident tracker prior caps the other image's keypoint
-  // budget (detector order, strongest blocks first) on a copy of the
-  // list, and its descriptor passes stay out of the memo. The caller
-  // falls back to a full call when the narrowed attempt fails.
-  const bool fastPath = hints != nullptr && hints->fastPath;
-  std::vector<Keypoint> kpsCapped;
-  if (fastPath) {
-    BBA_COUNTER_ADD("fastpath.engaged", 1);
-    kpsCapped = otherFeatures->keypoints;
-    if (hints->maxKeypointsOther > 0 &&
-        static_cast<int>(kpsCapped.size()) > hints->maxKeypointsOther) {
-      kpsCapped.resize(static_cast<std::size_t>(hints->maxKeypointsOther));
-    }
-  }
-  const std::vector<Keypoint>& kpsOther =
-      fastPath ? kpsCapped : otherFeatures->keypoints;
+  const std::vector<Keypoint>& kpsOther = otherFeatures->keypoints;
   rep.msKeypoints = lap.lap();
   rep.keypointsEgo = static_cast<int>(kpsEgo.size());
   rep.keypointsOther = static_cast<int>(kpsOther.size());
@@ -533,21 +516,13 @@ PoseRecoveryResult BBAlign::recover(const CarPerceptionData& other,
   const bool fixedMode =
       cfg_.descriptor.rotationMode == RotationMode::FixedAngle;
   if (fixedMode) {
-    std::vector<double> peaks;
-    if (fastPath) {
-      // Fast path: the confident prior IS the search range — skip the
-      // histogram correlation and evaluate only the prior (plus its
-      // spread offsets below). Misses fall back to a full call.
-      peaks.push_back(hints->posePrior.theta);
-    } else {
-      peaks = globalYawCandidates(egoFeatures->mim, mimOther,
-                                  cfg_.yawCandidates);
-      // A caller-side pose prior (streaming tracker prediction) becomes
-      // the first candidate evaluated; the histogram peaks still follow,
-      // so a wrong prior costs one extra candidate but can never hide the
-      // histogram-derived hypotheses.
-      if (hints) peaks.insert(peaks.begin(), hints->posePrior.theta);
-    }
+    std::vector<double> peaks = globalYawCandidates(
+        egoFeatures->mim, otherFeatures->mim, cfg_.yawCandidates);
+    // A caller-side pose prior (streaming tracker prediction) becomes the
+    // first candidate evaluated; the histogram peaks still follow, so a
+    // wrong prior costs one extra candidate but can never hide the
+    // histogram-derived hypotheses.
+    if (hints) peaks.insert(peaks.begin(), hints->posePrior.theta);
     yawCands.clear();
     for (const double peak : peaks) {
       for (int k = -cfg_.yawSpreadSteps; k <= cfg_.yawSpreadSteps; ++k) {
@@ -582,10 +557,8 @@ PoseRecoveryResult BBAlign::recover(const CarPerceptionData& other,
     // -yaw reads the content that ego's unrotated offsets read.
     dpOther.fixedAngle = -yaw;
     lap.lap();
-    DescriptorSet fastPass;
-    if (fastPath) fastPass = computeDescriptors(mimOther, kpsOther, dpOther);
     const DescriptorSet& descOther =
-        fastPath ? fastPass : memoizedPass(*otherFeatures, yaw, dpOther);
+        memoizedPass(*otherFeatures, yaw, dpOther);
     rep.msDescriptors += lap.lap();
     const std::vector<Match> matches =
         matchDescriptors(descOther, descEgo, cfg_.matching);

@@ -17,8 +17,6 @@
 
 namespace bba {
 
-struct EgoFeatures;  // core/ego_cache.hpp
-
 /// Configuration of the full two-stage framework (paper defaults: N_s = 4,
 /// N_o = 12, J = 96, l = 6; success thresholds Inliers_bv > 25 and
 /// Inliers_box > 6 from §V-A).
@@ -93,12 +91,11 @@ struct BBAlignConfig {
 
   /// Stage-1 hypothesis verification. Repetitive road corridors give rise
   /// to impostor RANSAC consensus sets (translations sliding along walls,
-  /// 180-degree flips); BB-Align therefore keeps the top-K hypotheses and
-  /// scores each by projecting the other car's occupied BV pixels into the
-  /// ego BV image — the true pose overlays structure on structure, the
-  /// impostors land on empty road.
-  int stage1Candidates = 8;
-  /// BV pixel intensity above which a pixel counts as occupied structure.
+  /// 180-degree flips); every hypothesis that reaches ransacBv.minInliers
+  /// is therefore scored by projecting the other car's occupied BV pixels
+  /// into the ego BV image — the true pose overlays structure on
+  /// structure, the impostors land on empty road. A BV pixel above this
+  /// intensity counts as occupied structure.
   float overlapIntensityThreshold = 0.02f;
   /// Hypotheses whose overlap score falls below this fail verification.
   double minOverlapScore = 0.2;
@@ -168,33 +165,33 @@ struct PoseRecoveryResult {
 struct RecoveryHints {
   /// Predicted other -> ego transform.
   Pose2 posePrior;
+};
 
-  /// Tracker-seeded fast path: when true (and the prior is confident),
-  /// recover() narrows the search instead of running the full sweep — the
-  /// global-yaw candidate list collapses to the prior-derived candidate
-  /// (plus its spread), and the other image's keypoint budget shrinks to
-  /// maxKeypointsOther. Callers MUST treat a failed fast-path attempt as
-  /// retryable and fall back to a full call (PoseTracker does), so end-to-
-  /// end success rates are unchanged.
-  bool fastPath = false;
-  /// Fast path only: cap on the other image's keypoints (strongest first,
-  /// detector order preserved). <= 0 keeps all.
-  int maxKeypointsOther = 300;
+/// The ego car's stage-1 features for one frame: its MIM (through the
+/// aligner's Log-Gabor bank), keypoints and fixed-angle-0 descriptors.
+/// They depend only on the ego BV image and the feature-side config, not
+/// on any peer, so one computation per frame can be shared read-only by
+/// every recover() against that frame (CooperationService hands one set
+/// to all its sessions).
+struct EgoFeatures {
+  MimResult mim;
+  std::vector<Keypoint> keypoints;
+  DescriptorSet descriptors;  ///< descriptor.fixedAngle forced to 0
 };
 
 /// The peer ("other") image's stage-1 features, memoized across the
-/// recover() calls one tracker step makes on that image: its MIM, its full
+/// recover() calls one tracker step makes on that image: its MIM, its
 /// keypoint list and the descriptor passes computed so far, one per exact
 /// relative-yaw candidate. recover() fills the MIM and keypoints on first
 /// use and adds only the yaws it does not yet hold. Every product is an
 /// RNG-free function of the image and the feature-side config, so a reused
 /// product is byte-identical to a recomputed one. Bind one value to one
-/// image, and share it only between aligners whose configs are
-/// egoFeatureCompatible (core/ego_cache.hpp).
+/// image, and share it (like EgoFeatures) only between aligners whose
+/// configs agree on every feature-side field (see relaxedRecoveryConfig).
 struct OtherFeatures {
   bool computed = false;  ///< mim and keypoints hold the image's features
   MimResult mim;
-  std::vector<Keypoint> keypoints;  ///< full detector output, never capped
+  std::vector<Keypoint> keypoints;
   std::map<double, DescriptorSet> passes;  ///< keyed by the yaw candidate
 };
 
@@ -227,19 +224,16 @@ class BBAlign {
   /// recomputing them. Requesting a report never changes the estimate.
   ///
   /// `hints` (optional) seeds the global-yaw search with a caller-side
-  /// pose prior (see RecoveryHints); with hints->fastPath it narrows the
-  /// search to the prior instead.
+  /// pose prior (see RecoveryHints).
   ///
   /// `egoFeatures` (optional) supplies precomputed ego-side features (see
-  /// EgoFeatureCache); they must come from a config for which
-  /// egoFeatureCompatible(cfg, this->config()) holds — then the result is
+  /// EgoFeatures, computeEgoFeatures()); they must come from a config
+  /// whose feature-side fields equal this aligner's — then the result is
   /// byte-identical to computing them inline.
   ///
   /// `otherFeatures` (optional) is the memo of `other`'s features (see
   /// OtherFeatures): read where it holds a product, filled where it does
-  /// not. The same compatibility rule applies. A fast-path call shares its
-  /// MIM and keypoints but neither reads nor adds descriptor passes, since
-  /// it describes a capped keypoint list. Without either argument,
+  /// not. The same config rule applies. Without either argument,
   /// recover() computes that side's features itself.
   [[nodiscard]] PoseRecoveryResult recover(
       const CarPerceptionData& other, const CarPerceptionData& ego, Rng& rng,
@@ -250,7 +244,7 @@ class BBAlign {
 
   /// Compute the ego-side feature products (MIM, keypoints, fixed-angle-0
   /// descriptors) exactly as recover() would inline — the sharable,
-  /// peer-independent half of the pipeline (see core/ego_cache.hpp).
+  /// peer-independent half of the pipeline (see EgoFeatures).
   [[nodiscard]] std::shared_ptr<const EgoFeatures> computeEgoFeatures(
       const CarPerceptionData& ego) const;
 

@@ -191,7 +191,7 @@ CooperationService::Session& CooperationService::createSession(
     session->haveLastMeta = r.haveLastMeta;
     session->lastFrameIndex = r.lastFrameIndex;
     session->lastCaptureMicros = r.lastCaptureMicros;
-    if (cfg_.lifecycle.warmStartReadmissions && r.hadLock &&
+    if (r.hadLock &&
         frames_ - r.lastLockFrame <= cfg_.lifecycle.warmStartMaxGapFrames &&
         r.health.shouldProcess()) {
       session->tracker.acceptExternalPose(r.lastLockedPose);
@@ -392,25 +392,21 @@ std::vector<SessionFrameResult> CooperationService::processFrame(
     }
   }
 
-  // Frame-scoped ego-feature sharing: this frame's ego features are taken
-  // once from the cache and every session borrows the same immutable set.
-  // They are computed here (cache.ego_miss) unless recordEgoKeyframe()
-  // already computed them for this frame (cache.ego_hit). One ego feature
-  // pipeline per frame instead of one per peer; results are byte-identical
-  // either way because the cached features come from the identical
-  // deterministic pipeline.
+  // Frame-scoped ego-feature sharing: every session borrows the frame's
+  // one immutable EgoFeatures instead of computing its own, so the frame
+  // pays one ego feature pipeline instead of one per peer. The sessions'
+  // results are byte-identical to computing them inline, since the shared
+  // features come from the same deterministic pipeline.
   // Skipped when the ego payload is absent or mis-sized (callers whose
   // every input coasts may legitimately pass an empty ego).
   // Skipped entirely when no session was granted a slot: an all-skipped/
   // all-shed/all-coasting frame must cost no ego pipeline either.
-  std::shared_ptr<const EgoFeatures> sharedEgo;
+  const EgoFeatures* sharedEgo = nullptr;
   const int egoExpected = cfg_.tracker.aligner.bev.imageSize();
-  if (cfg_.enableEgoFeatureCache && anyGranted &&
-      ego.bvImage.width() == egoExpected &&
+  if (anyGranted && ego.bvImage.width() == egoExpected &&
       ego.bvImage.height() == egoExpected) {
     BBA_SPAN("service.ego-features");
-    sharedEgo = egoCache_.features(static_cast<std::uint64_t>(frames_),
-                                   featureAligner_, ego);
+    sharedEgo = &frameEgoFeatures(ego);
   }
 
   // Cross-session parallel, per-session serial: every input owns its
@@ -500,7 +496,7 @@ std::vector<SessionFrameResult> CooperationService::processFrame(
         session.tracker.acceptExternalPose(msg.posePrior);
       }
       res.track = session.tracker.update(toCarData(msg), ego, session.rng,
-                                         &res.report, sharedEgo.get());
+                                         &res.report, sharedEgo);
     }
   });
 
@@ -709,12 +705,21 @@ map::InsertResult CooperationService::recordEgoKeyframe(
       ego.bvImage.height() != egoExpected) {
     return {};
   }
-  // Same cache key processFrame() uses for this frame, so whichever of
-  // the two runs first pays the one ego pipeline and the other reuses it.
-  const std::shared_ptr<const EgoFeatures> feats = egoCache_.features(
-      static_cast<std::uint64_t>(frames_), featureAligner_, ego);
-  if (!feats || feats->descriptors.empty()) return {};
-  return mapStore_->insert(egoGlobalPose, feats->descriptors, ego);
+  const EgoFeatures& feats = frameEgoFeatures(ego);
+  if (feats.descriptors.empty()) return {};
+  return mapStore_->insert(egoGlobalPose, feats.descriptors, ego);
+}
+
+const EgoFeatures& CooperationService::frameEgoFeatures(
+    const CarPerceptionData& ego) {
+  if (egoFrame_ == frames_) {
+    BBA_COUNTER_ADD("cache.ego_hit", 1);
+  } else {
+    BBA_COUNTER_ADD("cache.ego_miss", 1);
+    egoFeatures_ = featureAligner_.computeEgoFeatures(ego);
+    egoFrame_ = frames_;
+  }
+  return *egoFeatures_;
 }
 
 ServiceReport CooperationService::report() const {

@@ -9,7 +9,6 @@
 
 #include "common/rng.hpp"
 #include "core/bb_align.hpp"
-#include "core/ego_cache.hpp"
 #include "geom/pose2.hpp"
 #include "map/keyframe_store.hpp"
 #include "service/admission.hpp"
@@ -68,14 +67,6 @@ struct ServiceConfig {
   int consistencyMinPeers = 3;
   double consistencyMaxTranslation = 2.0;
   double consistencyMaxRotationDeg = 10.0;
-
-  /// Frame-scoped ego-feature sharing (core/ego_cache.hpp): the ego BV
-  /// image's MIM / keypoints / descriptors are computed ONCE per
-  /// processFrame() and handed read-only to every peer session, so the
-  /// per-frame cost is 1 x ego-features + peers x (other-features +
-  /// match + RANSAC) instead of peers x full recover(). Byte-identical on
-  /// or off (asserted by tests/service_test.cpp).
-  bool enableEgoFeatureCache = true;
 
   /// Fleet-scale admission (see service/admission.hpp). Stage 1, spatial
   /// pre-gate: a message whose claimed pose prior puts the peer's BV
@@ -317,10 +308,10 @@ class CooperationService {
   /// Offer the ego vehicle's current perception as a map keyframe at
   /// `egoGlobalPose` (its odometry/GNSS pose in the map frame). Call
   /// immediately BEFORE processFrame() with the same ego payload: the
-  /// ego features computed here land in the frame-scoped cache, so the
-  /// frame's sessions reuse them for free. No-op (returns a default
-  /// InsertResult) without an attached map or with a mis-sized ego
-  /// payload; the store dedups by spatial gap.
+  /// ego features computed here are the frame's, so the frame's sessions
+  /// reuse them for free. No-op (returns a default InsertResult) without
+  /// an attached map or with a mis-sized ego payload; the store dedups by
+  /// spatial gap.
   map::InsertResult recordEgoKeyframe(const CarPerceptionData& ego,
                                       const Pose2& egoGlobalPose);
 
@@ -349,13 +340,21 @@ class CooperationService {
   Session& createSession(std::uint64_t peerId, bool* readmitted);
   /// Move a live session into the retirement archive and free its slot.
   void retireSession(std::uint64_t peerId);
+  /// The ego features of the current frame (frames_): computed on the
+  /// first call of the frame (cache.ego_miss), returned as they are on
+  /// later calls of the same frame (cache.ego_hit). Called only from the
+  /// serial parts of recordEgoKeyframe() and processFrame(); sessions
+  /// read the result through a const pointer, which stays valid until a
+  /// later frame's first call replaces the features.
+  const EgoFeatures& frameEgoFeatures(const CarPerceptionData& ego);
 
   ServiceConfig cfg_;
   /// Computes the shared per-frame ego features; configured identically to
-  /// every session tracker's primary aligner, so the features it produces
-  /// are egoFeatureCompatible with all of them by construction.
+  /// every session tracker's primary aligner, so its features are the ones
+  /// each session would compute itself.
   BBAlign featureAligner_;
-  EgoFeatureCache egoCache_;
+  std::shared_ptr<const EgoFeatures> egoFeatures_;
+  int egoFrame_ = -1;  ///< the frames_ value egoFeatures_ belongs to
   int frames_ = 0;
   bba::map::KeyframeStore* mapStore_ = nullptr;  ///< not owned
   int rejectedFull_ = 0;

@@ -74,17 +74,15 @@ struct LifecycleConfig {
   /// surviving sessions' RNG streams or results.
   int maxSilentFrames = 50;
 
-  /// Reconnect: when an evicted or reaped peer returns, restore its
-  /// archived stats + trust FSM and — if its last lock is recent enough —
-  /// warm-start the fresh tracker from that pose via acceptExternalPose,
-  /// so the returning peer re-locks through the normal ladder instead of
-  /// bootstrapping blind. (With a keyframe map attached to the consuming
+  /// Reconnect: when an evicted or reaped peer returns, its archived
+  /// stats + trust FSM are restored and — if its last lock is at most
+  /// this many service frames old — the fresh tracker is warm-started
+  /// from that pose via acceptExternalPose, so the returning peer re-locks
+  /// through the normal ladder instead of bootstrapping blind (beyond the
+  /// gap the dead-reckoned pose is stale enough to mis-gate honest
+  /// measurements). (With a keyframe map attached to the consuming
   /// tracker, the relocalized rung provides the same service for the
   /// peer-less case; the archive is the service-side analogue.)
-  bool warmStartReadmissions = true;
-  /// Max service frames between the archived lock and the readmission for
-  /// the warm start to apply (beyond it the dead-reckoned pose is stale
-  /// enough to mis-gate honest measurements).
   int warmStartMaxGapFrames = 10;
 };
 

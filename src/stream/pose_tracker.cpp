@@ -74,8 +74,7 @@ std::string TrackerReport::toJson(bool includeTimings) const {
       "\"gate_rejected\":%s,\"validation_rejected\":%s,"
       "\"consecutive_misses\":%d,"
       "\"track_lost\":%s,\"rebootstrapped\":%s,"
-      "\"relaxed_attempted\":%s,"
-      "\"fast_path_attempted\":%s,\"fast_path_accepted\":%s,",
+      "\"relaxed_attempted\":%s,",
       frameIndex, toString(outcome), confidence,
       remoteReceived ? "true" : "false",
       schedulerSkipped ? "true" : "false",
@@ -84,9 +83,7 @@ std::string TrackerReport::toJson(bool includeTimings) const {
       gateRejected ? "true" : "false", validationRejected ? "true" : "false",
       consecutiveMisses,
       trackLostThisFrame ? "true" : "false", rebootstrapped ? "true" : "false",
-      relaxedAttempted ? "true" : "false",
-      fastPathAttempted ? "true" : "false",
-      fastPathAccepted ? "true" : "false");
+      relaxedAttempted ? "true" : "false");
   out += buf;
   std::snprintf(
       buf, sizeof buf,
@@ -148,10 +145,6 @@ void recordTrackerMetrics(const TrackerReport& rep) {
   if (rep.validationRejected)
     reg->counter("validate.gate_rejected").increment();
   if (rep.relaxedAttempted) reg->counter("stream.relaxed_retries").increment();
-  if (rep.fastPathAttempted) reg->counter("fastpath.attempted").increment();
-  if (rep.fastPathAccepted) reg->counter("fastpath.accepted").increment();
-  if (rep.fastPathAttempted && !rep.fastPathAccepted)
-    reg->counter("fastpath.fallback").increment();
   if (rep.rebootstrapped) reg->counter("stream.rebootstraps").increment();
   if (rep.relocalizationAttempted)
     reg->counter("map.reloc_attempted").increment();
@@ -177,10 +170,7 @@ void recordTrackerMetrics(const TrackerReport& rep) {
 PoseTracker::PoseTracker(PoseTrackerConfig config)
     : cfg_(std::move(config)),
       primary_(cfg_.aligner),
-      relaxed_(cfg_.relaxedAligner ? *cfg_.relaxedAligner
-                                   : relaxedRecoveryConfig(cfg_.aligner)),
-      relaxedSharesFeatures_(
-          egoFeatureCompatible(primary_.config(), relaxed_.config())) {
+      relaxed_(relaxedRecoveryConfig(cfg_.aligner)) {
   BBA_ASSERT(cfg_.historySize >= 1);
   BBA_ASSERT(cfg_.maxConsecutiveMisses >= 1);
   BBA_ASSERT(cfg_.confidenceDecay > 0.0 && cfg_.confidenceDecay <= 1.0);
@@ -222,8 +212,7 @@ void PoseTracker::acceptExternalPose(const Pose2& pose) {
 
 /// Rung 2/3: no acceptable measurement this frame. Extrapolate while the
 /// miss budget lasts; declare the track lost (and clear it) once exhausted.
-TrackerResult PoseTracker::miss(int frame,
-                                const std::optional<Pose2>& prediction,
+TrackerResult PoseTracker::miss(const std::optional<Pose2>& prediction,
                                 TrackerReport& rep) {
   TrackerResult out;
   ++misses_;
@@ -255,15 +244,13 @@ TrackerResult PoseTracker::miss(int frame,
   } else {
     out.outcome = TrackerOutcome::Extrapolated;
   }
-  (void)frame;
   rep.outcome = out.outcome;
   rep.confidence = out.confidence;
   return out;
 }
 
 bool PoseTracker::mapRelocalizationReady() const {
-  return cfg_.enableMapRelocalization && mapStore_ != nullptr &&
-         egoPosePrior_.has_value();
+  return mapStore_ != nullptr && egoPosePrior_.has_value();
 }
 
 void PoseTracker::offerKeyframe(const CarPerceptionData& ego,
@@ -280,9 +267,9 @@ void PoseTracker::offerKeyframe(const CarPerceptionData& ego,
 
 /// Rung 4: query the attached keyframe map around the ego pose prior and
 /// run full recover() against the best-scoring candidates. Acceptance is
-/// gated UNCONDITIONALLY by the gt-free validation score — with no motion
-/// prediction to lean on, an unvalidated lock is never reported (the
-/// tunnel no-false-lock pin holds with a map attached).
+/// gated by the gt-free validation score — with no motion prediction to
+/// lean on, an unvalidated lock is never reported (the tunnel
+/// no-false-lock pin holds with a map attached).
 bool PoseTracker::tryRelocalize(const CarPerceptionData& ego,
                                 const EgoFeatures* egoFeatures, Rng& rng,
                                 TrackerReport& rep, TrackerResult& out) {
@@ -348,7 +335,7 @@ TrackerResult PoseTracker::coast(TrackerReport* report) {
     rep.predictionAvailable = true;
     rep.prediction = *prediction;
   }
-  TrackerResult out = miss(frame, prediction, rep);
+  TrackerResult out = miss(prediction, rep);
   recordTrackerMetrics(rep);
   if (report) *report = rep;
   return out;
@@ -366,7 +353,7 @@ TrackerResult PoseTracker::coastWithEgo(const CarPerceptionData& ego,
     rep.predictionAvailable = true;
     rep.prediction = *prediction;
   }
-  TrackerResult out = miss(frame, prediction, rep);
+  TrackerResult out = miss(prediction, rep);
   // Rung 4: only once the peer ladder has truly run out — an Extrapolated
   // frame still trusts its track more than a map lock.
   if ((out.outcome == TrackerOutcome::TrackLost ||
@@ -443,7 +430,7 @@ TrackerResult PoseTracker::update(const CarPerceptionData& other,
   // be geometrically inconsistent with the payload it came from (spoofed
   // boxes, impostor BV consensus). Such a lock is demoted to a miss.
   auto validated = [&](const PoseRecoveryResult& r) {
-    return !cfg_.enableValidationGate || !r.validation.computed ||
+    return !r.validation.computed ||
            r.validation.score >= cfg_.minValidationScore;
   };
 
@@ -456,49 +443,21 @@ TrackerResult PoseTracker::update(const CarPerceptionData& other,
 
   // Both images' features are computed once per step and fed to every
   // rung instead of each recover() recomputing them: the ego side here (or
-  // supplied by the caller, e.g. CooperationService's per-frame cache
+  // supplied by the caller, e.g. CooperationService's per-frame features
   // shared across peers), the peer side by the first recover() into a memo
-  // the later rungs read. The relaxed aligner joins only when its config
-  // runs the identical feature pipeline.
+  // the later rungs read. The relaxed aligner runs the identical feature
+  // pipeline (relaxedRecoveryConfig), so it reads both.
   std::shared_ptr<const EgoFeatures> ownedFeatures;
   if (egoFeatures == nullptr) {
     ownedFeatures = primary_.computeEgoFeatures(ego);
     egoFeatures = ownedFeatures.get();
   }
   OtherFeatures otherFeatures;
-  const EgoFeatures* relaxedEgo =
-      relaxedSharesFeatures_ ? egoFeatures : nullptr;
-  OtherFeatures* relaxedOther =
-      relaxedSharesFeatures_ ? &otherFeatures : nullptr;
-
-  // Rung 0a: tracker-seeded fast path — only on a steady track (confident
-  // velocity-capable prediction, no misses in flight); a bootstrapping or
-  // coasting track needs the full sweep's robustness. A rejected fast
-  // attempt falls through to the full rung-0 call as if it never happened.
-  PoseRecoveryResult primary;
-  bool fastAccepted = false;
-  if (cfg_.enableFastPath && prediction && misses_ == 0 &&
-      history_.size() >= 2) {
-    BBA_SPAN("tracker-fastpath");
-    rep.fastPathAttempted = true;
-    RecoveryHints fastHints = hints;
-    fastHints.fastPath = true;
-    fastHints.maxKeypointsOther = cfg_.fastPathMaxKeypoints;
-    const PoseRecoveryResult fast =
-        primary_.recover(other, ego, rng, &rep.recovery, &fastHints,
-                         egoFeatures, &otherFeatures);
-    if (fast.success && withinGate(fast.estimate) && validated(fast)) {
-      rep.fastPathAccepted = true;
-      primary = fast;
-      fastAccepted = true;
-    }
-  }
 
   // Rung 0: the primary measurement.
-  if (!fastAccepted) {
-    primary = primary_.recover(other, ego, rng, &rep.recovery, hintsPtr,
-                               egoFeatures, &otherFeatures);
-  }
+  const PoseRecoveryResult primary =
+      primary_.recover(other, ego, rng, &rep.recovery, hintsPtr, egoFeatures,
+                       &otherFeatures);
   if (prediction && primary.success) {
     const PoseError innov = poseError(primary.estimate, *prediction);
     rep.innovationTranslation = innov.translation;
@@ -532,12 +491,12 @@ TrackerResult PoseTracker::update(const CarPerceptionData& other,
   // Rung 1: relaxed retry, seeded from the prediction. Only meaningful
   // when a prediction exists — without one the gate cannot protect the
   // lowered thresholds.
-  if (prediction && cfg_.enableRelaxedRetry) {
+  if (prediction) {
     BBA_SPAN("tracker-relaxed-retry");
     rep.relaxedAttempted = true;
     const PoseRecoveryResult retried =
         relaxed_.recover(other, ego, rng, &rep.relaxedRecovery, hintsPtr,
-                         relaxedEgo, relaxedOther);
+                         egoFeatures, &otherFeatures);
     if (retried.success && withinGate(retried.estimate) &&
         !validated(retried)) {
       rep.validationRejected = true;
@@ -564,7 +523,7 @@ TrackerResult PoseTracker::update(const CarPerceptionData& other,
   }
 
   // Rungs 2/3.
-  TrackerResult out = miss(frame, prediction, rep);
+  TrackerResult out = miss(prediction, rep);
   // Rung 4: map relocalization, only when the peer ladder bottomed out
   // (a coasting Extrapolated track still outranks a map lock).
   if ((out.outcome == TrackerOutcome::TrackLost ||

@@ -6,7 +6,6 @@
 #include <string>
 
 #include "core/bb_align.hpp"
-#include "core/ego_cache.hpp"
 #include "dataset/sequence.hpp"
 
 namespace bba {
@@ -48,13 +47,9 @@ inline constexpr int kTrackerOutcomeCount = 7;
 /// urban speeds move well under a meter per frame relative to each other,
 /// while a wrong BB-Align lock is typically off by several meters).
 struct PoseTrackerConfig {
-  /// The primary (rung-0) aligner configuration.
+  /// The primary (rung-0) aligner configuration. The rung-1 relaxed
+  /// aligner is relaxedRecoveryConfig(aligner).
   BBAlignConfig aligner;
-  /// Override for the rung-1 relaxed aligner; when unset it is derived
-  /// from `aligner` via relaxedRecoveryConfig().
-  std::optional<BBAlignConfig> relaxedAligner;
-  /// Run the rung-1 relaxed retry at all (it costs a second recover()).
-  bool enableRelaxedRetry = true;
 
   /// Accepted poses kept for prediction (>= 2 enables velocity).
   int historySize = 4;
@@ -76,7 +71,6 @@ struct PoseTrackerConfig {
   /// >= ~0.72, coherent box lies <= ~0.61 (see tests/stream_test.cpp) —
   /// 0.5 rejects most attacks with headroom for degraded-but-honest
   /// payloads; sensitivity-critical deployments raise it toward 0.65.
-  bool enableValidationGate = true;
   double minValidationScore = 0.5;
 
   /// Confidence of a rung-1 (relaxed) acceptance; rung 0 reports 1.0.
@@ -91,33 +85,19 @@ struct PoseTrackerConfig {
   /// re-bootstraps from scratch.
   int maxConsecutiveMisses = 4;
 
-  /// Tracker-seeded fast path (rung 0a): with a steady track (confident
-  /// prediction, zero consecutive misses, velocity-capable history), try a
-  /// narrowed recover() first — yaw search collapsed to the prediction,
-  /// other-image keypoints capped at fastPathMaxKeypoints. If the fast
-  /// attempt fails or is gate/validation rejected, the full rung-0 call
-  /// runs as if the fast attempt never happened, so end-to-end success is
-  /// preserved (asserted by tests/stream_test.cpp). Off by default: it
-  /// changes rng consumption, so enabling it re-pins byte-exact outputs.
-  bool enableFastPath = false;
-  /// Fast path only: other-image keypoint budget (see RecoveryHints).
-  int fastPathMaxKeypoints = 300;
-
-  /// Map relocalization (the rung below track-lost). Engages only when a
+  /// Map relocalization (the rung below track-lost) engages only when a
   /// KeyframeStore is attached via attachMapStore() AND an ego pose prior
   /// has been fed via setEgoPosePrior() — a tracker without a map runs
-  /// byte-identical to before this rung existed.
-  bool enableMapRelocalization = true;
-  /// Max keyframe candidates fed to recover() per relocalization attempt
-  /// (each costs a full recover() call; the best-scoring candidate goes
-  /// first, so attempt 2+ only runs when attempt 1 fails or is rejected).
+  /// byte-identical to before this rung existed. Max keyframe candidates
+  /// fed to recover() per relocalization attempt (each costs a full
+  /// recover() call; the best-scoring candidate goes first, so attempt 2+
+  /// only runs when attempt 1 fails or is rejected).
   int mapRelocalizationAttempts = 2;
   /// Confidence of a Relocalized pose. Below relaxedConfidence: the map
   /// may be stale and the ego prior coarse, and unlike rungs 0/1 there is
   /// no motion-prediction gate backing the acceptance — only the gt-free
-  /// validation gate (which relocalization applies UNCONDITIONALLY, even
-  /// with enableValidationGate off: with no trusted prior to lean on, an
-  /// unvalidated map lock is never reported).
+  /// validation gate: with no trusted prior to lean on, an unvalidated map
+  /// lock is never reported.
   double relocalizedConfidence = 0.6;
   /// Odometry-consistency envelope: an accepted relocalization's ego
   /// global pose must land within this many meters of the fed pose prior.
@@ -137,6 +117,13 @@ struct PoseTrackerConfig {
 /// poses the primary rejects for good reason — the tracker only ever uses
 /// it *behind the innovation gate*, where the motion prediction supplies
 /// the trust the lowered thresholds gave up.
+///
+/// It changes only matching, RANSAC, box-pairing and threshold fields,
+/// never a feature-side one (BEV, Log-Gabor, MIM smoothing, keypoint
+/// detector, descriptor). That is what lets the relaxed rung reuse the
+/// primary's EgoFeatures and OtherFeatures byte-identically; a change
+/// here that touches a feature-side field breaks
+/// OtherFeatures.RelaxedRungReusesPrimaryFeaturesByteIdentically.
 [[nodiscard]] BBAlignConfig relaxedRecoveryConfig(const BBAlignConfig& base);
 
 /// Constant-velocity extrapolation in (x, y, theta): the per-frame finite
@@ -175,15 +162,11 @@ struct TrackerReport {
   bool trackLostThisFrame = false;
   bool rebootstrapped = false;  ///< this frame re-locked after a lost track
 
-  /// Rung-0 recover() account (valid when remoteReceived). When the fast
-  /// path was attempted *and accepted*, this IS the fast attempt's report.
+  /// Rung-0 recover() account (valid when remoteReceived).
   PoseRecoveryReport recovery;
   /// Rung-1 relaxed recover() account (valid when relaxedAttempted).
   bool relaxedAttempted = false;
   PoseRecoveryReport relaxedRecovery;
-  /// Rung-0a fast-path account (enableFastPath trackers only).
-  bool fastPathAttempted = false;
-  bool fastPathAccepted = false;
   /// Map-relocalization account (map-attached trackers only). Attempted
   /// means the keyframe store was queried; candidates is the match count;
   /// keyframe is the accepted keyframe's id (0 when rejected);
@@ -233,14 +216,13 @@ class PoseTracker {
   /// of the underlying recover() call(s).
   ///
   /// `egoFeatures` (optional) supplies the ego-side features precomputed
-  /// elsewhere (e.g. CooperationService's per-frame EgoFeatureCache shared
-  /// across peer sessions); they must be compatible with the primary
-  /// aligner's config (egoFeatureCompatible). When null, the tracker
+  /// elsewhere (e.g. the per-frame EgoFeatures CooperationService shares
+  /// across its peer sessions); they must come from an aligner configured
+  /// like the primary one (computeEgoFeatures()). When null, the tracker
   /// computes them once itself. Either way every rung of the step reads
   /// the same ego features, and the peer image's features (OtherFeatures)
-  /// are computed by the first rung and reused by the later ones; the
-  /// relaxed rung joins both only when egoFeatureCompatible() holds for its
-  /// config (it does for relaxedRecoveryConfig()).
+  /// are computed by the first rung and reused by the later ones (see
+  /// relaxedRecoveryConfig()).
   TrackerResult update(const CarPerceptionData& other,
                        const CarPerceptionData& ego, Rng& rng,
                        TrackerReport* report = nullptr,
@@ -332,7 +314,7 @@ class PoseTracker {
 
   [[nodiscard]] std::optional<Pose2> predictAt(int frame) const;
   void accept(int frame, const Pose2& pose);
-  TrackerResult miss(int frame, const std::optional<Pose2>& prediction,
+  TrackerResult miss(const std::optional<Pose2>& prediction,
                      TrackerReport& rep);
   /// True when the Relocalized rung can engage at all this frame.
   [[nodiscard]] bool mapRelocalizationReady() const;
@@ -351,7 +333,6 @@ class PoseTracker {
   PoseTrackerConfig cfg_;
   BBAlign primary_;
   BBAlign relaxed_;
-  bool relaxedSharesFeatures_ = false;  ///< egoFeatureCompatible(primary, relaxed)
   std::deque<Accepted> history_;
   int frame_ = 0;    ///< frames processed so far (next frame index)
   int misses_ = 0;   ///< consecutive misses

@@ -14,7 +14,6 @@
 
 #include "common/parallel.hpp"
 #include "core/bb_align.hpp"
-#include "core/ego_cache.hpp"
 #include "dataset/generator.hpp"
 #include "stream/pose_tracker.hpp"
 

@@ -180,13 +180,12 @@ struct ServiceRun {
 /// The pinned 3-session scenario: peer 1 receives clean traffic, peer 2's
 /// payloads are corrupted by the payload fault channel every frame, peer 3
 /// suffers link drops on frames 1 and 2.
-ServiceRun runService(int threads, bool egoCache = true) {
+ServiceRun runService(int threads) {
   ThreadLimit limit(threads);
   const std::vector<StreamFrame>& frames = scenarioFrames();
 
   ServiceConfig cfg;
   cfg.seed = 42;
-  cfg.enableEgoFeatureCache = egoCache;
   CooperationService svc(cfg);
   const BBAlign aligner(cfg.tracker.aligner);
 
@@ -273,8 +272,9 @@ TEST(ServicePipeline, ReportAggregatesAcrossSessions) {
                                              rep.sessions[2].bytesReceived);
 }
 
-/// Field-wise byte comparison of two runs (pose doubles via EXPECT_EQ,
-/// per-frame reports as timing-stripped JSON).
+/// Field-wise byte comparison of two runs: poses via EXPECT_EQ on the
+/// doubles, not EXPECT_NEAR, and per-frame reports as JSON without the
+/// wall-clock stage timings (the one legitimately nondeterministic block).
 void expectRunsByteIdentical(const ServiceRun& a, const ServiceRun& b) {
   EXPECT_EQ(a.reportJson, b.reportJson);
   ASSERT_EQ(a.frames.size(), b.frames.size());
@@ -297,42 +297,8 @@ void expectRunsByteIdentical(const ServiceRun& a, const ServiceRun& b) {
   }
 }
 
-TEST(ServicePipeline, EgoFeatureCacheIsByteTransparentAt1Thread) {
-  expectRunsByteIdentical(runAt1Thread(),
-                          runService(1, /*egoCache=*/false));
-}
-
-TEST(ServicePipeline, EgoFeatureCacheIsByteTransparentAt8Threads) {
-  expectRunsByteIdentical(runAt8Threads(),
-                          runService(8, /*egoCache=*/false));
-}
-
 TEST(ServicePipeline, ByteIdenticalReportsAt1And8Threads) {
-  const ServiceRun& one = runAt1Thread();
-  const ServiceRun& eight = runAt8Threads();
-  EXPECT_EQ(one.reportJson, eight.reportJson);
-  ASSERT_EQ(one.frames.size(), eight.frames.size());
-  for (std::size_t k = 0; k < one.frames.size(); ++k) {
-    ASSERT_EQ(one.frames[k].size(), eight.frames[k].size());
-    for (std::size_t s = 0; s < one.frames[k].size(); ++s) {
-      const SessionFrameResult& a = one.frames[k][s];
-      const SessionFrameResult& b = eight.frames[k][s];
-      EXPECT_EQ(a.peerId, b.peerId);
-      EXPECT_EQ(a.decodeError, b.decodeError);
-      EXPECT_EQ(a.track.poseValid, b.track.poseValid);
-      EXPECT_EQ(a.track.outcome, b.track.outcome);
-      // Byte-identical poses: EXPECT_EQ on doubles, not EXPECT_NEAR.
-      EXPECT_EQ(a.track.pose.t.x, b.track.pose.t.x);
-      EXPECT_EQ(a.track.pose.t.y, b.track.pose.t.y);
-      EXPECT_EQ(a.track.pose.theta, b.track.pose.theta);
-      EXPECT_EQ(a.track.confidence, b.track.confidence);
-      // The per-frame report is byte-identical once the wall-clock stage
-      // timings (the one legitimately nondeterministic block) are left
-      // out of the export.
-      EXPECT_EQ(a.report.toJson(/*includeTimings=*/false),
-                b.report.toJson(/*includeTimings=*/false));
-    }
-  }
+  expectRunsByteIdentical(runAt1Thread(), runAt8Threads());
 }
 
 // ---- one peer: the session step fans out on the pool ----------------------
@@ -416,80 +382,6 @@ TEST(ServiceEgoCache, HitMeansTheKeyframeAndTheFrameSharedFeatures) {
             std::make_pair(std::int64_t{kFrames}, std::int64_t{kFrames}));
 }
 #endif  // BBA_OBSERVABILITY_ENABLED
-
-// ---- PR 5 adversarial 3-peer scenario, cache on vs off --------------------
-
-/// The health_test 3-peer spoofer scenario (peer 2's pose-prior claim lies
-/// by the adversarial channel, geometry honest, consistency vote catches
-/// it) rerun here to pin that the ego-feature cache is byte-transparent
-/// under quarantines, claims and the consistency vote — not just on clean
-/// traffic.
-ServiceRun runAdversarialService(int threads, bool egoCache) {
-  ThreadLimit limit(threads);
-
-  static const std::vector<StreamFrame> frames = [] {
-    SequenceConfig sc;
-    sc.seed = 7;
-    sc.frames = 3;
-    sc.scenario.separation = 30.0;
-    return SequenceGenerator(sc).generate();
-  }();
-
-  ServiceConfig cfg;
-  cfg.seed = 42;
-  cfg.usePosePriors = false;
-  cfg.enableEgoFeatureCache = egoCache;
-  // Reduced RANSAC draws: still recovers every frame of this scenario,
-  // keeps the 3-peer sweep affordable (same trick as health_test.cpp).
-  cfg.tracker.aligner.ransacBv.iterations = 2000;
-  cfg.tracker.aligner.ransacBox.iterations = 200;
-  CooperationService svc(cfg);
-  const BBAlign aligner(cfg.tracker.aligner);
-
-  FaultConfig fc;
-  fc.seed = 5;
-  fc.poseSpoofProb = 1.0;
-  const FaultInjector adv(fc);
-
-  ServiceRun run;
-  for (std::size_t k = 0; k < frames.size(); ++k) {
-    const StreamFrame& f = frames[k];
-    const CarPerceptionData ego = aligner.makeCarData(f.egoCloud, f.egoDets);
-    const CarPerceptionData other =
-        aligner.makeCarData(f.otherCloud, f.otherDets);
-    const Pose2 claim = f.gtDeliveredOtherToEgo;
-    const std::vector<std::uint8_t> honest =
-        svc.sendFrame(other, 1, static_cast<std::uint32_t>(k), nullptr,
-                      &claim, static_cast<std::int64_t>(k + 1) * 100000);
-    const Pose2 lie =
-        adv.adversarialFaults(static_cast<int>(k)).spoofDelta.compose(claim);
-    const std::vector<std::uint8_t> spoofed =
-        svc.sendFrame(other, 2, static_cast<std::uint32_t>(k), nullptr,
-                      &lie, static_cast<std::int64_t>(k + 1) * 100000);
-
-    std::vector<PeerFrameInput> inputs;
-    inputs.push_back({1, &honest});
-    inputs.push_back({2, &spoofed});
-    inputs.push_back({3, &honest});
-    run.frames.push_back(svc.processFrame(ego, inputs));
-  }
-  run.report = svc.report();
-  run.reportJson = run.report.toJson();
-  return run;
-}
-
-TEST(ServiceAdversarial, EgoFeatureCacheIsByteTransparentAt1Thread) {
-  const ServiceRun cacheOn = runAdversarialService(1, /*egoCache=*/true);
-  const ServiceRun cacheOff = runAdversarialService(1, /*egoCache=*/false);
-  // Sanity: the scenario actually exercises the vote.
-  EXPECT_TRUE(cacheOn.frames[0][1].consistencyOutlier);
-  expectRunsByteIdentical(cacheOn, cacheOff);
-}
-
-TEST(ServiceAdversarial, EgoFeatureCacheIsByteTransparentAt8Threads) {
-  expectRunsByteIdentical(runAdversarialService(8, /*egoCache=*/true),
-                          runAdversarialService(8, /*egoCache=*/false));
-}
 
 }  // namespace
 }  // namespace bba::service

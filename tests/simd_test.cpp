@@ -10,7 +10,6 @@
 #include "common/rng.hpp"
 #include "common/simd.hpp"
 #include "core/bb_align.hpp"
-#include "core/ego_cache.hpp"
 #include "dataset/generator.hpp"
 #include "features/descriptor.hpp"
 #include "features/mim.hpp"
@@ -234,7 +233,7 @@ TEST(SimdIdentity, EndToEndRecoverByteIdenticalAcrossLevels) {
   }
 }
 
-TEST(EgoFeatureCache, CachedRecoverIsByteIdenticalToInline) {
+TEST(EgoFeatures, SuppliedRecoverIsByteIdenticalToInline) {
   const BBAlign aligner;
   const PinnedPair& pair = pinnedPair(aligner);
 
@@ -243,42 +242,38 @@ TEST(EgoFeatureCache, CachedRecoverIsByteIdenticalToInline) {
       aligner.recover(pair.other, pair.ego, rngInline);
 
   const auto feats = aligner.computeEgoFeatures(pair.ego);
-  Rng rngCached(7);
-  const PoseRecoveryResult cachedRun = aligner.recover(
-      pair.other, pair.ego, rngCached, nullptr, nullptr, feats.get());
+  Rng rngSupplied(7);
+  const PoseRecoveryResult suppliedRun = aligner.recover(
+      pair.other, pair.ego, rngSupplied, nullptr, nullptr, feats.get());
 
-  EXPECT_EQ(cachedRun.success, inlineRun.success);
-  EXPECT_EQ(std::memcmp(&cachedRun.estimate, &inlineRun.estimate,
-                        sizeof cachedRun.estimate),
+  EXPECT_EQ(suppliedRun.success, inlineRun.success);
+  EXPECT_EQ(std::memcmp(&suppliedRun.estimate, &inlineRun.estimate,
+                        sizeof suppliedRun.estimate),
             0);
-  EXPECT_EQ(cachedRun.inliersBv, inlineRun.inliersBv);
-  EXPECT_EQ(cachedRun.inliersBox, inlineRun.inliersBox);
-  EXPECT_EQ(cachedRun.keypointMatches, inlineRun.keypointMatches);
-  EXPECT_EQ(cachedRun.overlapScore, inlineRun.overlapScore);
+  EXPECT_EQ(suppliedRun.inliersBv, inlineRun.inliersBv);
+  EXPECT_EQ(suppliedRun.inliersBox, inlineRun.inliersBox);
+  EXPECT_EQ(suppliedRun.keypointMatches, inlineRun.keypointMatches);
+  EXPECT_EQ(suppliedRun.overlapScore, inlineRun.overlapScore);
 }
-
-/// One recover() call of a tracker-step-shaped sequence.
-struct MemoCall {
-  const BBAlign* aligner;
-  const RecoveryHints* hints;
-};
 
 struct MemoRun {
   std::vector<PoseRecoveryResult> results;
   std::vector<PoseRecoveryReport> reports;
 };
 
-/// Run `calls` in order on the pinned pair from one Rng(7), as a tracker
-/// step does, with the peer features memoized in `memo` (or not at all).
-MemoRun runSequence(const PinnedPair& pair, const EgoFeatures& ego,
-                    const std::vector<MemoCall>& calls,
-                    OtherFeatures* memo) {
+/// Run one recover() per aligner, in order, on the pinned pair from one
+/// Rng(7), as a tracker step does. Every call reads `ego` and the peer
+/// memo `memo`; where one is null, each call computes that side's
+/// features itself under its own config.
+MemoRun runSequence(const PinnedPair& pair,
+                    const std::vector<const BBAlign*>& aligners,
+                    const EgoFeatures* ego, OtherFeatures* memo) {
   MemoRun out;
   Rng rng(7);
-  for (const MemoCall& c : calls) {
+  for (const BBAlign* aligner : aligners) {
     PoseRecoveryReport rep;
-    out.results.push_back(c.aligner->recover(pair.other, pair.ego, rng, &rep,
-                                             c.hints, &ego, memo));
+    out.results.push_back(aligner->recover(pair.other, pair.ego, rng, &rep,
+                                           nullptr, ego, memo));
     out.reports.push_back(rep);
   }
   return out;
@@ -308,15 +303,12 @@ TEST(OtherFeatures, RelaxedRungReusesPrimaryFeaturesByteIdentically) {
   BBAlignConfig wideCfg = relaxedRecoveryConfig(primary.config());
   wideCfg.yawSpreadSteps = primary.config().yawSpreadSteps + 1;
   const BBAlign wide(wideCfg);
-  ASSERT_TRUE(egoFeatureCompatible(primary.config(), relaxed.config()));
-  ASSERT_TRUE(egoFeatureCompatible(primary.config(), wide.config()));
   const auto ego = primary.computeEgoFeatures(pair.ego);
 
-  const std::vector<MemoCall> calls{
-      {&primary, nullptr}, {&relaxed, nullptr}, {&wide, nullptr}};
-  const MemoRun fresh = runSequence(pair, *ego, calls, nullptr);
+  const std::vector<const BBAlign*> calls{&primary, &relaxed, &wide};
+  const MemoRun fresh = runSequence(pair, calls, nullptr, nullptr);
   OtherFeatures memo;
-  const MemoRun shared = runSequence(pair, *ego, calls, &memo);
+  const MemoRun shared = runSequence(pair, calls, ego.get(), &memo);
   expectSameRuns(fresh, shared);
 
   // The relaxed rung found every yaw in the memo; the wider spread found
@@ -327,49 +319,6 @@ TEST(OtherFeatures, RelaxedRungReusesPrimaryFeaturesByteIdentically) {
   EXPECT_EQ(yaws(1), yaws(0));
   EXPECT_GT(memo.passes.size(), yaws(0));
   EXPECT_LT(memo.passes.size(), yaws(0) + yaws(2));
-}
-
-TEST(OtherFeatures, FastPathKeypointCapDoesNotLeakIntoLaterCalls) {
-  const BBAlign primary;
-  const PinnedPair& pair = pinnedPair(primary);
-  const BBAlign relaxed(relaxedRecoveryConfig(primary.config()));
-  const auto ego = primary.computeEgoFeatures(pair.ego);
-
-  RecoveryHints fast;
-  fast.fastPath = true;
-  fast.maxKeypointsOther = 100;
-  const std::vector<MemoCall> calls{
-      {&primary, &fast}, {&primary, nullptr}, {&relaxed, nullptr}};
-  OtherFeatures probe;
-  const MemoRun fastOnly =
-      runSequence(pair, *ego, {calls.front()}, &probe);
-  ASSERT_LT(fastOnly.reports[0].keypointsOther,
-            static_cast<int>(probe.keypoints.size()));
-  EXPECT_TRUE(probe.passes.empty());
-
-  const MemoRun fresh = runSequence(pair, *ego, calls, nullptr);
-  OtherFeatures memo;
-  const MemoRun shared = runSequence(pair, *ego, calls, &memo);
-  expectSameRuns(fresh, shared);
-  EXPECT_EQ(shared.reports[1].keypointsOther,
-            static_cast<int>(memo.keypoints.size()));
-}
-
-TEST(EgoFeatureCache, CompatibilityTracksFeatureParametersOnly) {
-  const BBAlignConfig base;
-  BBAlignConfig matchingOnly = base;
-  matchingOnly.matching.topK += 1;
-  matchingOnly.ransacBv.inlierThreshold *= 1.5;
-  matchingOnly.minOverlapScore *= 0.5;
-  EXPECT_TRUE(egoFeatureCompatible(base, matchingOnly));
-
-  BBAlignConfig differentBank = base;
-  differentBank.logGabor.numOrientations += 1;
-  EXPECT_FALSE(egoFeatureCompatible(base, differentBank));
-
-  BBAlignConfig differentDetector = base;
-  differentDetector.blockMax.maxKeypoints += 10;
-  EXPECT_FALSE(egoFeatureCompatible(base, differentDetector));
 }
 
 }  // namespace

@@ -11,10 +11,9 @@
    src/lidar/conditions.cpp), every ``SessionAdmission`` outcome (parsed
    from src/service/session_lifecycle.cpp), and every ``stream.*`` /
    ``wire.*`` / ``service.*`` / ``session.*`` / ``health.*`` /
-   ``validate.*`` / ``cache.*`` / ``fastpath.*`` / ``map.*`` metric name
-   (parsed from the emitting sources) must
-   appear somewhere in the checked documents — the docs may not silently
-   fall behind the code.
+   ``validate.*`` / ``cache.*`` / ``map.*`` metric name (parsed from the
+   emitting sources) must appear somewhere in the checked documents — the
+   docs may not silently fall behind the code.
 3. Generated-block gate: the scenario-matrix block of EXPERIMENTS.md must
    byte-match a render of bench/scenario_baseline.json
    (tools/gen_experiments.py --check).
@@ -178,21 +177,11 @@ def validate_metric_names() -> list:
 
 
 def cache_metric_names() -> list:
-    """cache.* counters (Log-Gabor bank cache + ego-feature cache)."""
+    """cache.* counters (Log-Gabor bank cache + per-frame ego features)."""
     names = set()
-    for sub in ("signal", "core", "service"):
+    for sub in ("signal", "service"):
         for src in sorted((REPO / "src" / sub).glob("*.cpp")):
             names.update(re.findall(r"\"(cache\.\w+)\"", src.read_text(
-                encoding="utf-8")))
-    return sorted(names)
-
-
-def fastpath_metric_names() -> list:
-    """fastpath.* counters (tracker-seeded narrowed recover())."""
-    names = set()
-    for sub in ("core", "stream"):
-        for src in sorted((REPO / "src" / sub).glob("*.cpp")):
-            names.update(re.findall(r"\"(fastpath\.\w+)\"", src.read_text(
                 encoding="utf-8")))
     return sorted(names)
 
@@ -298,7 +287,7 @@ def main() -> int:
     for name in (wire_metric_names() + service_metric_names()
                  + session_metric_names() + health_metric_names()
                  + validate_metric_names() + cache_metric_names()
-                 + fastpath_metric_names() + map_metric_names()):
+                 + map_metric_names()):
         if name not in corpus:
             errors.append(
                 f"metric '{name}' is undocumented "
@@ -339,7 +328,7 @@ def main() -> int:
                     + len(service_metric_names())
                     + len(session_metric_names()) + len(health_metric_names())
                     + len(validate_metric_names()) + len(cache_metric_names())
-                    + len(fastpath_metric_names()) + len(map_metric_names()))
+                    + len(map_metric_names()))
     print(f"docs-health: OK ({len(DOCS)} documents, "
           f"{len(recovery_failure_enumerators())} failure values, "
           f"{len(decode_error_enumerators())} decode-error values, "
