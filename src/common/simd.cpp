@@ -11,9 +11,7 @@ namespace {
 #if defined(__x86_64__) || defined(__i386__)
 SimdLevel detectLevel() {
   __builtin_cpu_init();
-  if (__builtin_cpu_supports("avx2")) return SimdLevel::Avx2;
-  if (__builtin_cpu_supports("sse2")) return SimdLevel::Sse2;
-  return SimdLevel::Scalar;
+  return __builtin_cpu_supports("avx2") ? SimdLevel::Avx2 : SimdLevel::Scalar;
 }
 #else
 SimdLevel detectLevel() { return SimdLevel::Scalar; }
@@ -24,7 +22,6 @@ SimdLevel initialLevel() {
   if (const char* env = std::getenv("BBA_SIMD")) {
     SimdLevel requested = level;
     if (std::strcmp(env, "scalar") == 0) requested = SimdLevel::Scalar;
-    else if (std::strcmp(env, "sse2") == 0) requested = SimdLevel::Sse2;
     else if (std::strcmp(env, "avx2") == 0) requested = SimdLevel::Avx2;
     if (static_cast<int>(requested) < static_cast<int>(level))
       level = requested;
@@ -43,8 +40,6 @@ const char* toString(SimdLevel level) {
   switch (level) {
     case SimdLevel::Scalar:
       return "scalar";
-    case SimdLevel::Sse2:
-      return "sse2";
     case SimdLevel::Avx2:
       return "avx2";
   }

@@ -9,8 +9,7 @@ namespace bba {
 /// reductions use one fixed virtual-lane order shared by all paths.
 enum class SimdLevel {
   Scalar = 0,  ///< reference implementation, no vector intrinsics
-  Sse2 = 1,    ///< 128-bit lanes (baseline on x86-64)
-  Avx2 = 2,    ///< 256-bit lanes
+  Avx2 = 1,    ///< 256-bit lanes
 };
 
 [[nodiscard]] const char* toString(SimdLevel level);
@@ -19,7 +18,7 @@ enum class SimdLevel {
 [[nodiscard]] SimdLevel maxSupportedSimdLevel();
 
 /// The level kernels dispatch to. Defaults to maxSupportedSimdLevel();
-/// the BBA_SIMD environment variable ("scalar", "sse2", "avx2") lowers it,
+/// the BBA_SIMD environment variable ("scalar", "avx2") lowers it,
 /// and setSimdLevel() overrides it from code (tests sweep all levels).
 /// Requests above hardware support clamp down to it.
 [[nodiscard]] SimdLevel simdLevel();

@@ -67,8 +67,11 @@ std::vector<Keypoint> detectKeypoints(const BBAlignConfig& cfg,
 }  // namespace
 
 MimResult BBAlign::computeImageMim(const ImageF& bvImage) const {
-  return computeMim(cfg_.smoothBvForMim ? boxBlur3(bvImage) : bvImage,
-                    *bank_);
+  // Box-blur the BV image before the Log-Gabor bank: it thickens the dotted
+  // lines of sparse scans, so MIM orientations are stable across sensors
+  // with different sampling densities. Keypoints still anchor to the raw
+  // height map.
+  return computeMim(boxBlur3(bvImage), *bank_);
 }
 
 DescriptorSet BBAlign::describe(const ImageF& bvImage,
@@ -454,7 +457,7 @@ std::shared_ptr<const EgoFeatures> BBAlign::computeEgoFeatures(
 PoseRecoveryResult BBAlign::recover(const CarPerceptionData& other,
                                     const CarPerceptionData& ego, Rng& rng,
                                     PoseRecoveryReport* report,
-                                    const RecoveryHints* hints,
+                                    const Pose2* posePrior,
                                     const EgoFeatures* egoFeatures,
                                     OtherFeatures* otherFeatures) const {
   BBA_SPAN("recover");
@@ -522,7 +525,7 @@ PoseRecoveryResult BBAlign::recover(const CarPerceptionData& other,
     // first candidate evaluated; the histogram peaks still follow, so a
     // wrong prior costs one extra candidate but can never hide the
     // histogram-derived hypotheses.
-    if (hints) peaks.insert(peaks.begin(), hints->posePrior.theta);
+    if (posePrior) peaks.insert(peaks.begin(), posePrior->theta);
     yawCands.clear();
     for (const double peak : peaks) {
       for (int k = -cfg_.yawSpreadSteps; k <= cfg_.yawSpreadSteps; ++k) {

@@ -23,11 +23,6 @@ namespace bba {
 struct BBAlignConfig {
   BevParams bev;
   LogGaborParams logGabor;
-  /// Box-blur the BV image before the Log-Gabor bank: thickens the dotted
-  /// lines of sparse scans so MIM orientations are stable across sensors
-  /// with different sampling densities. Keypoints still anchor to the raw
-  /// height map.
-  bool smoothBvForMim = true;
   /// Keypoints anchored to occupied BV pixels (block-wise brightest):
   /// repeatable across viewpoints/sensors because they sit on physical
   /// structure. The default detector.
@@ -155,18 +150,6 @@ struct PoseRecoveryResult {
   PoseValidation validation;
 };
 
-/// Optional caller-side priors for one recover() call. A streaming tracker
-/// (src/stream) supplies its constant-velocity motion prediction here so
-/// the global-yaw search starts from the predicted rotation. Hints only
-/// *seed* the search — an extra yaw candidate, evaluated first — they
-/// never gate, replace or bias the measurement itself: with no hint the
-/// same candidate set is simply discovered (or not) from the orientation
-/// histograms alone.
-struct RecoveryHints {
-  /// Predicted other -> ego transform.
-  Pose2 posePrior;
-};
-
 /// The ego car's stage-1 features for one frame: its MIM (through the
 /// aligner's Log-Gabor bank), keypoints and fixed-angle-0 descriptors.
 /// They depend only on the ego BV image and the feature-side config, not
@@ -223,8 +206,13 @@ class BBAlign {
   /// the failure cause — so callers consume these numbers instead of
   /// recomputing them. Requesting a report never changes the estimate.
   ///
-  /// `hints` (optional) seeds the global-yaw search with a caller-side
-  /// pose prior (see RecoveryHints).
+  /// `posePrior` (optional) is a caller-side predicted other -> ego
+  /// transform: a streaming tracker (src/stream) supplies its
+  /// constant-velocity motion prediction so the global-yaw search starts
+  /// from the predicted rotation. The prior only *seeds* the search — an
+  /// extra yaw candidate, evaluated first — and never gates, replaces or
+  /// biases the measurement itself: without it the same candidate set is
+  /// simply discovered (or not) from the orientation histograms alone.
   ///
   /// `egoFeatures` (optional) supplies precomputed ego-side features (see
   /// EgoFeatures, computeEgoFeatures()); they must come from a config
@@ -238,7 +226,7 @@ class BBAlign {
   [[nodiscard]] PoseRecoveryResult recover(
       const CarPerceptionData& other, const CarPerceptionData& ego, Rng& rng,
       PoseRecoveryReport* report = nullptr,
-      const RecoveryHints* hints = nullptr,
+      const Pose2* posePrior = nullptr,
       const EgoFeatures* egoFeatures = nullptr,
       OtherFeatures* otherFeatures = nullptr) const;
 

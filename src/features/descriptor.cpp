@@ -96,7 +96,7 @@ double dominantOrientation(const MimResult& mim, const Vec2& px,
 // bases are hoisted into a1/a2 so each sample costs one sub/add plus the
 // half-up rounding. Samples are strictly positive here (the caller's
 // margin check guarantees it), so floor(v + 0.5) equals truncation and
-// cvttpd is an exact vectorization; one dx per lane keeps every level
+// cvttpd is an exact vectorization; one dx per lane keeps both levels
 // bit-identical.
 
 void patchCoordsScalar(const double* a1, const double* a2, int n, double sdy,
@@ -108,25 +108,6 @@ void patchCoordsScalar(const double* a1, const double* a2, int n, double sdy,
 }
 
 #if defined(BBA_DESC_X86)
-
-void patchCoordsSse2(const double* a1, const double* a2, int n, double sdy,
-                     double cdy, int* ix, int* iy) {
-  const __m128d sv = _mm_set1_pd(sdy);
-  const __m128d cv = _mm_set1_pd(cdy);
-  const __m128d half = _mm_set1_pd(0.5);
-  int k = 0;
-  for (; k + 2 <= n; k += 2) {
-    const __m128d sx =
-        _mm_add_pd(_mm_sub_pd(_mm_loadu_pd(a1 + k), sv), half);
-    const __m128d sy =
-        _mm_add_pd(_mm_add_pd(_mm_loadu_pd(a2 + k), cv), half);
-    _mm_storel_epi64(reinterpret_cast<__m128i*>(ix + k),
-                     _mm_cvttpd_epi32(sx));
-    _mm_storel_epi64(reinterpret_cast<__m128i*>(iy + k),
-                     _mm_cvttpd_epi32(sy));
-  }
-  if (k < n) patchCoordsScalar(a1 + k, a2 + k, n - k, sdy, cdy, ix + k, iy + k);
-}
 
 __attribute__((target("avx2"))) void patchCoordsAvx2(const double* a1,
                                                      const double* a2, int n,
@@ -146,7 +127,7 @@ __attribute__((target("avx2"))) void patchCoordsAvx2(const double* a1,
     _mm_storeu_si128(reinterpret_cast<__m128i*>(iy + k),
                      _mm256_cvttpd_epi32(sy));
   }
-  if (k < n) patchCoordsSse2(a1 + k, a2 + k, n - k, sdy, cdy, ix + k, iy + k);
+  if (k < n) patchCoordsScalar(a1 + k, a2 + k, n - k, sdy, cdy, ix + k, iy + k);
 }
 
 #endif  // BBA_DESC_X86
@@ -154,21 +135,9 @@ __attribute__((target("avx2"))) void patchCoordsAvx2(const double* a1,
 void patchCoords(const double* a1, const double* a2, int n, double sdy,
                  double cdy, int* ix, int* iy, SimdLevel level) {
 #if defined(BBA_DESC_X86)
-  switch (level) {
-    case SimdLevel::Avx2:
-      if (n >= 4) {
-        patchCoordsAvx2(a1, a2, n, sdy, cdy, ix, iy);
-        return;
-      }
-      [[fallthrough]];
-    case SimdLevel::Sse2:
-      if (n >= 2) {
-        patchCoordsSse2(a1, a2, n, sdy, cdy, ix, iy);
-        return;
-      }
-      [[fallthrough]];
-    case SimdLevel::Scalar:
-      break;
+  if (level == SimdLevel::Avx2 && n >= 4) {
+    patchCoordsAvx2(a1, a2, n, sdy, cdy, ix, iy);
+    return;
   }
 #else
   (void)level;
@@ -285,8 +254,11 @@ DescriptorSet computeDescriptors(const MimResult& mim,
         const int iy = scratch.iy[static_cast<std::size_t>(kx)];
         const float amp = mim.peakAmplitude(ix, iy);
         if (amp <= ampMask) continue;
-        const float w = prm.amplitudeWeighting ? amp : 1.0f;
 
+        // Every unmasked pixel casts one vote, whatever its amplitude:
+        // counting is steadier than amplitude weighting across sensors
+        // whose differing densities and vertical FOVs skew amplitudes.
+        //
         // Trilinear soft binning (x, y, orientation): visibility and
         // sub-pixel differences between two views then move vote mass
         // between adjacent bins instead of teleporting it, which keeps
@@ -321,7 +293,7 @@ DescriptorSet computeDescriptors(const MimResult& mim,
             if (gx2 < 0 || gx2 >= l) continue;
             const double wx = bx == 0 ? 1.0 - fx : fx;
             float* cell = &desc[static_cast<std::size_t>((gy2 * l + gx2) * no)];
-            const float ws = static_cast<float>(w * wy * wx);
+            const float ws = static_cast<float>(wy * wx);
             cell[i0] += ws * (1.0f - fo);
             cell[i1] += ws * fo;
           }
@@ -375,11 +347,10 @@ namespace {
 
 // ---- squared-distance kernels --------------------------------------------
 // Fixed 8-virtual-lane blocked reduction: lane l accumulates elements
-// i % 8 == l, and all paths collapse the 8 partials with the same
-// pairwise tree — so scalar (8 scalar accumulators), SSE2 (2x4 lanes) and
-// AVX2 (1x8 lanes) are bit-identical. Descriptors are grid*grid*no floats
-// (192 by default), a multiple of 8; other sizes take the sequential
-// fallback.
+// i % 8 == l, and both paths collapse the 8 partials with the same
+// pairwise tree — so scalar (8 scalar accumulators) and AVX2 (1x8 lanes)
+// are bit-identical. Descriptors are grid*grid*no floats (192 by default),
+// a multiple of 8; other sizes take the sequential fallback.
 
 float hsum8(const float* acc) {
   const float s01 = acc[0] + acc[1];
@@ -402,22 +373,6 @@ float distance2Blocked8Scalar(const float* a, const float* b, std::size_t n) {
 }
 
 #if defined(BBA_DESC_X86)
-
-float distance2Blocked8Sse2(const float* a, const float* b, std::size_t n) {
-  __m128 lo = _mm_setzero_ps();
-  __m128 hi = _mm_setzero_ps();
-  for (std::size_t i = 0; i < n; i += 8) {
-    const __m128 d0 = _mm_sub_ps(_mm_loadu_ps(a + i), _mm_loadu_ps(b + i));
-    const __m128 d1 =
-        _mm_sub_ps(_mm_loadu_ps(a + i + 4), _mm_loadu_ps(b + i + 4));
-    lo = _mm_add_ps(lo, _mm_mul_ps(d0, d0));
-    hi = _mm_add_ps(hi, _mm_mul_ps(d1, d1));
-  }
-  float acc[8];
-  _mm_storeu_ps(acc, lo);
-  _mm_storeu_ps(acc + 4, hi);
-  return hsum8(acc);
-}
 
 __attribute__((target("avx2"))) float distance2Blocked8Avx2(const float* a,
                                                             const float* b,
@@ -443,13 +398,8 @@ float descriptorDistance2(const std::vector<float>& a,
   const std::size_t n = a.size();
   if (n % 8 == 0 && n > 0) {
 #if defined(BBA_DESC_X86)
-    switch (simdLevel()) {
-      case SimdLevel::Avx2:
-        return distance2Blocked8Avx2(a.data(), b.data(), n);
-      case SimdLevel::Sse2:
-        return distance2Blocked8Sse2(a.data(), b.data(), n);
-      case SimdLevel::Scalar:
-        break;
+    if (simdLevel() == SimdLevel::Avx2) {
+      return distance2Blocked8Avx2(a.data(), b.data(), n);
     }
 #endif
     return distance2Blocked8Scalar(a.data(), b.data(), n);

@@ -32,10 +32,6 @@ struct DescriptorParams {
   RotationMode rotationMode = RotationMode::FixedAngle;
   /// Patch rotation angle used when rotationMode == FixedAngle (radians).
   double fixedAngle = 0.0;
-  /// Weight histogram votes by Log-Gabor amplitude instead of counting.
-  /// Counting (false) is more stable across heterogeneous sensors, whose
-  /// differing densities and vertical FOVs skew amplitudes.
-  bool amplitudeWeighting = false;
   /// Pixels vote only when their peak amplitude exceeds this fraction of
   /// the image's maximum — the MIM is argmax noise where there is no
   /// structure, and such pixels must not vote.

@@ -22,11 +22,11 @@ namespace {
 // ---- fused orientation-sweep kernels -------------------------------------
 // Per pixel, in one pass over the `no` orientation maps: amplitude sum,
 // strict-greater argmax, and the double-precision axial circular-mean
-// accumulators. The vector paths put one *pixel* per lane, so every
+// accumulators. The AVX2 path puts one *pixel* per lane, so every
 // per-pixel op runs in the exact scalar sequence (sequential adds over o,
 // blend-based argmax, float->double converts, mul + add, never FMA) and
-// all levels produce bit-identical images. The atan2/fmod finish is scalar
-// in every path.
+// both levels produce bit-identical images. The atan2/fmod finish is
+// scalar in both paths.
 
 float finishAngle(double s2, double c2) {
   // Axial (pi-periodic) circular mean, rotated +90 degrees to the
@@ -65,52 +65,6 @@ void mimSweepScalar(const float* const* amp, int no, int x0, int x1,
 }
 
 #if defined(BBA_MIM_X86)
-
-void mimSweepSse2(const float* const* amp, int no, int x0, int x1,
-                  const double* cosT, const double* sinT, unsigned char* mim,
-                  float* peak, float* total, float* orient) {
-  int x = x0;
-  for (; x + 4 <= x1; x += 4) {
-    __m128 best = _mm_setzero_ps();
-    __m128i bidx = _mm_setzero_si128();
-    __m128 tot = _mm_setzero_ps();
-    __m128d c2lo = _mm_setzero_pd(), c2hi = _mm_setzero_pd();
-    __m128d s2lo = _mm_setzero_pd(), s2hi = _mm_setzero_pd();
-    for (int o = 0; o < no; ++o) {
-      const __m128 a = _mm_loadu_ps(amp[o] + x);
-      tot = _mm_add_ps(tot, a);
-      const __m128 gt = _mm_cmpgt_ps(a, best);
-      best = _mm_or_ps(_mm_and_ps(gt, a), _mm_andnot_ps(gt, best));
-      const __m128i m = _mm_castps_si128(gt);
-      const __m128i oi = _mm_set1_epi32(o);
-      bidx = _mm_or_si128(_mm_and_si128(m, oi), _mm_andnot_si128(m, bidx));
-      const __m128d alo = _mm_cvtps_pd(a);
-      const __m128d ahi = _mm_cvtps_pd(_mm_movehl_ps(a, a));
-      const __m128d cv = _mm_set1_pd(cosT[o]);
-      const __m128d sv = _mm_set1_pd(sinT[o]);
-      c2lo = _mm_add_pd(c2lo, _mm_mul_pd(alo, cv));
-      c2hi = _mm_add_pd(c2hi, _mm_mul_pd(ahi, cv));
-      s2lo = _mm_add_pd(s2lo, _mm_mul_pd(alo, sv));
-      s2hi = _mm_add_pd(s2hi, _mm_mul_pd(ahi, sv));
-    }
-    _mm_storeu_ps(peak + x, best);
-    _mm_storeu_ps(total + x, tot);
-    int idx[4];
-    double c2a[4], s2a[4];
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(idx), bidx);
-    _mm_storeu_pd(c2a, c2lo);
-    _mm_storeu_pd(c2a + 2, c2hi);
-    _mm_storeu_pd(s2a, s2lo);
-    _mm_storeu_pd(s2a + 2, s2hi);
-    for (int l = 0; l < 4; ++l) {
-      mim[x + l] = static_cast<unsigned char>(idx[l]);
-      orient[x + l] = finishAngle(s2a[l], c2a[l]);
-    }
-  }
-  if (x < x1) {
-    mimSweepScalar(amp, no, x, x1, cosT, sinT, mim, peak, total, orient);
-  }
-}
 
 __attribute__((target("avx2"))) void mimSweepAvx2(
     const float* const* amp, int no, int x0, int x1, const double* cosT,
@@ -154,7 +108,7 @@ __attribute__((target("avx2"))) void mimSweepAvx2(
     }
   }
   if (x < x1) {
-    mimSweepSse2(amp, no, x, x1, cosT, sinT, mim, peak, total, orient);
+    mimSweepScalar(amp, no, x, x1, cosT, sinT, mim, peak, total, orient);
   }
 }
 
@@ -164,21 +118,9 @@ void mimSweepRow(const float* const* amp, int no, int w, const double* cosT,
                  const double* sinT, unsigned char* mim, float* peak,
                  float* total, float* orient, SimdLevel level) {
 #if defined(BBA_MIM_X86)
-  switch (level) {
-    case SimdLevel::Avx2:
-      if (w >= 8) {
-        mimSweepAvx2(amp, no, 0, w, cosT, sinT, mim, peak, total, orient);
-        return;
-      }
-      [[fallthrough]];
-    case SimdLevel::Sse2:
-      if (w >= 4) {
-        mimSweepSse2(amp, no, 0, w, cosT, sinT, mim, peak, total, orient);
-        return;
-      }
-      [[fallthrough]];
-    case SimdLevel::Scalar:
-      break;
+  if (level == SimdLevel::Avx2 && w >= 8) {
+    mimSweepAvx2(amp, no, 0, w, cosT, sinT, mim, peak, total, orient);
+    return;
   }
 #else
   (void)level;

@@ -143,75 +143,6 @@ RansacResult refineWithGate(const Pose2& initial, std::span<const Vec2> src,
 
 }  // namespace
 
-std::vector<RansacCandidate> ransacRigid2DCandidates(
-    std::span<const Vec2> src, std::span<const Vec2> dst,
-    const RansacParams& prm, Rng& rng, int maxCandidates,
-    std::span<const double> srcOrientations,
-    std::span<const double> dstOrientations) {
-  BBA_ASSERT(src.size() == dst.size());
-  BBA_ASSERT(srcOrientations.size() == dstOrientations.size());
-  BBA_ASSERT(srcOrientations.empty() || srcOrientations.size() == src.size());
-  BBA_ASSERT(maxCandidates >= 1);
-
-  const Gate gate{srcOrientations, dstOrientations,
-                  prm.orientationToleranceRad};
-  std::vector<RansacCandidate> top;  // sorted descending by inlierCount
-  const int n = static_cast<int>(src.size());
-  if (n < 2) return top;
-
-  // One draw off the caller's generator seeds every per-iteration
-  // substream: call-site reproducibility is preserved (the parent stream
-  // advances exactly once), and iteration `it` sees values that depend
-  // only on (base, it).
-  const std::uint64_t base = rng.engine()();
-
-  // Phase 1 (parallel): sample + filter + score each iteration's
-  // hypothesis into per-chunk buckets. Scoring (countInliers) is the hot
-  // O(iterations * n) part.
-  const std::int64_t iters = prm.iterations;
-  std::vector<std::vector<RansacCandidate>> buckets(
-      static_cast<std::size_t>(chunkCount(0, iters, kIterGrain)));
-  parallelFor(0, iters, kIterGrain, [&](std::int64_t it0, std::int64_t it1) {
-    auto& bucket = buckets[static_cast<std::size_t>(it0 / kIterGrain)];
-    for (std::int64_t it = it0; it < it1; ++it) {
-      Pose2 hyp;
-      if (!sampleHypothesis(base, it, src, dst, prm, gate, &hyp)) continue;
-      const int inliers =
-          countInliers(hyp, src, dst, prm.inlierThreshold, gate, nullptr);
-      if (inliers < 2) continue;
-      bucket.push_back(RansacCandidate{hyp, inliers});
-    }
-  });
-
-  // Phase 2 (serial, cheap): merge into the top-K list in iteration order
-  // — buckets in chunk order, candidates in order within each bucket — so
-  // the dedup/merge sequence is the same one a serial loop would perform.
-  for (const auto& bucket : buckets) {
-    for (const RansacCandidate& scored : bucket) {
-      bool merged = false;
-      for (auto& cand : top) {
-        if (similarTransforms(cand.transform, scored.transform)) {
-          if (scored.inlierCount > cand.inlierCount) {
-            cand.transform = scored.transform;
-            cand.inlierCount = scored.inlierCount;
-          }
-          merged = true;
-          break;
-        }
-      }
-      if (!merged) top.push_back(scored);
-      std::sort(top.begin(), top.end(),
-                [](const RansacCandidate& a, const RansacCandidate& b) {
-                  return a.inlierCount > b.inlierCount;
-                });
-      if (top.size() > static_cast<std::size_t>(maxCandidates)) {
-        top.resize(static_cast<std::size_t>(maxCandidates));
-      }
-    }
-  }
-  return top;
-}
-
 RansacResult ransacTranslation2D(std::span<const Vec2> src,
                                  std::span<const Vec2> dst,
                                  const RansacParams& prm, Rng& rng) {
@@ -384,11 +315,46 @@ RansacResult ransacRigid2D(std::span<const Vec2> src,
                            const RansacParams& prm, Rng& rng,
                            std::span<const double> srcOrientations,
                            std::span<const double> dstOrientations) {
-  const auto candidates = ransacRigid2DCandidates(
-      src, dst, prm, rng, 1, srcOrientations, dstOrientations);
-  if (candidates.empty()) return RansacResult{};
-  return refineRigid2D(candidates.front().transform, src, dst, prm,
-                       srcOrientations, dstOrientations);
+  BBA_ASSERT(src.size() == dst.size());
+  BBA_ASSERT(srcOrientations.size() == dstOrientations.size());
+  BBA_ASSERT(srcOrientations.empty() || srcOrientations.size() == src.size());
+
+  const Gate gate{srcOrientations, dstOrientations,
+                  prm.orientationToleranceRad};
+  const int n = static_cast<int>(src.size());
+  if (n < 2) return RansacResult{};
+
+  // One draw off the caller's generator seeds every per-iteration
+  // substream: call-site reproducibility is preserved (the parent stream
+  // advances exactly once), and iteration `it` sees values that depend
+  // only on (base, it).
+  const std::uint64_t base = rng.engine()();
+
+  // Parallel sweep with per-chunk winners, combined in chunk order with a
+  // strict `>` — the first hypothesis in iteration order with the most
+  // inliers (at least 2) wins, at any thread count.
+  const std::int64_t iters = prm.iterations;
+  std::vector<RansacCandidate> chunkBest(
+      static_cast<std::size_t>(chunkCount(0, iters, kIterGrain)));
+  parallelFor(0, iters, kIterGrain, [&](std::int64_t it0, std::int64_t it1) {
+    RansacCandidate& local =
+        chunkBest[static_cast<std::size_t>(it0 / kIterGrain)];
+    for (std::int64_t it = it0; it < it1; ++it) {
+      Pose2 hyp;
+      if (!sampleHypothesis(base, it, src, dst, prm, gate, &hyp)) continue;
+      const int inliers =
+          countInliers(hyp, src, dst, prm.inlierThreshold, gate, nullptr);
+      if (inliers >= 2 && inliers > local.inlierCount) {
+        local = RansacCandidate{hyp, inliers};
+      }
+    }
+  });
+  RansacCandidate winner;
+  for (const RansacCandidate& cb : chunkBest) {
+    if (cb.inlierCount > winner.inlierCount) winner = cb;
+  }
+  if (winner.inlierCount == 0) return RansacResult{};
+  return refineWithGate(winner.transform, src, dst, prm, gate);
 }
 
 }  // namespace bba

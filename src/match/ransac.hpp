@@ -54,7 +54,8 @@ struct RansacCandidate {
 
 /// Robustly estimate the rigid 2-D transform mapping src[i] -> dst[i]
 /// (Algorithm 1 lines 11 & 14). Minimal sample: 2 correspondences. The
-/// winning hypothesis is refined by least squares over its inliers.
+/// winning hypothesis — the first in iteration order with the most
+/// inliers — is refined by least squares over its inliers.
 ///
 /// `srcOrientations`/`dstOrientations` (optional, pi-periodic radians —
 /// e.g. dominant MIM orientations) enable the orientation-consistency
@@ -62,18 +63,6 @@ struct RansacCandidate {
 [[nodiscard]] RansacResult ransacRigid2D(
     std::span<const Vec2> src, std::span<const Vec2> dst,
     const RansacParams& params, Rng& rng,
-    std::span<const double> srcOrientations = {},
-    std::span<const double> dstOrientations = {});
-
-/// Multi-hypothesis variant: up to `maxCandidates` geometrically distinct
-/// hypotheses, sorted by descending inlier count, none refined. Repetitive
-/// scenes (road corridors) produce impostor consensus sets whose inlier
-/// counts rival the true one; callers disambiguate with an independent
-/// verification signal (BB-Align stage 1 scores candidates by BV-image
-/// occupancy overlap) and then refine the winner with refineRigid2D.
-[[nodiscard]] std::vector<RansacCandidate> ransacRigid2DCandidates(
-    std::span<const Vec2> src, std::span<const Vec2> dst,
-    const RansacParams& params, Rng& rng, int maxCandidates,
     std::span<const double> srcOrientations = {},
     std::span<const double> dstOrientations = {});
 

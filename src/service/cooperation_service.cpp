@@ -221,7 +221,6 @@ void CooperationService::retireSession(std::uint64_t peerId) {
   r.hadLock = s.hadLock;
   r.lastLockedPose = s.lastLockedPose;
   r.lastLockFrame = s.lastLockFrame;
-  r.retiredAtFrame = frames_;
   r.haveLastMeta = s.haveLastMeta;
   r.lastFrameIndex = s.lastFrameIndex;
   r.lastCaptureMicros = s.lastCaptureMicros;

@@ -327,7 +327,6 @@ class CooperationService {
     bool hadLock = false;
     Pose2 lastLockedPose;
     int lastLockFrame = 0;
-    int retiredAtFrame = 0;
     // Replay-guard metadata survives retirement: an evict/return cycle
     // must not reopen the session to replays of its own old traffic.
     bool haveLastMeta = false;

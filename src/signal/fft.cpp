@@ -83,11 +83,11 @@ std::shared_ptr<const TwiddleTables> twiddleTables(std::size_t n) {
 
 // ---- butterfly kernels ---------------------------------------------------
 // One merge block: for k < m, with u = a[k] and v = b[k] * tw[k], write
-// a[k] = u + v and b[k] = u - v. The vector paths compute the complex
+// a[k] = u + v and b[k] = u - v. The AVX2 path computes the complex
 // product with the same (ac - bd, ad + bc) mul/add float sequence the
 // scalar std::complex operator* emits for finite values, never FMA (the
 // scalar baseline has none to contract into), and every lane carries one
-// independent element — so scalar, SSE2 and AVX2 are bit-identical on the
+// independent element — so scalar and AVX2 are bit-identical on the
 // finite data FFTs produce.
 
 void butterflyScalar(Complexf* a, Complexf* b, const Complexf* tw,
@@ -102,38 +102,19 @@ void butterflyScalar(Complexf* a, Complexf* b, const Complexf* tw,
 
 #if defined(BBA_FFT_X86)
 
-void butterflySse2(Complexf* a, Complexf* b, const Complexf* tw,
-                   std::size_t m) {
+/// Merges every whole 4- and 2-element group and returns how many elements
+/// it merged; butterfly() finishes the rest in scalar. Inlined here, the
+/// scalar complex multiply's __mulsc3 fallback would make GCC realign the
+/// stack in this kernel's prologue, a cost each of a 256-point transform's
+/// 127 calls would pay.
+__attribute__((target("avx2"))) std::size_t butterflyAvx2(
+    Complexf* a, Complexf* b, const Complexf* tw, std::size_t m) {
   float* af = reinterpret_cast<float*>(a);
   float* bf = reinterpret_cast<float*>(b);
   const float* tf = reinterpret_cast<const float*>(tw);
   // -0.0f in the even (real-part) lanes: xor negates them, turning the
   // final add into the sub the scalar formula performs (x + (-y) == x - y
   // exactly in IEEE arithmetic).
-  const __m128 signEven = _mm_set_ps(0.0f, -0.0f, 0.0f, -0.0f);
-  std::size_t k = 0;
-  for (; k + 2 <= m; k += 2) {
-    const __m128 bv = _mm_loadu_ps(bf + 2 * k);
-    const __m128 tv = _mm_loadu_ps(tf + 2 * k);
-    const __m128 br = _mm_shuffle_ps(bv, bv, _MM_SHUFFLE(2, 2, 0, 0));
-    const __m128 bi = _mm_shuffle_ps(bv, bv, _MM_SHUFFLE(3, 3, 1, 1));
-    const __m128 ts = _mm_shuffle_ps(tv, tv, _MM_SHUFFLE(2, 3, 0, 1));
-    const __m128 p1 = _mm_mul_ps(br, tv);
-    const __m128 p2 = _mm_mul_ps(bi, ts);
-    const __m128 v = _mm_add_ps(p1, _mm_xor_ps(p2, signEven));
-    const __m128 u = _mm_loadu_ps(af + 2 * k);
-    _mm_storeu_ps(af + 2 * k, _mm_add_ps(u, v));
-    _mm_storeu_ps(bf + 2 * k, _mm_sub_ps(u, v));
-  }
-  if (k < m) butterflyScalar(a + k, b + k, tw + k, m - k);
-}
-
-__attribute__((target("avx2"))) void butterflyAvx2(Complexf* a, Complexf* b,
-                                                   const Complexf* tw,
-                                                   std::size_t m) {
-  float* af = reinterpret_cast<float*>(a);
-  float* bf = reinterpret_cast<float*>(b);
-  const float* tf = reinterpret_cast<const float*>(tw);
   const __m256 signEven =
       _mm256_set_ps(0.0f, -0.0f, 0.0f, -0.0f, 0.0f, -0.0f, 0.0f, -0.0f);
   std::size_t k = 0;
@@ -150,34 +131,37 @@ __attribute__((target("avx2"))) void butterflyAvx2(Complexf* a, Complexf* b,
     _mm256_storeu_ps(af + 2 * k, _mm256_add_ps(u, v));
     _mm256_storeu_ps(bf + 2 * k, _mm256_sub_ps(u, v));
   }
-  if (k < m) butterflySse2(a + k, b + k, tw + k, m - k);
+  // One 128-bit step for a two-element rest: every transform's len-4
+  // level (m == 2) runs here, too narrow for the 256-bit loop.
+  if (k + 2 <= m) {
+    const __m128 bv = _mm_loadu_ps(bf + 2 * k);
+    const __m128 tv = _mm_loadu_ps(tf + 2 * k);
+    const __m128 br = _mm_shuffle_ps(bv, bv, _MM_SHUFFLE(2, 2, 0, 0));
+    const __m128 bi = _mm_shuffle_ps(bv, bv, _MM_SHUFFLE(3, 3, 1, 1));
+    const __m128 ts = _mm_shuffle_ps(tv, tv, _MM_SHUFFLE(2, 3, 0, 1));
+    const __m128 p1 = _mm_mul_ps(br, tv);
+    const __m128 p2 = _mm_mul_ps(bi, ts);
+    const __m128 v =
+        _mm_add_ps(p1, _mm_xor_ps(p2, _mm256_castps256_ps128(signEven)));
+    const __m128 u = _mm_loadu_ps(af + 2 * k);
+    _mm_storeu_ps(af + 2 * k, _mm_add_ps(u, v));
+    _mm_storeu_ps(bf + 2 * k, _mm_sub_ps(u, v));
+    k += 2;
+  }
+  return k;
 }
 
 #endif  // BBA_FFT_X86
 
 void butterfly(Complexf* a, Complexf* b, const Complexf* tw, std::size_t m,
                SimdLevel level) {
+  std::size_t k = 0;
 #if defined(BBA_FFT_X86)
-  switch (level) {
-    case SimdLevel::Avx2:
-      if (m >= 4) {
-        butterflyAvx2(a, b, tw, m);
-        return;
-      }
-      [[fallthrough]];
-    case SimdLevel::Sse2:
-      if (m >= 2) {
-        butterflySse2(a, b, tw, m);
-        return;
-      }
-      [[fallthrough]];
-    case SimdLevel::Scalar:
-      break;
-  }
+  if (level == SimdLevel::Avx2 && m >= 2) k = butterflyAvx2(a, b, tw, m);
 #else
   (void)level;
 #endif
-  butterflyScalar(a, b, tw, m);
+  butterflyScalar(a + k, b + k, tw + k, m - k);
 }
 
 // ---- uniform complex scale (the inverse transform's 1/N) -----------------
@@ -188,16 +172,6 @@ void scaleScalar(Complexf* d, std::size_t n, float s) {
 
 #if defined(BBA_FFT_X86)
 
-void scaleSse2(Complexf* d, std::size_t n, float s) {
-  float* f = reinterpret_cast<float*>(d);
-  const __m128 sv = _mm_set1_ps(s);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    _mm_storeu_ps(f + 2 * i, _mm_mul_ps(_mm_loadu_ps(f + 2 * i), sv));
-  }
-  if (i < n) scaleScalar(d + i, n - i, s);
-}
-
 __attribute__((target("avx2"))) void scaleAvx2(Complexf* d, std::size_t n,
                                                float s) {
   float* f = reinterpret_cast<float*>(d);
@@ -206,28 +180,16 @@ __attribute__((target("avx2"))) void scaleAvx2(Complexf* d, std::size_t n,
   for (; i + 4 <= n; i += 4) {
     _mm256_storeu_ps(f + 2 * i, _mm256_mul_ps(_mm256_loadu_ps(f + 2 * i), sv));
   }
-  if (i < n) scaleSse2(d + i, n - i, s);
+  if (i < n) scaleScalar(d + i, n - i, s);
 }
 
 #endif  // BBA_FFT_X86
 
 void scale(Complexf* d, std::size_t n, float s, SimdLevel level) {
 #if defined(BBA_FFT_X86)
-  switch (level) {
-    case SimdLevel::Avx2:
-      if (n >= 4) {
-        scaleAvx2(d, n, s);
-        return;
-      }
-      [[fallthrough]];
-    case SimdLevel::Sse2:
-      if (n >= 2) {
-        scaleSse2(d, n, s);
-        return;
-      }
-      [[fallthrough]];
-    case SimdLevel::Scalar:
-      break;
+  if (level == SimdLevel::Avx2 && n >= 4) {
+    scaleAvx2(d, n, s);
+    return;
   }
 #else
   (void)level;
@@ -245,22 +207,6 @@ void mulSpectrumScalar(const Complexf* s, const float* f, Complexf* out,
 }
 
 #if defined(BBA_FFT_X86)
-
-void mulSpectrumSse2(const Complexf* s, const float* f, Complexf* out,
-                     std::size_t n) {
-  const float* sf = reinterpret_cast<const float*>(s);
-  float* of = reinterpret_cast<float*>(out);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m128 fv = _mm_loadu_ps(f + i);
-    const __m128 flo = _mm_unpacklo_ps(fv, fv);  // [f0 f0 f1 f1]
-    const __m128 fhi = _mm_unpackhi_ps(fv, fv);  // [f2 f2 f3 f3]
-    _mm_storeu_ps(of + 2 * i, _mm_mul_ps(_mm_loadu_ps(sf + 2 * i), flo));
-    _mm_storeu_ps(of + 2 * i + 4,
-                  _mm_mul_ps(_mm_loadu_ps(sf + 2 * i + 4), fhi));
-  }
-  if (i < n) mulSpectrumScalar(s + i, f + i, out + i, n - i);
-}
 
 __attribute__((target("avx2"))) void mulSpectrumAvx2(const Complexf* s,
                                                      const float* f,
@@ -283,7 +229,7 @@ __attribute__((target("avx2"))) void mulSpectrumAvx2(const Complexf* s,
     _mm256_storeu_ps(of + 2 * i + 8,
                      _mm256_mul_ps(_mm256_loadu_ps(sf + 2 * i + 8), fb));
   }
-  if (i < n) mulSpectrumSse2(s + i, f + i, out + i, n - i);
+  if (i < n) mulSpectrumScalar(s + i, f + i, out + i, n - i);
 }
 
 #endif  // BBA_FFT_X86
@@ -291,21 +237,9 @@ __attribute__((target("avx2"))) void mulSpectrumAvx2(const Complexf* s,
 void mulSpectrum(const Complexf* s, const float* f, Complexf* out,
                  std::size_t n, SimdLevel level) {
 #if defined(BBA_FFT_X86)
-  switch (level) {
-    case SimdLevel::Avx2:
-      if (n >= 8) {
-        mulSpectrumAvx2(s, f, out, n);
-        return;
-      }
-      [[fallthrough]];
-    case SimdLevel::Sse2:
-      if (n >= 4) {
-        mulSpectrumSse2(s, f, out, n);
-        return;
-      }
-      [[fallthrough]];
-    case SimdLevel::Scalar:
-      break;
+  if (level == SimdLevel::Avx2 && n >= 8) {
+    mulSpectrumAvx2(s, f, out, n);
+    return;
   }
 #else
   (void)level;
@@ -315,8 +249,8 @@ void mulSpectrum(const Complexf* s, const float* f, Complexf* out,
 
 // ---- modulus accumulation ------------------------------------------------
 // acc[i] += sqrt(re^2 + im^2). Fixed per-element op order (re*re, im*im,
-// add, sqrt, accumulate) in every path; sqrtps/sqrtss are both correctly
-// rounded, so all levels agree bit-for-bit.
+// add, sqrt, accumulate) in both paths; sqrtps and sqrtss are both
+// correctly rounded, so the levels agree bit-for-bit.
 
 void absAccumulateScalar(const Complexf* src, float* acc, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
@@ -327,21 +261,6 @@ void absAccumulateScalar(const Complexf* src, float* acc, std::size_t n) {
 }
 
 #if defined(BBA_FFT_X86)
-
-void absAccumulateSse2(const Complexf* src, float* acc, std::size_t n) {
-  const float* sf = reinterpret_cast<const float*>(src);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m128 a = _mm_loadu_ps(sf + 2 * i);      // [r0 i0 r1 i1]
-    const __m128 b = _mm_loadu_ps(sf + 2 * i + 4);  // [r2 i2 r3 i3]
-    const __m128 re = _mm_shuffle_ps(a, b, _MM_SHUFFLE(2, 0, 2, 0));
-    const __m128 im = _mm_shuffle_ps(a, b, _MM_SHUFFLE(3, 1, 3, 1));
-    const __m128 mag = _mm_sqrt_ps(
-        _mm_add_ps(_mm_mul_ps(re, re), _mm_mul_ps(im, im)));
-    _mm_storeu_ps(acc + i, _mm_add_ps(_mm_loadu_ps(acc + i), mag));
-  }
-  if (i < n) absAccumulateScalar(src + i, acc + i, n - i);
-}
 
 __attribute__((target("avx2"))) void absAccumulateAvx2(const Complexf* src,
                                                        float* acc,
@@ -361,7 +280,7 @@ __attribute__((target("avx2"))) void absAccumulateAvx2(const Complexf* src,
         _mm256_castps_pd(magp), _MM_SHUFFLE(3, 1, 2, 0)));
     _mm256_storeu_ps(acc + i, _mm256_add_ps(_mm256_loadu_ps(acc + i), mag));
   }
-  if (i < n) absAccumulateSse2(src + i, acc + i, n - i);
+  if (i < n) absAccumulateScalar(src + i, acc + i, n - i);
 }
 
 #endif  // BBA_FFT_X86
@@ -370,21 +289,9 @@ __attribute__((target("avx2"))) void absAccumulateAvx2(const Complexf* src,
 
 void absAccumulate(const Complexf* src, float* acc, std::size_t n) {
 #if defined(BBA_FFT_X86)
-  switch (simdLevel()) {
-    case SimdLevel::Avx2:
-      if (n >= 8) {
-        absAccumulateAvx2(src, acc, n);
-        return;
-      }
-      [[fallthrough]];
-    case SimdLevel::Sse2:
-      if (n >= 4) {
-        absAccumulateSse2(src, acc, n);
-        return;
-      }
-      [[fallthrough]];
-    case SimdLevel::Scalar:
-      break;
+  if (simdLevel() == SimdLevel::Avx2 && n >= 8) {
+    absAccumulateAvx2(src, acc, n);
+    return;
   }
 #endif
   absAccumulateScalar(src, acc, n);

@@ -18,7 +18,7 @@ using Complexf = std::complex<float>;
 /// float recurrence the butterflies would otherwise run inline, and the
 /// butterfly kernels are SIMD-dispatched with per-element-independent
 /// arithmetic only — results are bit-identical across table/no-table,
-/// scalar/SSE2/AVX2 and any thread count (see DESIGN.md).
+/// scalar/AVX2 and any thread count (see DESIGN.md).
 void fft1d(std::span<Complexf> data, bool inverse);
 
 /// Dense complex 2-D spectrum/raster for FFT-based filtering.
@@ -74,8 +74,8 @@ void multiplySpectrumInto(const ComplexImage& spectrum, const ImageF& filter,
 
 /// acc[i] += |src[i]| with the modulus computed as sqrt(re*re + im*im)
 /// (one correctly-rounded sqrt per element, no libm hypot call).
-/// SIMD-dispatched; every lane carries one independent element, so scalar,
-/// SSE2 and AVX2 results are bit-identical.
+/// SIMD-dispatched; every lane carries one independent element, so scalar
+/// and AVX2 results are bit-identical.
 void absAccumulate(const Complexf* src, float* acc, std::size_t n);
 
 /// True if n is a power of two (and > 0).

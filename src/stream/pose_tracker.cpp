@@ -292,10 +292,9 @@ bool PoseTracker::tryRelocalize(const CarPerceptionData& ego,
     ++attempts;
     // The keyframe plays the "other" car. Expected keyframe -> ego
     // transform from the two global poses: T = G_ego^-1 * G_kf.
-    RecoveryHints hints;
-    hints.posePrior = prior.inverse().compose(kf->globalPose);
+    const Pose2 expected = prior.inverse().compose(kf->globalPose);
     const PoseRecoveryResult r = primary_.recover(
-        kf->payload, ego, rng, &rep.relocalization, &hints, egoFeatures);
+        kf->payload, ego, rng, &rep.relocalization, &expected, egoFeatures);
     if (!r.success || !r.validation.computed ||
         r.validation.score < cfg_.minValidationScore) {
       continue;
@@ -434,12 +433,7 @@ TrackerResult PoseTracker::update(const CarPerceptionData& other,
            r.validation.score >= cfg_.minValidationScore;
   };
 
-  RecoveryHints hints;
-  const RecoveryHints* hintsPtr = nullptr;
-  if (prediction) {
-    hints.posePrior = *prediction;
-    hintsPtr = &hints;
-  }
+  const Pose2* posePrior = prediction ? &*prediction : nullptr;
 
   // Both images' features are computed once per step and fed to every
   // rung instead of each recover() recomputing them: the ego side here (or
@@ -456,7 +450,7 @@ TrackerResult PoseTracker::update(const CarPerceptionData& other,
 
   // Rung 0: the primary measurement.
   const PoseRecoveryResult primary =
-      primary_.recover(other, ego, rng, &rep.recovery, hintsPtr, egoFeatures,
+      primary_.recover(other, ego, rng, &rep.recovery, posePrior, egoFeatures,
                        &otherFeatures);
   if (prediction && primary.success) {
     const PoseError innov = poseError(primary.estimate, *prediction);
@@ -495,7 +489,7 @@ TrackerResult PoseTracker::update(const CarPerceptionData& other,
     BBA_SPAN("tracker-relaxed-retry");
     rep.relaxedAttempted = true;
     const PoseRecoveryResult retried =
-        relaxed_.recover(other, ego, rng, &rep.relaxedRecovery, hintsPtr,
+        relaxed_.recover(other, ego, rng, &rep.relaxedRecovery, posePrior,
                          egoFeatures, &otherFeatures);
     if (retried.success && withinGate(retried.estimate) &&
         !validated(retried)) {

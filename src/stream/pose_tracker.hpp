@@ -119,10 +119,10 @@ struct PoseTrackerConfig {
 /// the trust the lowered thresholds gave up.
 ///
 /// It changes only matching, RANSAC, box-pairing and threshold fields,
-/// never a feature-side one (BEV, Log-Gabor, MIM smoothing, keypoint
-/// detector, descriptor). That is what lets the relaxed rung reuse the
-/// primary's EgoFeatures and OtherFeatures byte-identically; a change
-/// here that touches a feature-side field breaks
+/// never a feature-side one (BEV, Log-Gabor, keypoint detector,
+/// descriptor). That is what lets the relaxed rung reuse the primary's
+/// EgoFeatures and OtherFeatures byte-identically; a change here that
+/// touches a feature-side field breaks
 /// OtherFeatures.RelaxedRungReusesPrimaryFeaturesByteIdentically.
 [[nodiscard]] BBAlignConfig relaxedRecoveryConfig(const BBAlignConfig& base);
 

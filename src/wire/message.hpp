@@ -48,7 +48,9 @@ struct CooperativeMessage {
   std::int64_t captureTimeMicros = 0;
 
   /// Sender's own estimate of the relative pose (e.g. from GPS or a
-  /// previous lock) — quantized like everything else; feeds RecoveryHints.
+  /// previous lock) — quantized like everything else. The service uses it
+  /// to warm-start a bootstrapping track (ServiceConfig::usePosePriors),
+  /// in the admission pre-gate and in the cross-peer consistency vote.
   bool hasPosePrior = false;
   Pose2 posePrior;
 

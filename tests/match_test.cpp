@@ -2,8 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
+#include <vector>
 
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
@@ -287,6 +289,61 @@ TEST(Ransac, MaxTranslationBound) {
   EXPECT_FALSE(ransacRigid2D(src, dst, prm, rng).ok);
   prm.maxTranslationNorm = 50.0;
   EXPECT_TRUE(ransacRigid2D(src, dst, prm, rng).ok);
+}
+
+std::uint64_t bitsOf(double v) {
+  std::uint64_t b = 0;
+  std::memcpy(&b, &v, sizeof b);
+  return b;
+}
+
+TEST(Ransac, TiedConsensusSetsKeepFirstBestHypothesis) {
+  // Two noise-free consensus sets of equal size, interleaved: even indices
+  // follow poseA, odd ones poseB. Every hypothesis drawn inside either set
+  // scores the same 20 inliers, so the winner is the first of them in
+  // iteration order — set A under one seed, set B under the other — and a
+  // later chunk's tie must never displace it. refineRounds = 0 returns the
+  // winning hypothesis as drawn, so its pinned bits name the iteration
+  // that won.
+  const Pose2 poseA{Vec2{6, -2}, 0.4};
+  const Pose2 poseB{Vec2{-9, 4}, -0.7};
+  Rng gen(99);
+  std::vector<Vec2> src, dst;
+  for (int i = 0; i < 40; ++i) {
+    const Vec2 p{gen.uniform(-30, 30), gen.uniform(-30, 30)};
+    src.push_back(p);
+    dst.push_back((i % 2 == 0 ? poseA : poseB).apply(p));
+  }
+  RansacParams prm;
+  prm.iterations = 2000;  // 8 chunks of hypotheses
+  prm.inlierThreshold = 0.5;
+  prm.refineRounds = 0;
+
+  struct Pinned {
+    std::uint64_t seed;
+    int firstInlier;  // 0: set A won, 1: set B won
+    std::uint64_t x, y, theta;
+  };
+  const Pinned cases[] = {
+      {4, 0, 0x4017fffffffffffc, 0xc00000000000000c, 0x3fd99999999999a0},
+      {7, 1, 0xc021fffffffffffd, 0x4010000000000000, 0xbfe6666666666664},
+  };
+  for (const Pinned& c : cases) {
+    std::vector<int> set;
+    for (int i = c.firstInlier; i < 40; i += 2) set.push_back(i);
+    for (int threads : {1, 8}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "seed " << c.seed << ", " << threads << " threads");
+      ThreadLimit limit(threads);
+      Rng rng(c.seed);
+      const RansacResult r = ransacRigid2D(src, dst, prm, rng);
+      ASSERT_TRUE(r.ok);
+      EXPECT_EQ(bitsOf(r.transform.t.x), c.x);
+      EXPECT_EQ(bitsOf(r.transform.t.y), c.y);
+      EXPECT_EQ(bitsOf(r.transform.theta), c.theta);
+      EXPECT_EQ(r.inlierIndices, set);
+    }
+  }
 }
 
 TEST(RansacTranslation, RecoversPureTranslationUnderOutliers) {

@@ -1,5 +1,5 @@
 // SIMD determinism: every vectorized kernel must produce BYTE-identical
-// results at every dispatched ISA level (scalar / SSE2 / AVX2). This is the
+// results at both dispatched ISA levels (scalar / AVX2). This is the
 // determinism contract DESIGN.md promises; every comparison here is on raw
 // bits, not within a tolerance.
 #include <gtest/gtest.h>
@@ -35,9 +35,7 @@ class SimdLevelGuard {
 /// requesting an unsupported level would silently re-test a lower one).
 std::vector<SimdLevel> dispatchableLevels() {
   std::vector<SimdLevel> levels{SimdLevel::Scalar};
-  if (maxSupportedSimdLevel() >= SimdLevel::Sse2)
-    levels.push_back(SimdLevel::Sse2);
-  if (maxSupportedSimdLevel() >= SimdLevel::Avx2)
+  if (maxSupportedSimdLevel() == SimdLevel::Avx2)
     levels.push_back(SimdLevel::Avx2);
   return levels;
 }
@@ -163,24 +161,33 @@ TEST(SimdIdentity, MimByteIdenticalAcrossLevels) {
 
 TEST(SimdIdentity, DescriptorsByteIdenticalAcrossLevels) {
   SimdLevelGuard guard;
-  const BBAlign aligner;
-  const PinnedPair& pair = pinnedPair(aligner);
   // A non-trivial fixed angle exercises the rotated-patch coordinate path
   // (the zero-angle path is covered by the MIM/service identity tests).
   const double fixedAngle = 0.37;
 
-  setSimdLevel(SimdLevel::Scalar);
-  const DescriptorSet ref = aligner.describe(pair.other.bvImage, fixedAngle);
-  ASSERT_GT(ref.size(), 0u);
+  // The production 48-sample patch rows are whole AVX2 blocks; 46-sample
+  // rows leave a 2-sample rest for the patch kernel's scalar remainder.
+  for (const int patchSize : {48, 46}) {
+    BBAlignConfig cfg;
+    cfg.descriptor.patchSize = patchSize;
+    const BBAlign aligner(cfg);
+    const PinnedPair& pair = pinnedPair(aligner);
 
-  for (SimdLevel level : dispatchableLevels()) {
-    setSimdLevel(level);
-    const DescriptorSet probe =
-        aligner.describe(pair.other.bvImage, fixedAngle);
-    ASSERT_EQ(probe.size(), ref.size()) << toString(level);
-    for (std::size_t i = 0; i < ref.size(); ++i) {
-      EXPECT_TRUE(bitsEqual(probe.descriptor(i), ref.descriptor(i)))
-          << toString(level) << " descriptor " << i;
+    setSimdLevel(SimdLevel::Scalar);
+    const DescriptorSet ref = aligner.describe(pair.other.bvImage, fixedAngle);
+    ASSERT_GT(ref.size(), 0u) << "patch " << patchSize;
+
+    for (SimdLevel level : dispatchableLevels()) {
+      setSimdLevel(level);
+      const DescriptorSet probe =
+          aligner.describe(pair.other.bvImage, fixedAngle);
+      ASSERT_EQ(probe.size(), ref.size())
+          << toString(level) << " patch " << patchSize;
+      for (std::size_t i = 0; i < ref.size(); ++i) {
+        EXPECT_TRUE(bitsEqual(probe.descriptor(i), ref.descriptor(i)))
+            << toString(level) << " patch " << patchSize << " descriptor "
+            << i;
+      }
     }
   }
 }
