@@ -96,8 +96,7 @@ void BM_FleetChurn(benchmark::State& state) {
   cfg.lifecycle.maxSilentFrames = 1;
   cfg.enableReplayGuard = false;   // one payload per peer, replayed per frame
   cfg.usePosePriors = false;       // claims gate admission, not tracks
-  cfg.enableConsistency = false;   // template payload != claimed geometry
-  cfg.enableHealth = false;
+  cfg.enableHealth = false;        // template payload != claimed geometry
   cfg.budget.maxRecoversPerFrame = 8;
   service::CooperationService svc(cfg);
 

@@ -78,8 +78,7 @@ void BM_FleetFrame(benchmark::State& state) {
   cfg.maxSessions = std::max(64, peers);
   cfg.enableReplayGuard = false;   // one payload per peer, replayed per frame
   cfg.usePosePriors = false;       // claims gate admission, not tracks
-  cfg.enableConsistency = false;   // template payload != claimed geometry
-  cfg.enableHealth = false;
+  cfg.enableHealth = false;        // template payload != claimed geometry
   cfg.budget.maxRecoversPerFrame = budget;
   service::CooperationService svc(cfg);
 

@@ -615,7 +615,6 @@ PoseRecoveryResult BBAlign::recover(const CarPerceptionData& other,
   result.stage1Ok = bv.ok && result.overlapScore >= cfg_.minOverlapScore;
   rep.descriptorsOther = bestDescOther;
   rep.descriptorMatches = bestMatches;
-  BBA_COUNTER_ADD("stage1.descriptor_matches", bestMatches);
 
   // Dense polish over all BV structure pixels; kept only if the overlap
   // verification agrees it did not get worse.

@@ -23,7 +23,6 @@ double bvFootprintOverlap(const Pose2& claimedOtherToEgo, double bvRangeM) {
 
 bool preGateAdmits(const Pose2& claimedOtherToEgo, double bvRangeM,
                    const PreGateConfig& cfg) {
-  if (!cfg.enable) return true;
   // Cheap range reject first: the clipping below is exact but ~50x the
   // cost of a norm, and most of a dense fleet is out of range.
   const double range = claimedOtherToEgo.t.norm();

@@ -20,10 +20,11 @@ namespace bba::service {
 /// BBA_THREADS (asserted by tests/admission_test.cpp). Claims only ever
 /// REMOVE work — a spoofed claim can waste one recover() slot or skip the
 /// spoofer's own session, but never seeds a track or touches other peers.
+/// A locked session is gated on the tracker's own, unspoofable prediction
+/// (PoseTracker::predictNext), a bootstrapping one on its claim; a
+/// claim-less one always passes. maxPairingRangeM = +inf with
+/// minOverlapFrac = 0 opens the gate.
 struct PreGateConfig {
-  /// Run the pre-gate at all. Peers whose messages carry no pose-prior
-  /// claim are always admitted (there is nothing to gate on).
-  bool enable = true;
   /// Hard range cap on the claimed translation (meters). Beyond ~2x the
   /// BV range two 256x256 footprints share no pixels; the default leaves
   /// margin for claim error.
@@ -31,13 +32,6 @@ struct PreGateConfig {
   /// Minimum fraction of the ego BV footprint area that the claimed peer
   /// footprint must cover for alignment to be attemptable.
   double minOverlapFrac = 0.02;
-  /// Once a session has a locked track, gate on the tracker's OWN
-  /// dead-reckoned prediction (PoseTracker::predictNext) instead of the
-  /// sender's claim: the service's own state cannot be spoofed, so a lying
-  /// claim can no longer keep an in-range, already-locked peer held.
-  /// Claim-based gating still applies while a session bootstraps (there is
-  /// no own-state yet) — a bootstrapping far-claim peer stays cheap.
-  bool useTrackPrior = true;
 };
 
 /// Fraction of the ego BV footprint (a square of side 2*bvRangeM centered
@@ -46,8 +40,8 @@ struct PreGateConfig {
 [[nodiscard]] double bvFootprintOverlap(const Pose2& claimedOtherToEgo,
                                         double bvRangeM);
 
-/// The pre-gate decision: true when the claim passes both the range cap
-/// and the footprint-overlap floor (or the gate is disabled).
+/// The pre-gate decision: true when the pose passes both the range cap
+/// and the footprint-overlap floor.
 [[nodiscard]] bool preGateAdmits(const Pose2& claimedOtherToEgo,
                                  double bvRangeM, const PreGateConfig& cfg);
 

@@ -21,6 +21,13 @@ std::uint64_t sessionSeed(std::uint64_t serviceSeed, std::uint64_t peerId) {
          0xC2B2AE3D27D4EB4FULL;
 }
 
+/// Count one fact the report and the metrics both carry: the report field
+/// and the counter of the same meaning move together.
+void tally(int& field, [[maybe_unused]] const char* counter) {
+  field += 1;
+  BBA_COUNTER_ADD(counter, 1);
+}
+
 void appendStatsJson(std::string& out, const SessionStats& s) {
   char buf[512];
   std::snprintf(
@@ -131,33 +138,22 @@ CarPerceptionData toCarData(const wire::CooperativeMessage& msg) {
   return CarPerceptionData{msg.bvImage, msg.boxes};
 }
 
-struct CooperationService::Session {
+struct CooperationService::Session : PeerRecord {
   Session(std::uint64_t id, const ServiceConfig& cfg)
-      : peerId(id), tracker(cfg.tracker), rng(sessionSeed(cfg.seed, id)),
-        health(cfg.health) {
+      : peerId(id), tracker(cfg.tracker), rng(sessionSeed(cfg.seed, id)) {
     stats.peerId = id;
+    health = PeerHealthFsm(cfg.health);
   }
 
   std::uint64_t peerId;
   PoseTracker tracker;
   Rng rng;
-  SessionStats stats;
-  PeerHealthFsm health;
   /// Frames since this session was last granted a recover slot (see
   /// admission.hpp: resets on grant, so the shed rotation cannot starve).
   int staleness = 0;
   /// Consecutive service frames the peer has been absent from the inputs
   /// (the reaper's clock; resets whenever the peer appears).
   int silentRun = 0;
-  /// Last fresh lock (Recovered / RecoveredRelaxed), kept for the
-  /// eviction score and the readmission warm start.
-  bool hadLock = false;
-  Pose2 lastLockedPose;
-  int lastLockFrame = 0;
-  // Replay guard state: metadata of the last accepted message.
-  bool haveLastMeta = false;
-  std::uint32_t lastFrameIndex = 0;
-  std::int64_t lastCaptureMicros = 0;
 };
 
 CooperationService::CooperationService(ServiceConfig config)
@@ -170,36 +166,29 @@ CooperationService::~CooperationService() = default;
 CooperationService::Session& CooperationService::createSession(
     std::uint64_t peerId, bool* readmitted) {
   auto session = std::make_unique<Session>(peerId, cfg_);
-  *readmitted = false;
   auto archived = retired_.find(peerId);
-  if (archived != retired_.end()) {
-    // A known peer returned: restore its cumulative stats and its trust
-    // FSM (an evict/return cycle never launders a quarantine record), and
-    // — when the last lock is fresh enough and the peer is trusted —
-    // warm-start the new tracker from the archived pose so the returning
-    // peer re-locks through the normal ladder instead of bootstrapping
-    // blind. The RNG stream restarts from (seed, peerId) as on any fresh
-    // session: readmission is deterministic by construction.
-    const RetiredSession& r = archived->second;
-    session->stats = r.stats;
-    session->stats.retired = false;
-    session->stats.readmissions += 1;
-    session->health = r.health;
-    session->hadLock = r.hadLock;
-    session->lastLockedPose = r.lastLockedPose;
-    session->lastLockFrame = r.lastLockFrame;
-    session->haveLastMeta = r.haveLastMeta;
-    session->lastFrameIndex = r.lastFrameIndex;
-    session->lastCaptureMicros = r.lastCaptureMicros;
-    if (r.hadLock &&
-        frames_ - r.lastLockFrame <= cfg_.lifecycle.warmStartMaxGapFrames &&
-        r.health.shouldProcess()) {
-      session->tracker.acceptExternalPose(r.lastLockedPose);
+  *readmitted = archived != retired_.end();
+  if (*readmitted) {
+    // A known peer returned: restore its whole record — cumulative stats,
+    // trust FSM (an evict/return cycle never launders a quarantine
+    // record), last lock and replay watermark — and, when the last lock
+    // is fresh enough and the peer is trusted, warm-start the new tracker
+    // from the archived pose so the returning peer re-locks through the
+    // normal ladder instead of bootstrapping blind. The RNG stream
+    // restarts from (seed, peerId) as on any fresh session: readmission
+    // is deterministic by construction.
+    PeerRecord& record = *session;
+    record = std::move(archived->second);
+    retired_.erase(archived);
+    record.stats.retired = false;
+    tally(record.stats.readmissions, "session.readmitted");
+    if (record.hadLock &&
+        frames_ - record.lastLockFrame <=
+            cfg_.lifecycle.warmStartMaxGapFrames &&
+        record.health.shouldProcess()) {
+      session->tracker.acceptExternalPose(record.lastLockedPose);
       BBA_COUNTER_ADD("session.warm_started", 1);
     }
-    retired_.erase(archived);
-    *readmitted = true;
-    BBA_COUNTER_ADD("session.readmitted", 1);
   } else {
     BBA_COUNTER_ADD("session.admitted", 1);
   }
@@ -213,21 +202,12 @@ CooperationService::Session& CooperationService::createSession(
 void CooperationService::retireSession(std::uint64_t peerId) {
   auto it = sessions_.find(peerId);
   BBA_ASSERT_MSG(it != sessions_.end(), "retireSession: unknown peer");
-  Session& s = *it->second;
-  RetiredSession r;
-  r.stats = s.stats;
-  r.stats.retired = true;
-  r.health = s.health;
-  r.hadLock = s.hadLock;
-  r.lastLockedPose = s.lastLockedPose;
-  r.lastLockFrame = s.lastLockFrame;
-  r.haveLastMeta = s.haveLastMeta;
-  r.lastFrameIndex = s.lastFrameIndex;
-  r.lastCaptureMicros = s.lastCaptureMicros;
+  PeerRecord& record = *it->second;
+  record.stats.retired = true;
   BBA_HISTOGRAM_OBSERVE(
       "session.lifetime_frames",
-      static_cast<double>(r.stats.frames + r.stats.silentFrames));
-  retired_[peerId] = std::move(r);
+      static_cast<double>(record.stats.frames + record.stats.silentFrames));
+  retired_[peerId] = std::move(record);
   sessions_.erase(it);
   BBA_GAUGE_SET("service.sessions", static_cast<double>(sessions_.size()));
   BBA_GAUGE_SET("session.retired", static_cast<double>(retired_.size()));
@@ -275,33 +255,28 @@ std::vector<SessionFrameResult> CooperationService::processFrame(
       continue;
     }
     if (static_cast<int>(sessions_.size()) >= cfg_.maxSessions) {
-      std::optional<std::uint64_t> victim;
-      if (cfg_.lifecycle.enableEviction) {
-        std::vector<EvictionCandidate> candidates;
-        candidates.reserve(sessions_.size());
-        for (const auto& [id, s] : sessions_) {
-          if (presentIds.count(id) != 0) continue;  // present: protected
-          EvictionCandidate c;
-          c.peerId = id;
-          c.health = s->health.state();
-          c.silentRunFrames = s->silentRun;
-          c.lockStaleFrames =
-              s->hadLock ? frames_ - s->lastLockFrame : frames_;
-          c.hasTrack = s->tracker.hasTrack();
-          c.lastConfidence = s->stats.lastConfidence;
-          candidates.push_back(c);
-        }
-        victim = pickEvictionVictim(candidates, cfg_.lifecycle);
+      std::vector<EvictionCandidate> candidates;
+      candidates.reserve(sessions_.size());
+      for (const auto& [id, s] : sessions_) {
+        if (presentIds.count(id) != 0) continue;  // present: protected
+        EvictionCandidate c;
+        c.peerId = id;
+        c.health = s->health.state();
+        c.silentRunFrames = s->silentRun;
+        c.lockStaleFrames = s->hadLock ? frames_ - s->lastLockFrame : frames_;
+        c.hasTrack = s->tracker.hasTrack();
+        c.lastConfidence = s->stats.lastConfidence;
+        candidates.push_back(c);
       }
+      const std::optional<std::uint64_t> victim =
+          pickEvictionVictim(candidates, cfg_.lifecycle);
       if (!victim) {
         res.admission = SessionAdmission::RejectedFull;
-        rejectedFull_ += 1;
-        BBA_COUNTER_ADD("session.rejected_full", 1);
+        tally(rejectedFull_, "session.rejected_full");
         continue;
       }
-      sessions_.at(*victim)->stats.evictions += 1;
+      tally(sessions_.at(*victim)->stats.evictions, "session.evicted");
       retireSession(*victim);
-      BBA_COUNTER_ADD("session.evicted", 1);
       res.admission = SessionAdmission::AdmittedEvicting;
       res.evictedPeerId = *victim;
     } else {
@@ -313,53 +288,52 @@ std::vector<SessionFrameResult> CooperationService::processFrame(
   }
 
   // ---- Admission (serial, deterministic) -------------------------------
-  // Stage 1, spatial pre-gate: peek each payload's wire prefix (framing +
-  // CRC + claim; the BV image and boxes — the expensive 99% — stay
-  // untouched) and drop sessions whose claimed pose cannot overlap the
-  // ego BV footprint. A peek failure admits the payload so the full
-  // decoder classifies (and the health FSM penalizes) the reject as
-  // before. Claims only ever REMOVE work: they never seed a track, so a
-  // spoofed claim can waste at most its own session's slot.
-  struct Admission {
-    bool pregateSkipped = false;
-    bool priorFromTrack = false;
-    bool shed = false;
-    bool hasPeekClaim = false;
-    Pose2 peekClaim;
-  };
-  std::vector<Admission> admission(inputs.size());
+  // Each input's fate is decided once, here, into its result; the step
+  // below only acts on it. Quarantined sessions are excluded entirely: not
+  // even peeked (the FSM's backoff counts down in the merge). Stage 1,
+  // spatial pre-gate: peek each payload's wire prefix (framing + CRC +
+  // claim; the BV image and boxes — the expensive 99% — stay untouched)
+  // and hold sessions whose gate pose cannot overlap the ego BV footprint.
+  // A peek failure admits the payload so the full decoder classifies (and
+  // the health FSM penalizes) the reject. Claims only ever REMOVE work
+  // here, so a spoofed claim can waste at most its own session's slot. The
+  // claim is recorded whatever happens next: the consistency vote compares
+  // CLAIMS against RECOVERED poses, and a spoofer's geometry recovers fine.
   std::vector<SlotCandidate> candidates;
   candidates.reserve(inputs.size());
   const double bvRange = cfg_.tracker.aligner.bev.range;
   for (std::size_t i = 0; i < inputs.size(); ++i) {
-    const PeerFrameInput& in = inputs[i];
-    if (bySlot[i] == nullptr) continue;  // rejected: no session this frame
-    if (in.payload == nullptr) continue;  // link drop: coasts, no slot
-    if (cfg_.enableHealth && !bySlot[i]->health.shouldProcess())
-      continue;  // quarantined: excluded entirely, not even peeked
-    Admission& adm = admission[i];
-    if (cfg_.pregate.enable) {
-      const wire::MessagePeek pk = wire::peek(*in.payload);
-      if (pk.error == wire::DecodeError::None && pk.hasPosePrior) {
-        adm.hasPeekClaim = true;
-        adm.peekClaim = pk.posePrior;
-      }
-      // Once the session is locked, gate on OUR dead-reckoned prediction
-      // instead of the sender's word: a lying claim cannot keep an
-      // in-range, already-locked peer held. Claims still gate
-      // bootstrapping sessions (no own-state yet to predict from).
-      std::optional<Pose2> gatePose;
-      if (cfg_.pregate.useTrackPrior && bySlot[i]->tracker.hasTrack()) {
-        gatePose = bySlot[i]->tracker.predictNext();
-        adm.priorFromTrack = gatePose.has_value();
-      }
-      if (!gatePose && adm.hasPeekClaim) gatePose = adm.peekClaim;
-      if (gatePose && !preGateAdmits(*gatePose, bvRange, cfg_.pregate)) {
-        adm.pregateSkipped = true;
-        continue;
-      }
+    Session* session = bySlot[i];
+    SessionFrameResult& res = results[i];
+    if (session == nullptr) continue;  // rejected: no session this frame
+    if (cfg_.enableHealth && !session->health.shouldProcess()) {
+      res.quarantined = true;
+      continue;
     }
-    candidates.push_back({in.peerId, bySlot[i]->staleness, i});
+    const std::vector<std::uint8_t>* payload = inputs[i].payload;
+    if (payload == nullptr) continue;  // link drop: coasts, no slot
+    res.received = true;
+    res.payloadBytes = payload->size();
+    const wire::MessagePeek pk = wire::peek(*payload);
+    if (pk.error == wire::DecodeError::None && pk.hasPosePrior) {
+      res.hasClaim = true;
+      res.claim = pk.posePrior;
+    }
+    // Once the session is locked, gate on OUR dead-reckoned prediction
+    // instead of the sender's word: a lying claim cannot keep an in-range,
+    // already-locked peer held. Claims still gate bootstrapping sessions
+    // (no own-state yet to predict from).
+    std::optional<Pose2> gatePose;
+    if (session->tracker.hasTrack()) {
+      gatePose = session->tracker.predictNext();
+      res.pregatePriorFromTrack = gatePose.has_value();
+    }
+    if (!gatePose && res.hasClaim) gatePose = res.claim;
+    if (gatePose && !preGateAdmits(*gatePose, bvRange, cfg_.pregate)) {
+      res.pregateSkipped = true;
+      continue;
+    }
+    candidates.push_back({inputs[i].peerId, session->staleness, i});
   }
 
   // Stage 2, recover budget: staleness-first, ties by session id. The
@@ -368,27 +342,19 @@ std::vector<SessionFrameResult> CooperationService::processFrame(
   // any BBA_THREADS. Staleness resets on GRANT (not on lock): a session
   // that keeps failing still rotates through, and no session waits more
   // than ceil(sessions/budget) frames.
-  const int recoverBudget = effectiveRecoverBudget(cfg_.budget);
+  const std::vector<std::size_t> grantedSlots =
+      grantRecoverSlots(candidates, effectiveRecoverBudget(cfg_.budget));
   std::vector<char> granted(inputs.size(), 0);
-  if (recoverBudget > 0 &&
-      candidates.size() > static_cast<std::size_t>(recoverBudget)) {
-    for (std::size_t slot : grantRecoverSlots(candidates, recoverBudget))
-      granted[slot] = 1;
-    for (const auto& c : candidates)
-      if (!granted[c.slot]) admission[c.slot].shed = true;
-  } else {
-    for (const auto& c : candidates) granted[c.slot] = 1;
+  for (std::size_t slot : grantedSlots) granted[slot] = 1;
+  for (const SlotCandidate& c : candidates)
+    results[c.slot].shed = granted[c.slot] == 0;
+  if (grantedSlots.size() < candidates.size()) {
+    // Once per frame: the budget was insufficient for the admitted set.
+    BBA_COUNTER_ADD("service.budget_exhausted", 1);
   }
-  bool anyGranted = false;
   for (std::size_t i = 0; i < inputs.size(); ++i) {
-    if (bySlot[i] == nullptr) continue;
-    Session& session = *bySlot[i];
-    if (granted[i]) {
-      session.staleness = 0;
-      anyGranted = true;
-    } else {
-      session.staleness += 1;
-    }
+    if (bySlot[i] != nullptr)
+      bySlot[i]->staleness = granted[i] ? 0 : bySlot[i]->staleness + 1;
   }
 
   // Frame-scoped ego-feature sharing: every session borrows the frame's
@@ -402,7 +368,7 @@ std::vector<SessionFrameResult> CooperationService::processFrame(
   // all-shed/all-coasting frame must cost no ego pipeline either.
   const EgoFeatures* sharedEgo = nullptr;
   const int egoExpected = cfg_.tracker.aligner.bev.imageSize();
-  if (anyGranted && ego.bvImage.width() == egoExpected &&
+  if (!grantedSlots.empty() && ego.bvImage.width() == egoExpected &&
       ego.bvImage.height() == egoExpected) {
     BBA_SPAN("service.ego-features");
     sharedEgo = &frameEgoFeatures(ego);
@@ -415,43 +381,24 @@ std::vector<SessionFrameResult> CooperationService::processFrame(
   // session's recover() spreads its own loops over every thread.
   parallelFor(0, n, 1, [&](std::int64_t b, std::int64_t e) {
     for (std::int64_t i = b; i < e; ++i) {
-      const PeerFrameInput& in = inputs[static_cast<std::size_t>(i)];
-      if (bySlot[static_cast<std::size_t>(i)] == nullptr)
-        continue;  // typed rejection: no session, no tracker step
-      Session& session = *bySlot[static_cast<std::size_t>(i)];
-      SessionFrameResult& res = results[static_cast<std::size_t>(i)];
-      if (cfg_.enableHealth && !session.health.shouldProcess()) {
-        // Quarantined: the payload is not even decoded — exclusion is the
-        // whole point. The FSM's backoff counts down in the merge below.
-        res.quarantined = true;
-        continue;
-      }
-      if (in.payload == nullptr) {
+      const std::size_t slot = static_cast<std::size_t>(i);
+      SessionFrameResult& res = results[slot];
+      // Typed rejections and quarantined sessions get no tracker step.
+      if (bySlot[slot] == nullptr || res.quarantined) continue;
+      Session& session = *bySlot[slot];
+      if (!res.received) {
         res.track = session.tracker.coast(&res.report);
         continue;
       }
-      const Admission& adm = admission[static_cast<std::size_t>(i)];
-      if (adm.pregateSkipped || adm.shed) {
+      if (res.pregateSkipped || res.shed) {
         // Tracked-but-not-aligned: the payload arrived but the admission
-        // stage withheld it (out-of-range claim, or no budget left). The
-        // tracker holds the pose by extrapolation without charging its
+        // stage withheld it (out-of-range gate pose, or no budget left).
+        // The tracker holds the pose by extrapolation without charging its
         // miss budget — skipFrame(), not coast().
-        res.received = true;
-        res.payloadBytes = in.payload->size();
-        res.pregateSkipped = adm.pregateSkipped;
-        res.pregatePriorFromTrack = adm.priorFromTrack;
-        res.shed = adm.shed;
-        if (adm.hasPeekClaim) {
-          res.hasClaim = true;
-          res.claim = adm.peekClaim;
-        }
         res.track = session.tracker.skipFrame(&res.report);
         continue;
       }
-      res.received = true;
-      res.payloadBytes = in.payload->size();
-      res.pregatePriorFromTrack = adm.priorFromTrack;
-      wire::DecodeResult decoded = wire::decode(*in.payload);
+      wire::DecodeResult decoded = wire::decode(*inputs[slot].payload);
       res.decodeError = decoded.error;
       if (decoded.error != wire::DecodeError::None) {
         // Corrupt traffic degrades to a dropped frame: the tracker's
@@ -485,11 +432,6 @@ std::vector<SessionFrameResult> CooperationService::processFrame(
         res.track = session.tracker.coast(&res.report);
         continue;
       }
-      // The claim is recorded whether or not it is used as a warm start:
-      // the cross-peer consistency vote below compares CLAIMS against
-      // RECOVERED poses, and a spoofer's geometry recovers fine.
-      res.hasClaim = msg.hasPosePrior;
-      res.claim = msg.posePrior;
       if (cfg_.usePosePriors && msg.hasPosePrior &&
           !session.tracker.hasTrack()) {
         session.tracker.acceptExternalPose(msg.posePrior);
@@ -505,7 +447,7 @@ std::vector<SessionFrameResult> CooperationService::processFrame(
   // P_a^-1∘P_b. A lying claim poisons every pair the liar is in, so the
   // liar (and only the liar) loses the majority vote. Honest sessions are
   // never mutated — their results stay byte-identical to a no-liar run.
-  if (cfg_.enableHealth && cfg_.enableConsistency) {
+  if (cfg_.enableHealth) {
     std::vector<std::size_t> voters;
     for (std::size_t i = 0; i < results.size(); ++i) {
       const SessionFrameResult& r = results[i];
@@ -561,52 +503,39 @@ std::vector<SessionFrameResult> CooperationService::processFrame(
       session->lastLockFrame = frames_;
     }
     if (res.quarantined) {
-      st.quarantinedFrames += 1;
-      BBA_COUNTER_ADD("health.quarantined_frames", 1);
+      tally(st.quarantinedFrames, "health.quarantined_frames");
     } else {
       st.outcomes[static_cast<std::size_t>(res.track.outcome)] += 1;
       st.lastConfidence = res.track.confidence;
       if (res.pregateSkipped) {
-        st.pregateSkips += 1;
-        BBA_COUNTER_ADD("service.pregate_skipped", 1);
+        tally(st.pregateSkips, "service.pregate_skipped");
         if (res.pregatePriorFromTrack)
           BBA_COUNTER_ADD("service.pregate_track_prior", 1);
       } else if (res.shed) {
-        st.shedFrames += 1;
-        BBA_COUNTER_ADD("service.shed", 1);
+        tally(st.shedFrames, "service.shed");
       } else if (!res.received) {
-        st.linkDrops += 1;
-        BBA_COUNTER_ADD("service.link_drops", 1);
+        tally(st.linkDrops, "service.link_drops");
       } else if (res.decodeError != wire::DecodeError::None) {
-        st.decodeFailed += 1;
+        tally(st.decodeFailed, "service.decode_failed");
         st.rejectByCause[static_cast<std::size_t>(res.decodeError)] += 1;
-        BBA_COUNTER_ADD("service.decode_failed", 1);
       } else if (res.replayRejected) {
-        st.replayRejects += 1;
-        BBA_COUNTER_ADD("health.replay_rejected", 1);
+        tally(st.replayRejects, "health.replay_rejected");
       } else {
         st.decodeOk += 1;
         st.bytesReceived += static_cast<std::int64_t>(res.payloadBytes);
-        if (res.payloadMismatch) {
-          st.payloadMismatch += 1;
-          BBA_COUNTER_ADD("service.payload_mismatch", 1);
-        }
+        if (res.payloadMismatch)
+          tally(st.payloadMismatch, "service.payload_mismatch");
       }
       if (res.report.validationRejected) st.validationRejects += 1;
       if (res.report.gateRejected) st.gateRejects += 1;
-      if (res.consistencyOutlier) {
-        st.consistencyOutliers += 1;
-        BBA_COUNTER_ADD("health.consistency_outliers", 1);
-      }
-      if (res.track.poseValid) {
-        st.posesReported += 1;
-        BBA_COUNTER_ADD("service.poses_reported", 1);
-      }
+      if (res.consistencyOutlier)
+        tally(st.consistencyOutliers, "health.consistency_outliers");
+      if (res.track.poseValid)
+        tally(st.posesReported, "service.poses_reported");
       if (res.received && !res.pregateSkipped && !res.shed) {
         // Granted a decode+recover slot (whether or not the decode then
         // succeeded — the slot was spent either way).
-        st.recoverSlots += 1;
-        BBA_COUNTER_ADD("service.recover_slots", 1);
+        tally(st.recoverSlots, "service.recover_slots");
       }
     }
     if (cfg_.enableHealth) {
@@ -671,28 +600,18 @@ std::vector<SessionFrameResult> CooperationService::processFrame(
   for (auto& [peerId, session] : sessions_) {
     if (presentIds.count(peerId) != 0) continue;
     session->silentRun += 1;
-    session->stats.silentFrames += 1;
-    BBA_COUNTER_ADD("session.silent_frames", 1);
+    tally(session->stats.silentFrames, "session.silent_frames");
     if (cfg_.lifecycle.maxSilentFrames > 0 &&
         session->silentRun > cfg_.lifecycle.maxSilentFrames)
       reap.push_back(peerId);
   }
   for (std::uint64_t peerId : reap) {
-    sessions_.at(peerId)->stats.reaps += 1;
+    tally(sessions_.at(peerId)->stats.reaps, "session.reaped");
     retireSession(peerId);
-    BBA_COUNTER_ADD("session.reaped", 1);
   }
 
-  frames_ += 1;
-  BBA_COUNTER_ADD("service.frames", 1);
+  tally(frames_, "service.frames");
   BBA_COUNTER_ADD("service.inputs", n);
-  for (const Admission& adm : admission) {
-    if (adm.shed) {
-      // Once per frame: the budget was insufficient for the admitted set.
-      BBA_COUNTER_ADD("service.budget_exhausted", 1);
-      break;
-    }
-  }
   return results;
 }
 

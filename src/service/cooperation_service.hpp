@@ -57,13 +57,13 @@ struct ServiceConfig {
   /// last accepted message of the same session.
   bool enableReplayGuard = true;
 
-  /// Cross-peer consistency: with >= consistencyMinPeers freshly locked
-  /// sessions that carried pose-prior claims, compare each pair's
-  /// recovered relative pose T_a^-1∘T_b against the claimed relative
-  /// P_a^-1∘P_b; a peer whose pairs disagree by majority is flagged (the
-  /// honest peers outvote a single liar). Never mutates honest sessions,
-  /// so enabling it keeps honest results byte-identical.
-  bool enableConsistency = true;
+  /// Cross-peer consistency, part of the health layer (runs under
+  /// enableHealth): with >= consistencyMinPeers freshly locked sessions
+  /// that carried pose-prior claims, compare each pair's recovered
+  /// relative pose T_a^-1∘T_b against the claimed relative P_a^-1∘P_b; a
+  /// peer whose pairs disagree by majority is flagged (the honest peers
+  /// outvote a single liar). Never mutates honest sessions, so honest
+  /// results stay byte-identical.
   int consistencyMinPeers = 3;
   double consistencyMaxTranslation = 2.0;
   double consistencyMaxRotationDeg = 10.0;
@@ -120,21 +120,19 @@ struct SessionFrameResult {
   /// A cleanly decoded message violated frame-index/capture-time
   /// monotonicity and was rejected by the replay guard; the frame coasted.
   bool replayRejected = false;
-  /// The payload arrived but its claimed pose prior failed the spatial
-  /// pre-gate: nothing was decoded beyond the wire prefix, the session
-  /// held its track (TrackerOutcome::Held) at zero recover() cost. The
-  /// claim below is the peeked one.
+  /// The payload arrived but its gate pose failed the spatial pre-gate:
+  /// nothing was decoded beyond the wire prefix, the session held its
+  /// track (TrackerOutcome::Held) at zero recover() cost.
   bool pregateSkipped = false;
-  /// The pre-gate decision above was taken on the tracker's own
-  /// dead-reckoned prediction (PreGateConfig::useTrackPrior), not the
-  /// sender's claim.
+  /// The pre-gate decision was taken on the tracker's own dead-reckoned
+  /// prediction (the session is locked), not the sender's claim.
   bool pregatePriorFromTrack = false;
   /// The payload arrived and was admitted, but the frame's recover budget
   /// was exhausted before this session's turn: the session held its track
   /// this frame and is first in line next frame.
   bool shed = false;
-  /// The message carried a pose-prior claim (recorded for the cross-peer
-  /// consistency vote even when the track is warm).
+  /// The payload's prefix carried a pose-prior claim (peeked at admission,
+  /// so set whatever became of the input; the consistency vote reads it).
   bool hasClaim = false;
   Pose2 claim;
   /// Outvoted in the cross-peer consistency check this frame.
@@ -316,23 +314,21 @@ class CooperationService {
                                       const Pose2& egoGlobalPose);
 
  private:
-  struct Session;
-  /// Archived state of an evicted/reaped session, kept for readmission:
-  /// the cumulative stats, the trust FSM (a quarantined peer cannot
-  /// launder its record through an evict/return cycle) and the last lock
-  /// for the optional warm start.
-  struct RetiredSession {
+  /// The state of a peer that outlives its session: stats, trust FSM (a
+  /// quarantine survives an evict/return cycle), last lock (eviction
+  /// score, readmission warm start) and replay watermark (retirement is no
+  /// replay amnesty). A live Session is one; retired_ archives it whole.
+  struct PeerRecord {
     SessionStats stats;
     PeerHealthFsm health;
-    bool hadLock = false;
+    bool hadLock = false;  ///< last fresh (Recovered/RecoveredRelaxed) lock
     Pose2 lastLockedPose;
     int lastLockFrame = 0;
-    // Replay-guard metadata survives retirement: an evict/return cycle
-    // must not reopen the session to replays of its own old traffic.
-    bool haveLastMeta = false;
+    bool haveLastMeta = false;  ///< last message the replay guard accepted
     std::uint32_t lastFrameIndex = 0;
     std::int64_t lastCaptureMicros = 0;
   };
+  struct Session;
 
   /// Create (or restore from the retirement archive) the session for
   /// `peerId`. Precondition: no live session for the id and a free slot.
@@ -359,7 +355,7 @@ class CooperationService {
   int rejectedFull_ = 0;
   // Ordered maps: iteration order == session-id order == merge order.
   std::map<std::uint64_t, std::unique_ptr<Session>> sessions_;
-  std::map<std::uint64_t, RetiredSession> retired_;
+  std::map<std::uint64_t, PeerRecord> retired_;
 };
 
 }  // namespace bba::service

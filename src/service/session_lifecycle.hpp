@@ -42,12 +42,11 @@ inline constexpr int kSessionAdmissionCount = 5;
 /// whole lifecycle trajectory is a pure function of the input schedule, so
 /// schedules and reports stay byte-identical at any BBA_THREADS.
 struct LifecycleConfig {
-  /// Evict to admit a new peer when the table is full. Off, a full table
-  /// rejects every newcomer (RejectedFull) until the reaper frees a slot.
-  bool enableEviction = true;
   /// Only sessions scoring at or above this are evictable: a healthy,
   /// locked, just-seen session scores below it and is never displaced by
-  /// a newcomer. Raise to favor incumbents, lower (to 0) to always churn.
+  /// a newcomer. Raise to favor incumbents, lower (to 0) to always churn;
+  /// +inf never evicts, so a full table rejects every newcomer
+  /// (RejectedFull) until the reaper frees a slot.
   double minEvictionScore = 1.0;
 
   // Eviction score weights (see evictionScore for the formula).

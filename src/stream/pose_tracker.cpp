@@ -448,6 +448,28 @@ TrackerResult PoseTracker::update(const CarPerceptionData& other,
   }
   OtherFeatures otherFeatures;
 
+  // Rungs 0 and 1 lock through here: a measurement that passed the gate
+  // and validation becomes the track.
+  auto lock = [&](const PoseRecoveryResult& r, TrackerOutcome outcome,
+                  double confidence) {
+    rep.rebootstrapped = lostSinceAccept_;
+    accept(frame, r.estimate);
+    lostSinceAccept_ = false;
+    offerKeyframe(ego, egoFeatures);
+    TrackerResult out;
+    out.poseValid = true;
+    out.pose = r.estimate;
+    out.pose3D = r.estimate3D;
+    out.confidence = confidence;
+    out.outcome = outcome;
+    rep.outcome = outcome;
+    rep.confidence = confidence;
+    rep.consecutiveMisses = 0;
+    recordTrackerMetrics(rep);
+    if (report) *report = rep;
+    return out;
+  };
+
   // Rung 0: the primary measurement.
   const PoseRecoveryResult primary =
       primary_.recover(other, ego, rng, &rep.recovery, posePrior, egoFeatures,
@@ -459,23 +481,7 @@ TrackerResult PoseTracker::update(const CarPerceptionData& other,
   }
   if (primary.success && withinGate(primary.estimate) &&
       validated(primary)) {
-    const bool relock = lostSinceAccept_;
-    accept(frame, primary.estimate);
-    lostSinceAccept_ = false;
-    offerKeyframe(ego, egoFeatures);
-    TrackerResult out;
-    out.poseValid = true;
-    out.pose = primary.estimate;
-    out.pose3D = primary.estimate3D;
-    out.confidence = 1.0;
-    out.outcome = TrackerOutcome::Recovered;
-    rep.outcome = out.outcome;
-    rep.confidence = out.confidence;
-    rep.consecutiveMisses = 0;
-    rep.rebootstrapped = relock;
-    recordTrackerMetrics(rep);
-    if (report) *report = rep;
-    return out;
+    return lock(primary, TrackerOutcome::Recovered, 1.0);
   }
   // Succeeded but rejected: attribute the demotion to the gate that fired.
   rep.gateRejected = primary.success && !withinGate(primary.estimate);
@@ -497,22 +503,8 @@ TrackerResult PoseTracker::update(const CarPerceptionData& other,
     }
     if (retried.success && withinGate(retried.estimate) &&
         validated(retried)) {
-      rep.rebootstrapped = lostSinceAccept_;
-      accept(frame, retried.estimate);
-      lostSinceAccept_ = false;
-      offerKeyframe(ego, egoFeatures);
-      TrackerResult out;
-      out.poseValid = true;
-      out.pose = retried.estimate;
-      out.pose3D = retried.estimate3D;
-      out.confidence = cfg_.relaxedConfidence;
-      out.outcome = TrackerOutcome::RecoveredRelaxed;
-      rep.outcome = out.outcome;
-      rep.confidence = out.confidence;
-      rep.consecutiveMisses = 0;
-      recordTrackerMetrics(rep);
-      if (report) *report = rep;
-      return out;
+      return lock(retried, TrackerOutcome::RecoveredRelaxed,
+                  cfg_.relaxedConfidence);
     }
   }
 

@@ -6,6 +6,7 @@
 
 #include <array>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -59,10 +60,17 @@ TEST(PreGate, RangeCapRejectsBeforeOverlap) {
       preGateAdmits(Pose2{Vec2{100.0, 0.0}, 0.0}, kBvRange, PreGateConfig{}));
 }
 
+/// A gate with no range cap and no overlap floor: admits every pose.
+PreGateConfig openGate() {
+  PreGateConfig open;
+  open.maxPairingRangeM = std::numeric_limits<double>::infinity();
+  open.minOverlapFrac = 0.0;
+  return open;
+}
+
 TEST(PreGate, DisabledGateAdmitsEverything) {
-  PreGateConfig off;
-  off.enable = false;
-  EXPECT_TRUE(preGateAdmits(Pose2{Vec2{1e6, 1e6}, 2.0}, kBvRange, off));
+  EXPECT_TRUE(
+      preGateAdmits(Pose2{Vec2{1e6, 1e6}, 2.0}, kBvRange, openGate()));
 }
 
 TEST(PreGate, IsPureBitwiseRepeatable) {
@@ -180,6 +188,49 @@ TEST(PreGate, FarClaimIsSkippedWithoutDecode) {
   EXPECT_EQ(rep.aggregate.pregateSkips, 1);
 }
 
+TEST(PreGate, HeldShedAndReplayedInputsReportTheirClaim) {
+  // The claim comes from the peek, so an input that carries one reports
+  // it whether the gate held it, the budget shed it, or the replay guard
+  // coasted it after its slot was granted.
+  ServiceConfig cfg;
+  cfg.budget.maxRecoversPerFrame = 1;
+  CooperationService svc(cfg);
+  const CarPerceptionData ego;
+  const Pose2 near{Vec2{20.0, 5.0}, 0.1};
+  const Pose2 near2{Vec2{-12.0, 7.0}, -0.2};
+  const Pose2 far{Vec2{400.0, 0.0}, 0.0};
+  const std::vector<std::uint8_t> granted = tinyPayload(1, 0, &near);
+  const std::vector<std::uint8_t> shed = tinyPayload(2, 0, &near2);
+  const std::vector<std::uint8_t> skipped = tinyPayload(3, 0, &far);
+  const auto expectClaim = [](const SessionFrameResult& r,
+                              const std::vector<std::uint8_t>& payload) {
+    const wire::MessagePeek pk = wire::peek(payload);
+    ASSERT_TRUE(pk.hasPosePrior);
+    EXPECT_TRUE(r.hasClaim) << "peer " << r.peerId;
+    EXPECT_EQ(r.claim.t.x, pk.posePrior.t.x) << "peer " << r.peerId;
+    EXPECT_EQ(r.claim.t.y, pk.posePrior.t.y) << "peer " << r.peerId;
+    EXPECT_EQ(r.claim.theta, pk.posePrior.theta) << "peer " << r.peerId;
+  };
+
+  const std::vector<SessionFrameResult> first = svc.processFrame(
+      ego, {{1, &granted}, {2, &shed}, {3, &skipped}});
+  ASSERT_EQ(first.size(), 3u);
+  EXPECT_TRUE(first[0].payloadMismatch);
+  expectClaim(first[0], granted);
+  EXPECT_TRUE(first[1].shed);
+  expectClaim(first[1], shed);
+  EXPECT_TRUE(first[2].pregateSkipped);
+  expectClaim(first[2], skipped);
+
+  // Peer 1 alone replays its frame 0: granted, decoded, then coasted.
+  const std::vector<SessionFrameResult> replay =
+      svc.processFrame(ego, {{1, &granted}});
+  ASSERT_EQ(replay.size(), 1u);
+  EXPECT_TRUE(replay[0].replayRejected);
+  EXPECT_FALSE(replay[0].shed);
+  expectClaim(replay[0], granted);
+}
+
 /// Run F frames of an S-peer tiny-payload fleet and return (report JSON,
 /// per-frame granted peer ids, per-frame shed flags as a string).
 struct FleetRun {
@@ -192,7 +243,7 @@ FleetRun runTinyFleet(int threads, int peers, int budget, int frames,
                       bool pregate = true) {
   ThreadLimit limit(threads);
   ServiceConfig cfg;
-  cfg.pregate.enable = pregate;
+  if (!pregate) cfg.pregate = openGate();
   cfg.budget.maxRecoversPerFrame = budget;
   CooperationService svc(cfg);
   const CarPerceptionData ego;
@@ -234,7 +285,7 @@ TEST(ShedDeterminism, ByteIdenticalAt1And8Threads) {
 
 TEST(ShedDeterminism, PreGateIsByteTransparentOnInRangeClaims) {
   // Every claim is in range, budget unlimited: the gate must change
-  // nothing — same report bytes with the stage on or off.
+  // nothing — same report bytes with the default gate or an open one.
   const FleetRun on = runTinyFleet(1, 6, 0, 4, /*pregate=*/true);
   const FleetRun off = runTinyFleet(1, 6, 0, 4, /*pregate=*/false);
   EXPECT_EQ(on.reportJson, off.reportJson);

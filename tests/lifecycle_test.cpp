@@ -7,12 +7,15 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/parallel.hpp"
 #include "dataset/fault.hpp"
 #include "dataset/sequence.hpp"
+#include "obs/metrics.hpp"
 #include "service/cooperation_service.hpp"
 #include "service/session_lifecycle.hpp"
 #include "wire/message.hpp"
@@ -202,11 +205,17 @@ TEST(ChurnChannel, SequenceGeneratorKeysByStableVehicleId) {
 
 /// Tiny valid payload with a mis-sized BV image (same trick as
 /// service_test.cpp): decodes fine, coasts the tracker, costs no recover().
+/// An optional pose-prior claim feeds the spatial pre-gate.
 std::vector<std::uint8_t> tinyPayload(std::uint64_t sender,
-                                      std::uint32_t frame) {
+                                      std::uint32_t frame,
+                                      const Pose2* claim = nullptr) {
   wire::CooperativeMessage msg;
   msg.senderId = sender;
   msg.frameIndex = frame;
+  if (claim != nullptr) {
+    msg.hasPosePrior = true;
+    msg.posePrior = *claim;
+  }
   msg.bvImage = ImageF(8, 8);
   msg.bvImage(1, 1) = 0.25f;
   return wire::encode(msg, wire::WireConfig{});
@@ -305,7 +314,8 @@ TEST(SessionLifecycle, EvictionPrefersWorstAbsentSessionAndArchivesIt) {
 TEST(SessionLifecycle, EvictionDisabledRejectsInsteadOfDisplacing) {
   ServiceConfig cfg;
   cfg.maxSessions = 1;
-  cfg.lifecycle.enableEviction = false;
+  // No session can reach an infinite eviction bar: nothing is evictable.
+  cfg.lifecycle.minEvictionScore = std::numeric_limits<double>::infinity();
   cfg.lifecycle.maxSilentFrames = 1;
   CooperationService svc(cfg);
   const CarPerceptionData ego;
@@ -319,6 +329,88 @@ TEST(SessionLifecycle, EvictionDisabledRejectsInsteadOfDisplacing) {
   EXPECT_EQ(after[0].admission, SessionAdmission::Admitted);
   EXPECT_EQ(svc.report().rejectedFull, 2);
 }
+
+#if defined(BBA_OBSERVABILITY_ENABLED)
+struct ScopedMetrics {
+  explicit ScopedMetrics(obs::MetricsRegistry& r) {
+    obs::installMetricsRegistry(&r);
+  }
+  ~ScopedMetrics() { obs::installMetricsRegistry(nullptr); }
+};
+
+TEST(SessionLifecycle, CountersMirrorTheReport) {
+  // Every fact the service keeps both as a report field and as a counter
+  // must read the same in both places. Decode-only traffic over a 4-slot
+  // table with a 3-slot recover budget walks link drops, a corrupt
+  // payload, a replay, a far claim, a shed, a duplicate, a full-table
+  // rejection, an eviction, reaps, a readmission and a quarantine.
+  obs::MetricsRegistry reg;
+  ScopedMetrics scoped(reg);
+  ServiceConfig cfg;
+  cfg.maxSessions = 4;
+  cfg.lifecycle.maxSilentFrames = 2;
+  cfg.budget.maxRecoversPerFrame = 3;
+  CooperationService svc(cfg);
+  const CarPerceptionData ego;
+  const Pose2 far{Vec2{400.0, 0.0}, 0.0};
+  const std::vector<std::uint8_t> p2 = tinyPayload(2, 1);
+  const std::vector<std::uint8_t> p3 = tinyPayload(3, 1);
+  const std::vector<std::uint8_t> p4 = tinyPayload(4, 1);
+  const std::vector<std::uint8_t> p4far = tinyPayload(4, 2, &far);
+  const std::vector<std::uint8_t> p2back = tinyPayload(2, 9);
+  std::vector<std::uint8_t> corrupt = tinyPayload(3, 2);
+  corrupt[corrupt.size() / 2] ^= 0xFF;
+  for (std::uint32_t k = 0; k < 12; ++k) {
+    // Peer 1 sends a fresh mis-sized payload every frame: its mismatch
+    // penalties add up to a quarantine.
+    const std::vector<std::uint8_t> p1 = tinyPayload(1, k + 1);
+    std::vector<PeerFrameInput> in = {{1, &p1}};
+    if (k == 0) {
+      // Four payload peers for three slots (4 is shed), plus a duplicate.
+      in.insert(in.end(), {{2, &p2}, {3, &p3}, {4, &p4}, {1, nullptr}});
+    } else if (k == 1) {
+      // A replay, a corrupt payload, a far claim, and a newcomer the full
+      // table of present peers must reject.
+      in.insert(in.end(), {{2, &p2}, {3, &corrupt}, {4, &p4far}, {5, nullptr}});
+    } else if (k < 6) {
+      in.push_back({5, nullptr});  // 5 evicts one absent peer at k == 2
+    } else if (k == 6) {
+      in.insert(in.end(), {{5, nullptr}, {2, &p2back}});  // 2 returns
+    }
+    (void)svc.processFrame(ego, in);
+  }
+
+  const ServiceReport rep = svc.report();
+  const SessionStats& agg = rep.aggregate;
+  const std::vector<std::pair<const char*, std::int64_t>> mirrored = {
+      {"service.frames", rep.framesProcessed},
+      {"service.link_drops", agg.linkDrops},
+      {"service.decode_failed", agg.decodeFailed},
+      {"service.payload_mismatch", agg.payloadMismatch},
+      {"service.pregate_skipped", agg.pregateSkips},
+      {"service.shed", agg.shedFrames},
+      {"service.recover_slots", agg.recoverSlots},
+      {"service.poses_reported", agg.posesReported},
+      {"health.replay_rejected", agg.replayRejects},
+      {"health.quarantined_frames", agg.quarantinedFrames},
+      {"health.consistency_outliers", agg.consistencyOutliers},
+      {"session.evicted", agg.evictions},
+      {"session.reaped", agg.reaps},
+      {"session.readmitted", agg.readmissions},
+      {"session.silent_frames", agg.silentFrames},
+      {"session.rejected_full", rep.rejectedFull},
+  };
+  for (const auto& [name, field] : mirrored) {
+    EXPECT_EQ(reg.counter(name).value(), field) << name;
+    // Only a real lock can report a pose or win a consistency vote.
+    const std::string n = name;
+    if (n != "service.poses_reported" && n != "health.consistency_outliers") {
+      EXPECT_GT(field, 0) << name << " is not exercised";
+    }
+  }
+  EXPECT_GT(agg.duplicateRejects, 0);
+}
+#endif  // BBA_OBSERVABILITY_ENABLED
 
 // ---- property test: random schedules conserve stats, thread-invariant ----
 
@@ -583,53 +675,41 @@ TEST(LifecycleScenario, EvictedHonestPeerRelocksWithinMissBudgetPlusTwo) {
 }
 
 TEST(LifecycleScenario, LyingClaimCannotHoldALockedInRangePeer) {
-  // Satellite: once a session is locked the pre-gate runs on the
-  // tracker's own dead-reckoned pose, so a spoofed out-of-range claim on
-  // an in-range peer no longer withholds its (honest) payload. A
-  // bootstrapping far-claim session keeps claim gating either way.
+  // Once a session is locked the pre-gate runs on the tracker's own
+  // dead-reckoned pose, so a spoofed out-of-range claim on an in-range
+  // peer cannot withhold its (honest) payload. A bootstrapping far-claim
+  // session is still gated on its claim.
   const ScenarioRig rig(3);
   const Pose2 lie{{2000.0, -500.0}, 1.0};
 
-  auto run = [&](bool trackPrior) {
-    ServiceConfig cfg = rig.cfg;
-    cfg.usePosePriors = false;  // the lie must not seed any track
-    cfg.pregate.useTrackPrior = trackPrior;
-    CooperationService svc(cfg);
-    const BBAlign aligner(cfg.tracker.aligner);
-    std::vector<std::vector<SessionFrameResult>> out;
-    for (std::size_t k = 0; k < rig.frames.size(); ++k) {
-      const StreamFrame& f = rig.frames[k];
-      const CarPerceptionData ego =
-          aligner.makeCarData(f.egoCloud, f.egoDets);
-      const CarPerceptionData other =
-          aligner.makeCarData(f.otherCloud, f.otherDets);
-      // Frame 0 honest claim-less bootstrap; frames 1+ attach the lie.
-      const std::vector<std::uint8_t> payload = svc.sendFrame(
-          other, 1, static_cast<std::uint32_t>(k), nullptr,
-          k == 0 ? nullptr : &lie);
-      const std::vector<std::uint8_t> phantom = svc.sendFrame(
-          other, 50, static_cast<std::uint32_t>(k), nullptr, &lie);
-      out.push_back(svc.processFrame(ego, {{1, &payload}, {50, &phantom}}));
-    }
-    return out;
-  };
+  ServiceConfig cfg = rig.cfg;
+  cfg.usePosePriors = false;  // the lie must not seed any track
+  CooperationService svc(cfg);
+  const BBAlign aligner(cfg.tracker.aligner);
+  std::vector<std::vector<SessionFrameResult>> gated;
+  for (std::size_t k = 0; k < rig.frames.size(); ++k) {
+    const StreamFrame& f = rig.frames[k];
+    const CarPerceptionData ego = aligner.makeCarData(f.egoCloud, f.egoDets);
+    const CarPerceptionData other =
+        aligner.makeCarData(f.otherCloud, f.otherDets);
+    // Frame 0 honest claim-less bootstrap; frames 1+ attach the lie.
+    const std::vector<std::uint8_t> payload = svc.sendFrame(
+        other, 1, static_cast<std::uint32_t>(k), nullptr,
+        k == 0 ? nullptr : &lie);
+    const std::vector<std::uint8_t> phantom = svc.sendFrame(
+        other, 50, static_cast<std::uint32_t>(k), nullptr, &lie);
+    gated.push_back(svc.processFrame(ego, {{1, &payload}, {50, &phantom}}));
+  }
 
-  const auto gated = run(true);
-  const auto legacy = run(false);
-  // Frame 0: both lock the honest peer (no claim, no gate).
+  // Frame 0: the honest peer locks (no claim, no gate).
   ASSERT_EQ(gated[0][0].track.outcome, TrackerOutcome::Recovered);
-  ASSERT_EQ(legacy[0][0].track.outcome, TrackerOutcome::Recovered);
   for (std::size_t k = 1; k < gated.size(); ++k) {
-    // With the track prior the locked peer stays admitted and recovering
-    // despite the lie; the legacy claim gate holds it hostage.
+    // The locked peer stays admitted and recovering despite the lie.
     EXPECT_EQ(gated[k][0].track.outcome, TrackerOutcome::Recovered) << k;
     EXPECT_TRUE(gated[k][0].pregatePriorFromTrack) << k;
     EXPECT_FALSE(gated[k][0].pregateSkipped) << k;
-    EXPECT_TRUE(legacy[k][0].pregateSkipped) << k;
-    EXPECT_EQ(legacy[k][0].track.outcome, TrackerOutcome::Held) << k;
-    // The bootstrapping phantom is claim-gated in BOTH modes.
+    // The bootstrapping phantom is claim-gated.
     EXPECT_TRUE(gated[k][1].pregateSkipped) << k;
-    EXPECT_TRUE(legacy[k][1].pregateSkipped) << k;
   }
 }
 

@@ -8,17 +8,23 @@
    src/obs/report.hpp), every ``wire::DecodeError`` enumerator (parsed
    from src/wire/frame.hpp), every world-preset name (parsed from
    src/sim/presets.cpp), every lidar-profile name (parsed from
-   src/lidar/conditions.cpp), every ``SessionAdmission`` outcome (parsed
-   from src/service/session_lifecycle.cpp), and every ``stream.*`` /
-   ``wire.*`` / ``service.*`` / ``session.*`` / ``health.*`` /
-   ``validate.*`` / ``cache.*`` / ``map.*`` metric name (parsed from the
-   emitting sources) must appear somewhere in the checked documents — the
-   docs may not silently fall behind the code.
-3. Generated-block gate: the scenario-matrix block of EXPERIMENTS.md must
+   src/lidar/conditions.cpp) and every ``SessionAdmission`` outcome
+   (parsed from src/service/session_lifecycle.cpp) must appear somewhere
+   in the checked documents — the docs may not silently fall behind the
+   code.
+3. Metric gate: every metric-name string literal in src/**/*.cpp (a
+   dotted lower-case name such as ``service.shed``) must appear in the
+   checked documents, and no name may be registered as two kinds
+   (counter, gauge, histogram).
+4. Generated-block gate: the scenario-matrix block of EXPERIMENTS.md must
    byte-match a render of bench/scenario_baseline.json
    (tools/gen_experiments.py --check).
 
 Exit code 0 when healthy; prints every violation otherwise.
+``--self-test`` instead feeds the gate doctored inputs built in memory (an
+undocumented metric literal, a metric registered as two kinds, a link to
+a missing anchor) and fails unless each is rejected; the tree is never
+touched.
 """
 
 import re
@@ -37,6 +43,16 @@ DOCS = [
 
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 CODE_FENCE_RE = re.compile(r"^(```|~~~)")
+METRIC_NAME = r"[a-z][a-z0-9_]*(?:\.[a-z0-9_]+)+"
+METRIC_RE = re.compile(f"\"({METRIC_NAME})\"")
+# A registration site names its metric's kind; the service's tally(field,
+# name) bumps a counter.
+KIND_RE = re.compile(r"\b(BBA_COUNTER_ADD|BBA_GAUGE_SET|BBA_HISTOGRAM_OBSERVE"
+                     r"|counter|gauge|histogram|tally)\((?:[^;\"]*?,)?\s*"
+                     f"\"({METRIC_NAME})\"")
+KIND_OF = {"BBA_COUNTER_ADD": "counter", "counter": "counter",
+           "tally": "counter", "BBA_GAUGE_SET": "gauge", "gauge": "gauge",
+           "BBA_HISTOGRAM_OBSERVE": "histogram", "histogram": "histogram"}
 
 
 def github_slug(heading: str) -> str:
@@ -61,10 +77,12 @@ def heading_slugs(md_path: Path) -> set:
     return slugs
 
 
-def check_links(doc: Path, errors: list) -> None:
+def check_links(doc: Path, errors: list, text: str = None) -> None:
+    """Check `doc`'s links; `text` stands in for its content when given."""
+    if text is None:
+        text = doc.read_text(encoding="utf-8")
     in_fence = False
-    for lineno, line in enumerate(
-            doc.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if CODE_FENCE_RE.match(line):
             in_fence = not in_fence
             continue
@@ -104,12 +122,6 @@ def recovery_failure_enumerators() -> list:
     return names + strings
 
 
-def stream_metric_names() -> list:
-    source = (REPO / "src" / "stream" / "pose_tracker.cpp").read_text(
-        encoding="utf-8")
-    return sorted(set(re.findall(r"\"(stream\.\w+)\"", source)))
-
-
 def decode_error_enumerators() -> list:
     """Enumerator names of wire::DecodeError plus their string forms."""
     header = (REPO / "src" / "wire" / "frame.hpp").read_text(encoding="utf-8")
@@ -120,31 +132,6 @@ def decode_error_enumerators() -> list:
     source = (REPO / "src" / "wire" / "frame.cpp").read_text(encoding="utf-8")
     strings = re.findall(r"case DecodeError::\w+:\s*return \"(\w+)\";", source)
     return names + strings
-
-
-def wire_metric_names() -> list:
-    names = set()
-    for src in sorted((REPO / "src" / "wire").glob("*.cpp")):
-        names.update(re.findall(r"\"(wire\.\w+)\"", src.read_text(
-            encoding="utf-8")))
-    return sorted(names)
-
-
-def service_metric_names() -> list:
-    names = set()
-    for src in sorted((REPO / "src" / "service").glob("*.cpp")):
-        names.update(re.findall(r"\"(service\.\w+)\"", src.read_text(
-            encoding="utf-8")))
-    return sorted(names)
-
-
-def session_metric_names() -> list:
-    """session.* counters/gauges/histograms (lifecycle layer, PR 10)."""
-    names = set()
-    for src in sorted((REPO / "src" / "service").glob("*.cpp")):
-        names.update(re.findall(r"\"(session\.\w+)\"", src.read_text(
-            encoding="utf-8")))
-    return sorted(names)
 
 
 def session_admission_strings() -> list:
@@ -159,41 +146,29 @@ def session_admission_strings() -> list:
     return names
 
 
-def health_metric_names() -> list:
-    names = set()
-    for src in sorted((REPO / "src" / "service").glob("*.cpp")):
-        names.update(re.findall(r"\"(health\.\w+)\"", src.read_text(
-            encoding="utf-8")))
-    return sorted(names)
+def source_texts() -> dict:
+    """Every C++ source under src/, keyed by its repo-relative path."""
+    return {str(p.relative_to(REPO)): p.read_text(encoding="utf-8")
+            for p in sorted((REPO / "src").rglob("*.cpp"))}
 
 
-def validate_metric_names() -> list:
-    names = set()
-    for sub in ("core", "stream"):
-        for src in sorted((REPO / "src" / sub).glob("*.cpp")):
-            names.update(re.findall(r"\"(validate\.\w+)\"", src.read_text(
-                encoding="utf-8")))
-    return sorted(names)
-
-
-def cache_metric_names() -> list:
-    """cache.* counters (Log-Gabor bank cache + per-frame ego features)."""
-    names = set()
-    for sub in ("signal", "service"):
-        for src in sorted((REPO / "src" / sub).glob("*.cpp")):
-            names.update(re.findall(r"\"(cache\.\w+)\"", src.read_text(
-                encoding="utf-8")))
-    return sorted(names)
-
-
-def map_metric_names() -> list:
-    """map.* counters/gauges/histograms (keyframe store + reloc rung)."""
-    names = set()
-    for sub in ("map", "stream"):
-        for src in sorted((REPO / "src" / sub).glob("*.cpp")):
-            names.update(re.findall(r"\"(map\.\w+)\"", src.read_text(
-                encoding="utf-8")))
-    return sorted(names)
+def check_metrics(sources: dict, corpus: str, errors: list) -> int:
+    """Every metric literal in `sources` must be documented in `corpus`
+    and registered as at most one kind. Returns the number of names."""
+    kinds = {}
+    for text in sources.values():
+        for name in METRIC_RE.findall(text):
+            kinds.setdefault(name, set())
+        for call, name in KIND_RE.findall(text):
+            kinds[name].add(KIND_OF[call])
+    for name, found in sorted(kinds.items()):
+        if name not in corpus:
+            errors.append(f"metric '{name}' is undocumented "
+                          f"(not found in any checked document)")
+        if len(found) > 1:
+            errors.append(f"metric '{name}' is registered as "
+                          f"{' and '.join(sorted(found))}")
+    return len(kinds)
 
 
 def tracker_outcome_strings() -> list:
@@ -259,64 +234,79 @@ def peer_health_states() -> list:
     return states
 
 
-def main() -> int:
-    errors = []
+def docs_corpus(errors: list) -> str:
+    """The checked documents, concatenated (a missing one is an error)."""
     corpus = ""
     for doc in DOCS:
         if not doc.exists():
             errors.append(f"missing required document: {doc.relative_to(REPO)}")
             continue
         corpus += doc.read_text(encoding="utf-8")
-        check_links(doc, errors)
+    return corpus
 
-    for name in recovery_failure_enumerators():
-        if name not in corpus:
-            errors.append(
-                f"RecoveryFailure value '{name}' is undocumented "
-                f"(not found in any checked document)")
-    for name in stream_metric_names():
-        if name not in corpus:
-            errors.append(
-                f"stream metric '{name}' is undocumented "
-                f"(not found in any checked document)")
-    for name in decode_error_enumerators():
-        if name not in corpus:
-            errors.append(
-                f"DecodeError value '{name}' is undocumented "
-                f"(not found in any checked document)")
-    for name in (wire_metric_names() + service_metric_names()
-                 + session_metric_names() + health_metric_names()
-                 + validate_metric_names() + cache_metric_names()
-                 + map_metric_names()):
-        if name not in corpus:
-            errors.append(
-                f"metric '{name}' is undocumented "
-                f"(not found in any checked document)")
-    for name in peer_health_states():
-        if name not in corpus:
-            errors.append(
-                f"PeerHealth state '{name}' is undocumented "
-                f"(not found in any checked document)")
-    for name in session_admission_strings():
-        if name not in corpus:
-            errors.append(
-                f"SessionAdmission outcome '{name}' is undocumented "
-                f"(not found in any checked document)")
-    for name in tracker_outcome_strings():
-        if name not in corpus:
-            errors.append(
-                f"TrackerOutcome rung '{name}' is undocumented "
-                f"(not found in any checked document)")
-    for name in world_preset_names():
-        if name not in corpus:
-            errors.append(
-                f"world preset '{name}' is undocumented "
-                f"(not found in any checked document)")
-    for name in lidar_profile_names():
-        if name not in corpus:
-            errors.append(
-                f"lidar profile '{name}' is undocumented "
-                f"(not found in any checked document)")
+
+def self_test() -> int:
+    """Each doctored input, built in memory, must be rejected."""
+    clean = []
+    corpus = docs_corpus(clean)
+    sources = source_texts()
+    check_metrics(sources, corpus, clean)
+    readme = REPO / "README.md"
+    readme_text = readme.read_text(encoding="utf-8")
+    check_links(readme, clean, readme_text)
+    if clean:
+        print("self-test FAILED: the undoctored tree does not pass: "
+              + "; ".join(clean), file=sys.stderr)
+        return 1
+    def doctored_source(line):
+        return lambda errs: check_metrics(
+            {**sources, "src/doctored.cpp": line}, corpus, errs)
+
+    doctored = {
+        "undocumented metric literal":
+            doctored_source('BBA_COUNTER_ADD("doctored.undocumented", 1);'),
+        # service.shed is a documented counter; this makes it a gauge too.
+        "metric registered as two kinds":
+            doctored_source('BBA_GAUGE_SET("service.shed", 1.0);'),
+        "broken anchor":
+            lambda errs: check_links(
+                readme, errs, readme_text + "\n[x](#doctored-anchor)\n"),
+    }
+    for what, run in doctored.items():
+        errs = []
+        run(errs)
+        if not errs:
+            print(f"self-test FAILED: {what} passed the gate",
+                  file=sys.stderr)
+            return 1
+    print(f"self-test passed ({len(doctored)} doctored inputs rejected)")
+    return 0
+
+
+def main() -> int:
+    if sys.argv[1:] == ["--self-test"]:
+        return self_test()
+    errors = []
+    corpus = docs_corpus(errors)
+    for doc in DOCS:
+        if doc.exists():
+            check_links(doc, errors)
+    metric_count = check_metrics(source_texts(), corpus, errors)
+
+    taxonomies = [
+        ("RecoveryFailure value", recovery_failure_enumerators()),
+        ("DecodeError value", decode_error_enumerators()),
+        ("PeerHealth state", peer_health_states()),
+        ("SessionAdmission outcome", session_admission_strings()),
+        ("TrackerOutcome rung", tracker_outcome_strings()),
+        ("world preset", world_preset_names()),
+        ("lidar profile", lidar_profile_names()),
+    ]
+    for what, names in taxonomies:
+        for name in names:
+            if name not in corpus:
+                errors.append(f"{what} '{name}' is undocumented "
+                              f"(not found in any checked document)")
     check_generated_experiments(errors)
 
     if errors:
@@ -324,11 +314,6 @@ def main() -> int:
         for e in errors:
             print(f"  {e}")
         return 1
-    metric_count = (len(stream_metric_names()) + len(wire_metric_names())
-                    + len(service_metric_names())
-                    + len(session_metric_names()) + len(health_metric_names())
-                    + len(validate_metric_names()) + len(cache_metric_names())
-                    + len(map_metric_names()))
     print(f"docs-health: OK ({len(DOCS)} documents, "
           f"{len(recovery_failure_enumerators())} failure values, "
           f"{len(decode_error_enumerators())} decode-error values, "
