@@ -64,6 +64,29 @@ std::vector<Keypoint> detectKeypoints(const BBAlignConfig& cfg,
                   static_cast<std::int64_t>(keypoints.size()));
   return keypoints;
 }
+
+/// Millisecond lap timer for the per-call report; reads the clock only
+/// when a report was requested, so the unreported path stays clock-free.
+class LapTimer {
+ public:
+  explicit LapTimer(bool enabled) : enabled_(enabled) {
+    if (enabled_) last_ = std::chrono::steady_clock::now();
+  }
+
+  /// Milliseconds since construction or the previous lap() call.
+  double lap() {
+    if (!enabled_) return 0.0;
+    const auto now = std::chrono::steady_clock::now();
+    const double ms =
+        std::chrono::duration<double, std::milli>(now - last_).count();
+    last_ = now;
+    return ms;
+  }
+
+ private:
+  bool enabled_;
+  std::chrono::steady_clock::time_point last_;
+};
 }  // namespace
 
 MimResult BBAlign::computeImageMim(const ImageF& bvImage) const {
@@ -74,14 +97,37 @@ MimResult BBAlign::computeImageMim(const ImageF& bvImage) const {
   return computeMim(boxBlur3(bvImage), *bank_);
 }
 
+DescriptorSet BBAlign::extractFeatures(const ImageF& bvImage,
+                                       ImageFeatures& features,
+                                       std::optional<double> fixedAngle,
+                                       PoseRecoveryReport* times) const {
+  LapTimer lap(times != nullptr);
+  if (features.mim.mim.empty()) {
+    features.mim = computeImageMim(bvImage);
+    if (times) times->msMim += lap.lap();
+    features.keypoints = detectKeypoints(cfg_, bvImage, features.mim);
+    if (times) times->msKeypoints += lap.lap();
+  }
+  if (!fixedAngle) return {};
+  DescriptorParams dp = cfg_.descriptor;
+  dp.fixedAngle = *fixedAngle;
+  DescriptorSet pass = computeDescriptors(features.mim, features.keypoints, dp);
+  if (times) times->msDescriptors += lap.lap();
+  return pass;
+}
+
 DescriptorSet BBAlign::describe(const ImageF& bvImage,
                                 double fixedAngle) const {
-  const MimResult mim = computeImageMim(bvImage);
-  const std::vector<Keypoint> keypoints =
-      detectKeypoints(cfg_, bvImage, mim);
-  DescriptorParams dp = cfg_.descriptor;
-  dp.fixedAngle = fixedAngle;
-  return computeDescriptors(mim, keypoints, dp);
+  ImageFeatures features;
+  return extractFeatures(bvImage, features, fixedAngle, nullptr);
+}
+
+std::shared_ptr<const ImageFeatures> BBAlign::computeEgoFeatures(
+    const CarPerceptionData& ego) const {
+  BBA_SPAN("ego-features");
+  auto out = std::make_shared<ImageFeatures>();
+  out->descriptors = extractFeatures(ego.bvImage, *out, 0.0, nullptr);
+  return out;
 }
 
 namespace {
@@ -193,6 +239,33 @@ Pose2 icpPolishBv(const std::vector<Vec2>& srcPts, const ImageF& egoBv,
   return T;
 }
 
+/// Greedy nearest-center box pairing: each of the other car's boxes, in
+/// order, is moved into the ego frame by `T` and takes the nearest unpaired
+/// ego box closer than `cfg.boxPairMaxCenterDistance` (strict `<`: a tie
+/// goes to the lower ego index). Calls `onPair(moved, egoBox)` per pair.
+template <typename OnPair>
+void pairBoxes(const std::vector<OrientedBox2>& otherBoxes,
+               const std::vector<OrientedBox2>& egoBoxes, const Pose2& T,
+               const BBAlignConfig& cfg, OnPair&& onPair) {
+  std::vector<bool> egoUsed(egoBoxes.size(), false);
+  for (const OrientedBox2& ob : otherBoxes) {
+    const OrientedBox2 moved = ob.transformed(T);
+    int bestIdx = -1;
+    double bestDist = cfg.boxPairMaxCenterDistance;
+    for (std::size_t j = 0; j < egoBoxes.size(); ++j) {
+      if (egoUsed[j]) continue;
+      const double d = (egoBoxes[j].center - moved.center).norm();
+      if (d < bestDist) {
+        bestDist = d;
+        bestIdx = static_cast<int>(j);
+      }
+    }
+    if (bestIdx < 0) continue;
+    egoUsed[static_cast<std::size_t>(bestIdx)] = true;
+    onPair(moved, egoBoxes[static_cast<std::size_t>(bestIdx)]);
+  }
+}
+
 /// Stage 2 (§IV-B): pair up overlapping boxes and align their corners.
 struct BoxAlignment {
   RansacResult ransac;
@@ -207,36 +280,22 @@ BoxAlignment alignBoxes(const std::vector<OrientedBox2>& otherBoxes,
   BoxAlignment out;
   std::vector<Vec2> src, dst;
 
-  std::vector<bool> egoUsed(egoBoxes.size(), false);
-  for (const OrientedBox2& ob : otherBoxes) {
-    // Boxes arrive in the other car's frame; stage 1 brings them into the
-    // ego frame to within a couple of meters (Algorithm 1 line 12).
-    const OrientedBox2 moved = ob.transformed(stage1);
-    int bestIdx = -1;
-    double bestDist = cfg.boxPairMaxCenterDistance;
-    for (std::size_t j = 0; j < egoBoxes.size(); ++j) {
-      if (egoUsed[j]) continue;
-      const double d = (egoBoxes[j].center - moved.center).norm();
-      if (d < bestDist) {
-        bestDist = d;
-        bestIdx = static_cast<int>(j);
-      }
-    }
-    if (bestIdx < 0) continue;
-    egoUsed[static_cast<std::size_t>(bestIdx)] = true;
-    ++out.pairs;
-
-    // Consistently ordered corners pair up index-for-index (§IV-B). The
-    // canonicalization collapses the 180-degree heading ambiguity of
-    // symmetric car boxes detected from opposite viewpoints.
-    const auto sc = moved.canonicalized().corners();
-    const auto dc =
-        egoBoxes[static_cast<std::size_t>(bestIdx)].canonicalized().corners();
-    for (int k = 0; k < 4; ++k) {
-      src.push_back(sc[static_cast<std::size_t>(k)]);
-      dst.push_back(dc[static_cast<std::size_t>(k)]);
-    }
-  }
+  // Boxes arrive in the other car's frame; stage 1 brings them into the
+  // ego frame to within a couple of meters (Algorithm 1 line 12).
+  pairBoxes(otherBoxes, egoBoxes, stage1, cfg,
+            [&](const OrientedBox2& moved, const OrientedBox2& eb) {
+              ++out.pairs;
+              // Consistently ordered corners pair up index-for-index
+              // (§IV-B). The canonicalization collapses the 180-degree
+              // heading ambiguity of symmetric car boxes detected from
+              // opposite viewpoints.
+              const auto sc = moved.canonicalized().corners();
+              const auto dc = eb.canonicalized().corners();
+              for (int k = 0; k < 4; ++k) {
+                src.push_back(sc[static_cast<std::size_t>(k)]);
+                dst.push_back(dc[static_cast<std::size_t>(k)]);
+              }
+            });
 
   if (src.size() >= 4) {
     bool rigid = false;
@@ -258,29 +317,6 @@ BoxAlignment alignBoxes(const std::vector<OrientedBox2>& otherBoxes,
   }
   return out;
 }
-
-/// Millisecond lap timer for the per-call report; reads the clock only
-/// when a report was requested, so the unreported path stays clock-free.
-class LapTimer {
- public:
-  explicit LapTimer(bool enabled) : enabled_(enabled) {
-    if (enabled_) last_ = std::chrono::steady_clock::now();
-  }
-
-  /// Milliseconds since construction or the previous lap() call.
-  double lap() {
-    if (!enabled_) return 0.0;
-    const auto now = std::chrono::steady_clock::now();
-    const double ms =
-        std::chrono::duration<double, std::milli>(now - last_).count();
-    last_ = now;
-    return ms;
-  }
-
- private:
-  bool enabled_;
-  std::chrono::steady_clock::time_point last_;
-};
 
 RecoveryFailure classifyFailure(const BBAlignConfig& cfg,
                                 const PoseRecoveryResult& r,
@@ -313,38 +349,23 @@ PoseValidation validatePose(const Pose2& estimate, const OverlapScorer& scorer,
   v.computed = true;
   v.bvOverlap = scorer.score(estimate);
 
-  // Greedy nearest-center pairing under the final estimate (same rule as
-  // stage 2, but against T_2D instead of T_bv).
+  // The stage-2 pairing, under the final estimate T_2D instead of T_bv.
   double residualSum = 0.0;
   double iouSum = 0.0;
-  std::vector<bool> egoUsed(egoBoxes.size(), false);
-  for (const OrientedBox2& ob : otherBoxes) {
-    const OrientedBox2 moved = ob.transformed(estimate);
-    int bestIdx = -1;
-    double bestDist = cfg.boxPairMaxCenterDistance;
-    for (std::size_t j = 0; j < egoBoxes.size(); ++j) {
-      if (egoUsed[j]) continue;
-      const double d = (egoBoxes[j].center - moved.center).norm();
-      if (d < bestDist) {
-        bestDist = d;
-        bestIdx = static_cast<int>(j);
-      }
-    }
-    if (bestIdx < 0) continue;
-    egoUsed[static_cast<std::size_t>(bestIdx)] = true;
-    const OrientedBox2& eb = egoBoxes[static_cast<std::size_t>(bestIdx)];
-    const auto mc = moved.canonicalized().corners();
-    const auto ec = eb.canonicalized().corners();
-    double corner = 0.0;
-    for (int k = 0; k < 4; ++k) {
-      corner += (mc[static_cast<std::size_t>(k)] -
-                 ec[static_cast<std::size_t>(k)])
-                    .norm();
-    }
-    residualSum += corner / 4.0;
-    iouSum += rotatedIoU(moved, eb);
-    ++v.boxesCompared;
-  }
+  pairBoxes(otherBoxes, egoBoxes, estimate, cfg,
+            [&](const OrientedBox2& moved, const OrientedBox2& eb) {
+              const auto mc = moved.canonicalized().corners();
+              const auto ec = eb.canonicalized().corners();
+              double corner = 0.0;
+              for (int k = 0; k < 4; ++k) {
+                corner += (mc[static_cast<std::size_t>(k)] -
+                           ec[static_cast<std::size_t>(k)])
+                              .norm();
+              }
+              residualSum += corner / 4.0;
+              iouSum += rotatedIoU(moved, eb);
+              ++v.boxesCompared;
+            });
   if (v.boxesCompared > 0) {
     v.meanCornerResidual = residualSum / v.boxesCompared;
     v.meanBoxIou = iouSum / v.boxesCompared;
@@ -426,88 +447,42 @@ void recordRecoveryMetrics(const PoseRecoveryReport& rep) {
 #endif
 }
 
-/// The other image's descriptor pass at relative yaw `yaw` (sampled at
-/// dp.fixedAngle = -yaw), computed on the first request for that yaw.
-const DescriptorSet& memoizedPass(OtherFeatures& features, double yaw,
-                                  const DescriptorParams& dp) {
-  auto it = features.passes.find(yaw);
-  if (it == features.passes.end()) {
-    it = features.passes
-             .emplace(yaw,
-                      computeDescriptors(features.mim, features.keypoints, dp))
-             .first;
-  }
-  return it->second;
-}
-
 }  // namespace
-
-std::shared_ptr<const EgoFeatures> BBAlign::computeEgoFeatures(
-    const CarPerceptionData& ego) const {
-  BBA_SPAN("ego-features");
-  auto out = std::make_shared<EgoFeatures>();
-  out->mim = computeImageMim(ego.bvImage);
-  out->keypoints = detectKeypoints(cfg_, ego.bvImage, out->mim);
-  DescriptorParams dp = cfg_.descriptor;
-  dp.fixedAngle = 0.0;
-  out->descriptors = computeDescriptors(out->mim, out->keypoints, dp);
-  return out;
-}
 
 PoseRecoveryResult BBAlign::recover(const CarPerceptionData& other,
                                     const CarPerceptionData& ego, Rng& rng,
                                     PoseRecoveryReport* report,
                                     const Pose2* posePrior,
-                                    const EgoFeatures* egoFeatures,
-                                    OtherFeatures* otherFeatures) const {
+                                    const ImageFeatures* egoFeatures,
+                                    ImageFeatures* otherFeatures) const {
   BBA_SPAN("recover");
   PoseRecoveryResult result;
   PoseRecoveryReport rep;
+  PoseRecoveryReport* const times = report != nullptr ? &rep : nullptr;
   LapTimer total(report != nullptr);
   LapTimer lap(report != nullptr);
 
   // ---- Stage 1: BV image matching (Algorithm 1 lines 5–11) -------------
   // Each side's features come from the caller when it holds them (the
   // frame's shared ego features; the tracker step's peer memo) and are
-  // computed here otherwise, stage by stage so the report's stage times
-  // cover exactly the work this call did.
-  EgoFeatures egoLocal;
-  const bool fillEgo = egoFeatures == nullptr;
-  if (fillEgo) {
+  // computed here otherwise, so the report's stage times cover exactly the
+  // work this call did.
+  ImageFeatures egoLocal;
+  if (egoFeatures == nullptr) {
+    egoLocal.descriptors = extractFeatures(ego.bvImage, egoLocal, 0.0, times);
     egoFeatures = &egoLocal;
   } else {
     BBA_ASSERT_MSG(egoFeatures->mim.mim.width() == bank_->width() &&
                        egoFeatures->mim.mim.height() == bank_->height(),
                    "shared ego features sized for a different bank");
   }
-  OtherFeatures otherLocal;
+  ImageFeatures otherLocal;
   if (otherFeatures == nullptr) otherFeatures = &otherLocal;
-  const bool fillOther = !otherFeatures->computed;
-
-  if (fillEgo) egoLocal.mim = computeImageMim(ego.bvImage);
-  if (fillOther) otherFeatures->mim = computeImageMim(other.bvImage);
-  rep.msMim = lap.lap();
-  if (fillEgo) {
-    egoLocal.keypoints = detectKeypoints(cfg_, ego.bvImage, egoLocal.mim);
-  }
-  if (fillOther) {
-    otherFeatures->keypoints =
-        detectKeypoints(cfg_, other.bvImage, otherFeatures->mim);
-    otherFeatures->computed = true;
-  }
-  const std::vector<Keypoint>& kpsEgo = egoFeatures->keypoints;
-  const std::vector<Keypoint>& kpsOther = otherFeatures->keypoints;
-  rep.msKeypoints = lap.lap();
-  rep.keypointsEgo = static_cast<int>(kpsEgo.size());
-  rep.keypointsOther = static_cast<int>(kpsOther.size());
-
-  if (fillEgo) {
-    DescriptorParams dpEgo = cfg_.descriptor;
-    dpEgo.fixedAngle = 0.0;
-    egoLocal.descriptors = computeDescriptors(egoLocal.mim, kpsEgo, dpEgo);
-  }
+  // MIM and keypoints only: the peer's passes are per yaw candidate.
+  extractFeatures(other.bvImage, *otherFeatures, std::nullopt, times);
   const DescriptorSet& descEgo = egoFeatures->descriptors;
-  rep.msDescriptors += lap.lap();
+  rep.keypointsEgo = static_cast<int>(egoFeatures->keypoints.size());
+  rep.keypointsOther = static_cast<int>(otherFeatures->keypoints.size());
   rep.descriptorsEgo = static_cast<int>(descEgo.size());
 
   // Global relative-yaw candidates: a V2V frame pair has ONE relative
@@ -554,15 +529,19 @@ PoseRecoveryResult BBAlign::recover(const CarPerceptionData& other,
   int bestDescOther = 0;
   rep.yawCandidates = static_cast<int>(yawCands.size());
   for (const double yaw : yawCands) {
-    DescriptorParams dpOther = cfg_.descriptor;
     // yaw is the other->ego rotation (ego pixels = R(yaw) * other pixels
     // + shift); sampling the other image's patches with offsets rotated by
-    // -yaw reads the content that ego's unrotated offsets read.
-    dpOther.fixedAngle = -yaw;
+    // -yaw reads the content that ego's unrotated offsets read. Each pass
+    // is computed on the first request for its yaw.
+    auto pass = otherFeatures->passes.find(yaw);
+    if (pass == otherFeatures->passes.end()) {
+      pass = otherFeatures->passes
+                 .emplace(yaw, extractFeatures(other.bvImage, *otherFeatures,
+                                               -yaw, times))
+                 .first;
+    }
+    const DescriptorSet& descOther = pass->second;
     lap.lap();
-    const DescriptorSet& descOther =
-        memoizedPass(*otherFeatures, yaw, dpOther);
-    rep.msDescriptors += lap.lap();
     const std::vector<Match> matches =
         matchDescriptors(descOther, descEgo, cfg_.matching);
     rep.msMatching += lap.lap();

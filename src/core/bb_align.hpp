@@ -2,6 +2,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "bev/bev_image.hpp"
@@ -150,32 +151,25 @@ struct PoseRecoveryResult {
   PoseValidation validation;
 };
 
-/// The ego car's stage-1 features for one frame: its MIM (through the
-/// aligner's Log-Gabor bank), keypoints and fixed-angle-0 descriptors.
-/// They depend only on the ego BV image and the feature-side config, not
-/// on any peer, so one computation per frame can be shared read-only by
-/// every recover() against that frame (CooperationService hands one set
-/// to all its sessions).
-struct EgoFeatures {
-  MimResult mim;
+/// One BV image's stage-1 features (Algorithm 1 lines 5–11): its MIM
+/// (through the aligner's Log-Gabor bank), its keypoints and its descriptor
+/// passes. Every product is an RNG-free function of the image and the
+/// feature-side config, whichever car the image belongs to, so a value
+/// computed once is byte-identical to a recomputed one and can serve every
+/// recover() on that image: CooperationService hands the frame's ego value
+/// to all its sessions, and a tracker step's peer value carries over from
+/// the primary rung to the relaxed one. Bind one value to one image, and
+/// share it only between aligners whose configs agree on every
+/// feature-side field (see relaxedRecoveryConfig).
+struct ImageFeatures {
+  MimResult mim;  ///< empty until the features are computed
   std::vector<Keypoint> keypoints;
-  DescriptorSet descriptors;  ///< descriptor.fixedAngle forced to 0
-};
-
-/// The peer ("other") image's stage-1 features, memoized across the
-/// recover() calls one tracker step makes on that image: its MIM, its
-/// keypoint list and the descriptor passes computed so far, one per exact
-/// relative-yaw candidate. recover() fills the MIM and keypoints on first
-/// use and adds only the yaws it does not yet hold. Every product is an
-/// RNG-free function of the image and the feature-side config, so a reused
-/// product is byte-identical to a recomputed one. Bind one value to one
-/// image, and share it (like EgoFeatures) only between aligners whose
-/// configs agree on every feature-side field (see relaxedRecoveryConfig).
-struct OtherFeatures {
-  bool computed = false;  ///< mim and keypoints hold the image's features
-  MimResult mim;
-  std::vector<Keypoint> keypoints;
-  std::map<double, DescriptorSet> passes;  ///< keyed by the yaw candidate
+  /// The pass sampled at angle 0: what the ego side is matched against and
+  /// what the keyframe map indexes (computeEgoFeatures() fills it).
+  DescriptorSet descriptors;
+  /// The passes the peer side adds on demand, one per relative-yaw
+  /// candidate (sampled at -yaw), keyed by that yaw.
+  std::map<double, DescriptorSet> passes;
 };
 
 /// The BB-Align two-stage pose recovery framework (Algorithm 1).
@@ -214,26 +208,24 @@ class BBAlign {
   /// biases the measurement itself: without it the same candidate set is
   /// simply discovered (or not) from the orientation histograms alone.
   ///
-  /// `egoFeatures` (optional) supplies precomputed ego-side features (see
-  /// EgoFeatures, computeEgoFeatures()); they must come from a config
-  /// whose feature-side fields equal this aligner's — then the result is
-  /// byte-identical to computing them inline.
-  ///
-  /// `otherFeatures` (optional) is the memo of `other`'s features (see
-  /// OtherFeatures): read where it holds a product, filled where it does
-  /// not. The same config rule applies. Without either argument,
-  /// recover() computes that side's features itself.
+  /// `egoFeatures` (optional) supplies `ego`'s features as
+  /// computeEgoFeatures() builds them. `otherFeatures` (optional) is the
+  /// memo of `other`'s features: read where it holds a product, filled
+  /// where it does not. Either must come from a config whose feature-side
+  /// fields equal this aligner's — then the result is byte-identical to
+  /// computing them inline. Without either argument, recover() computes
+  /// that side's features itself.
   [[nodiscard]] PoseRecoveryResult recover(
       const CarPerceptionData& other, const CarPerceptionData& ego, Rng& rng,
       PoseRecoveryReport* report = nullptr,
       const Pose2* posePrior = nullptr,
-      const EgoFeatures* egoFeatures = nullptr,
-      OtherFeatures* otherFeatures = nullptr) const;
+      const ImageFeatures* egoFeatures = nullptr,
+      ImageFeatures* otherFeatures = nullptr) const;
 
-  /// Compute the ego-side feature products (MIM, keypoints, fixed-angle-0
-  /// descriptors) exactly as recover() would inline — the sharable,
-  /// peer-independent half of the pipeline (see EgoFeatures).
-  [[nodiscard]] std::shared_ptr<const EgoFeatures> computeEgoFeatures(
+  /// The image's features with their angle-0 pass, exactly as recover()
+  /// computes the ego side inline — the sharable, peer-independent half of
+  /// the pipeline (see ImageFeatures).
+  [[nodiscard]] std::shared_ptr<const ImageFeatures> computeEgoFeatures(
       const CarPerceptionData& ego) const;
 
   /// Stage-1-internal product: keypoints + descriptors of one BV image.
@@ -247,6 +239,15 @@ class BBAlign {
   [[nodiscard]] MimResult computeImageMim(const ImageF& bvImage) const;
 
  private:
+  /// The one recipe every ImageFeatures is built by: gives `features` the
+  /// image's MIM (blurred image → Log-Gabor bank) and keypoints when it
+  /// holds none yet, then returns the descriptor pass sampled at
+  /// `fixedAngle` (an empty set when nullopt). With `times` set, each stage's
+  /// wall time is added to its msMim / msKeypoints / msDescriptors.
+  DescriptorSet extractFeatures(const ImageF& bvImage, ImageFeatures& features,
+                                std::optional<double> fixedAngle,
+                                PoseRecoveryReport* times) const;
+
   BBAlignConfig cfg_;
   std::shared_ptr<const LogGaborBank> bank_;  // immutable, sized to the BV image
 };

@@ -48,7 +48,7 @@ std::vector<float> KeyframeStore::signatureOf(
 }
 
 InsertResult KeyframeStore::insert(const Pose2& globalPose,
-                                   DescriptorSet descriptors,
+                                   const DescriptorSet& descriptors,
                                    CarPerceptionData payload) {
   ++tick_;
   InsertResult out;
@@ -87,7 +87,6 @@ InsertResult KeyframeStore::insert(const Pose2& globalPose,
   e.kf.id = nextId_++;
   e.kf.globalPose = globalPose;
   e.kf.signature = signatureOf(descriptors);
-  e.kf.descriptors = std::move(descriptors);
   e.kf.payload = std::move(payload);
   e.lastTouched = tick_;
   tiles_.insert(e.kf.id, globalPose.t);

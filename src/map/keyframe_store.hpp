@@ -32,10 +32,11 @@ struct KeyframeStoreConfig {
   double queryRadiusM = 60.0;
 };
 
-/// One stored place: where it is (global pose), what it looks like
-/// (BVFT descriptor set + its mean signature), and — when the producer
-/// supplies it — the raw perception payload a relocalization can feed
-/// back into BBAlign::recover as the "other" car.
+/// One stored place: where it is (global pose), what it looks like (the
+/// mean signature of its BVFT descriptor set — the set itself is not
+/// kept), and — when the producer supplies it — the raw perception payload
+/// a relocalization can feed back into BBAlign::recover as the "other"
+/// car.
 struct Keyframe {
   std::uint64_t id = 0;
   /// Global pose of the capturing vehicle at keyframe time (map frame).
@@ -43,7 +44,6 @@ struct Keyframe {
   /// Mean of the descriptor set's vectors: one SIMD-scorable coarse
   /// signature per place (BVMatch-style database scoring).
   std::vector<float> signature;
-  DescriptorSet descriptors;
   /// Optional: BV image + boxes for relocalization. Index-only entries
   /// (empty payload) are allowed — they serve queries but cannot anchor
   /// a recover() call.
@@ -111,7 +111,8 @@ class KeyframeStore {
   /// existing keyframe lies within keyframeGapM — the skip touches that
   /// neighbor, since a revisited place is a live place. At capacity the
   /// least-recently-touched keyframe is evicted first.
-  InsertResult insert(const Pose2& globalPose, DescriptorSet descriptors,
+  InsertResult insert(const Pose2& globalPose,
+                      const DescriptorSet& descriptors,
                       CarPerceptionData payload = {});
 
   /// k-NN by signature distance among keyframes within queryRadiusM of

@@ -358,7 +358,7 @@ std::vector<SessionFrameResult> CooperationService::processFrame(
   }
 
   // Frame-scoped ego-feature sharing: every session borrows the frame's
-  // one immutable EgoFeatures instead of computing its own, so the frame
+  // one immutable ImageFeatures instead of computing its own, so the frame
   // pays one ego feature pipeline instead of one per peer. The sessions'
   // results are byte-identical to computing them inline, since the shared
   // features come from the same deterministic pipeline.
@@ -366,7 +366,7 @@ std::vector<SessionFrameResult> CooperationService::processFrame(
   // every input coasts may legitimately pass an empty ego).
   // Skipped entirely when no session was granted a slot: an all-skipped/
   // all-shed/all-coasting frame must cost no ego pipeline either.
-  const EgoFeatures* sharedEgo = nullptr;
+  const ImageFeatures* sharedEgo = nullptr;
   const int egoExpected = cfg_.tracker.aligner.bev.imageSize();
   if (!grantedSlots.empty() && ego.bvImage.width() == egoExpected &&
       ego.bvImage.height() == egoExpected) {
@@ -623,12 +623,12 @@ map::InsertResult CooperationService::recordEgoKeyframe(
       ego.bvImage.height() != egoExpected) {
     return {};
   }
-  const EgoFeatures& feats = frameEgoFeatures(ego);
+  const ImageFeatures& feats = frameEgoFeatures(ego);
   if (feats.descriptors.empty()) return {};
   return mapStore_->insert(egoGlobalPose, feats.descriptors, ego);
 }
 
-const EgoFeatures& CooperationService::frameEgoFeatures(
+const ImageFeatures& CooperationService::frameEgoFeatures(
     const CarPerceptionData& ego) {
   if (egoFrame_ == frames_) {
     BBA_COUNTER_ADD("cache.ego_hit", 1);

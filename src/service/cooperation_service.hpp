@@ -299,9 +299,6 @@ class CooperationService {
   /// a relocalizing consumer attaches the store to its own serial
   /// PoseTracker instead (see PoseTracker::attachMapStore).
   void attachMapStore(bba::map::KeyframeStore* store) { mapStore_ = store; }
-  [[nodiscard]] bba::map::KeyframeStore* mapStore() const {
-    return mapStore_;
-  }
 
   /// Offer the ego vehicle's current perception as a map keyframe at
   /// `egoGlobalPose` (its odometry/GNSS pose in the map frame). Call
@@ -341,14 +338,14 @@ class CooperationService {
   /// serial parts of recordEgoKeyframe() and processFrame(); sessions
   /// read the result through a const pointer, which stays valid until a
   /// later frame's first call replaces the features.
-  const EgoFeatures& frameEgoFeatures(const CarPerceptionData& ego);
+  const ImageFeatures& frameEgoFeatures(const CarPerceptionData& ego);
 
   ServiceConfig cfg_;
   /// Computes the shared per-frame ego features; configured identically to
   /// every session tracker's primary aligner, so its features are the ones
   /// each session would compute itself.
   BBAlign featureAligner_;
-  std::shared_ptr<const EgoFeatures> egoFeatures_;
+  std::shared_ptr<const ImageFeatures> egoFeatures_;
   int egoFrame_ = -1;  ///< the frames_ value egoFeatures_ belongs to
   int frames_ = 0;
   bba::map::KeyframeStore* mapStore_ = nullptr;  ///< not owned

@@ -108,10 +108,12 @@ std::string TrackerReport::toJson(bool includeTimings) const {
 
 namespace {
 
-/// Registry-side account of one finished tracker step. Counter names are
-/// static so the stream taxonomy stays greppable (and gated by the CI
-/// docs-health leg alongside the RecoveryFailure values).
-void recordTrackerMetrics(const TrackerReport& rep) {
+/// Every tracker step's exit: hand its report to the caller and book it in
+/// the registry. Counter names are static so the stream taxonomy stays
+/// greppable (and gated by the CI docs-health leg alongside the
+/// RecoveryFailure values).
+void finishStep(const TrackerReport& rep, TrackerReport* report) {
+  if (report) *report = rep;
 #if defined(BBA_OBSERVABILITY_ENABLED)
   obs::MetricsRegistry* reg = obs::metricsRegistry();
   if (!reg) return;
@@ -160,8 +162,6 @@ void recordTrackerMetrics(const TrackerReport& rep) {
     reg->histogram("stream.innovation_rotation_deg")
         .observe(rep.innovationRotationDeg);
   }
-#else
-  (void)rep;
 #endif
 }
 
@@ -177,13 +177,6 @@ PoseTracker::PoseTracker(PoseTrackerConfig config)
   BBA_ASSERT(cfg_.mapRelocalizationAttempts >= 1);
 }
 
-void PoseTracker::reset() {
-  history_.clear();
-  misses_ = 0;
-  skips_ = 0;
-  lostSinceAccept_ = false;
-}
-
 std::optional<Pose2> PoseTracker::predictAt(int frame) const {
   if (history_.empty()) return std::nullopt;
   if (history_.size() == 1) return history_.back().pose;
@@ -194,6 +187,16 @@ std::optional<Pose2> PoseTracker::predictAt(int frame) const {
 
 std::optional<Pose2> PoseTracker::predictNext() const {
   return predictAt(frame_);
+}
+
+std::optional<Pose2> PoseTracker::beginFrame(TrackerReport& rep) {
+  rep.frameIndex = frame_++;
+  const std::optional<Pose2> prediction = predictAt(rep.frameIndex);
+  if (prediction) {
+    rep.predictionAvailable = true;
+    rep.prediction = *prediction;
+  }
+  return prediction;
 }
 
 void PoseTracker::accept(int frame, const Pose2& pose) {
@@ -254,15 +257,15 @@ bool PoseTracker::mapRelocalizationReady() const {
 }
 
 void PoseTracker::offerKeyframe(const CarPerceptionData& ego,
-                                const EgoFeatures* egoFeatures) {
-  if (mapStore_ == nullptr || !egoPosePrior_ || egoFeatures == nullptr ||
-      egoFeatures->descriptors.empty()) {
+                                const ImageFeatures& egoFeatures) {
+  if (mapStore_ == nullptr || !egoPosePrior_ ||
+      egoFeatures.descriptors.empty()) {
     return;
   }
   // The store dedups by spatial gap, so offering every accepted frame is
-  // cheap in steady state; the descriptor/payload copies only stick for
-  // frames that actually become keyframes.
-  (void)mapStore_->insert(*egoPosePrior_, egoFeatures->descriptors, ego);
+  // cheap in steady state; the payload copy only sticks for frames that
+  // actually become keyframes.
+  (void)mapStore_->insert(*egoPosePrior_, egoFeatures.descriptors, ego);
 }
 
 /// Rung 4: query the attached keyframe map around the ego pose prior and
@@ -271,18 +274,13 @@ void PoseTracker::offerKeyframe(const CarPerceptionData& ego,
 /// lean on, an unvalidated lock is never reported (the tunnel
 /// no-false-lock pin holds with a map attached).
 bool PoseTracker::tryRelocalize(const CarPerceptionData& ego,
-                                const EgoFeatures* egoFeatures, Rng& rng,
+                                const ImageFeatures& egoFeatures, Rng& rng,
                                 TrackerReport& rep, TrackerResult& out) {
   BBA_SPAN("tracker-relocalize");
-  std::shared_ptr<const EgoFeatures> owned;
-  if (egoFeatures == nullptr) {
-    owned = primary_.computeEgoFeatures(ego);
-    egoFeatures = owned.get();
-  }
   rep.relocalizationAttempted = true;
   const Pose2 prior = *egoPosePrior_;
   const std::vector<map::QueryMatch> matches =
-      mapStore_->query(egoFeatures->descriptors, prior.t);
+      mapStore_->query(egoFeatures.descriptors, prior.t);
   rep.relocalizationCandidates = static_cast<int>(matches.size());
   int attempts = 0;
   for (const map::QueryMatch& m : matches) {
@@ -294,7 +292,7 @@ bool PoseTracker::tryRelocalize(const CarPerceptionData& ego,
     // transform from the two global poses: T = G_ego^-1 * G_kf.
     const Pose2 expected = prior.inverse().compose(kf->globalPose);
     const PoseRecoveryResult r = primary_.recover(
-        kf->payload, ego, rng, &rep.relocalization, &expected, egoFeatures);
+        kf->payload, ego, rng, &rep.relocalization, &expected, &egoFeatures);
     if (!r.success || !r.validation.computed ||
         r.validation.score < cfg_.minValidationScore) {
       continue;
@@ -326,17 +324,9 @@ bool PoseTracker::tryRelocalize(const CarPerceptionData& ego,
 TrackerResult PoseTracker::coast(TrackerReport* report) {
   BBA_SPAN("tracker-coast");
   TrackerReport rep;
-  const int frame = frame_++;
-  rep.frameIndex = frame;
   rep.remoteReceived = false;
-  const std::optional<Pose2> prediction = predictAt(frame);
-  if (prediction) {
-    rep.predictionAvailable = true;
-    rep.prediction = *prediction;
-  }
-  TrackerResult out = miss(prediction, rep);
-  recordTrackerMetrics(rep);
-  if (report) *report = rep;
+  TrackerResult out = miss(beginFrame(rep), rep);
+  finishStep(rep, report);
   return out;
 }
 
@@ -344,40 +334,28 @@ TrackerResult PoseTracker::coastWithEgo(const CarPerceptionData& ego,
                                         Rng& rng, TrackerReport* report) {
   BBA_SPAN("tracker-coast-ego");
   TrackerReport rep;
-  const int frame = frame_++;
-  rep.frameIndex = frame;
   rep.remoteReceived = false;
-  const std::optional<Pose2> prediction = predictAt(frame);
-  if (prediction) {
-    rep.predictionAvailable = true;
-    rep.prediction = *prediction;
-  }
-  TrackerResult out = miss(prediction, rep);
+  TrackerResult out = miss(beginFrame(rep), rep);
   // Rung 4: only once the peer ladder has truly run out — an Extrapolated
   // frame still trusts its track more than a map lock.
   if ((out.outcome == TrackerOutcome::TrackLost ||
        out.outcome == TrackerOutcome::Bootstrapping) &&
       mapRelocalizationReady()) {
-    tryRelocalize(ego, nullptr, rng, rep, out);
+    tryRelocalize(ego, *primary_.computeEgoFeatures(ego), rng, rep, out);
   }
-  recordTrackerMetrics(rep);
-  if (report) *report = rep;
+  finishStep(rep, report);
   return out;
 }
 
 TrackerResult PoseTracker::skipFrame(TrackerReport* report) {
   BBA_SPAN("tracker-skip");
   TrackerReport rep;
-  const int frame = frame_++;
-  rep.frameIndex = frame;
   rep.remoteReceived = false;
   rep.schedulerSkipped = true;
-  const std::optional<Pose2> prediction = predictAt(frame);
+  const std::optional<Pose2> prediction = beginFrame(rep);
   ++skips_;
   TrackerResult out;
   if (prediction) {
-    rep.predictionAvailable = true;
-    rep.prediction = *prediction;
     out.poseValid = true;
     out.pose = *prediction;
     out.pose3D = Pose3::fromPose2(out.pose);
@@ -394,24 +372,17 @@ TrackerResult PoseTracker::skipFrame(TrackerReport* report) {
   rep.outcome = out.outcome;
   rep.confidence = out.confidence;
   rep.consecutiveMisses = misses_;
-  recordTrackerMetrics(rep);
-  if (report) *report = rep;
+  finishStep(rep, report);
   return out;
 }
 
 TrackerResult PoseTracker::update(const CarPerceptionData& other,
                                   const CarPerceptionData& ego, Rng& rng,
                                   TrackerReport* report,
-                                  const EgoFeatures* egoFeatures) {
+                                  const ImageFeatures* egoFeatures) {
   BBA_SPAN("tracker-update");
   TrackerReport rep;
-  const int frame = frame_++;
-  rep.frameIndex = frame;
-  const std::optional<Pose2> prediction = predictAt(frame);
-  if (prediction) {
-    rep.predictionAvailable = true;
-    rep.prediction = *prediction;
-  }
+  const std::optional<Pose2> prediction = beginFrame(rep);
 
   // The innovation gate, scaled by how long the track has been coasting.
   // Scheduler skips (skipFrame) count toward the growth like misses do —
@@ -441,21 +412,21 @@ TrackerResult PoseTracker::update(const CarPerceptionData& other,
   // shared across peers), the peer side by the first recover() into a memo
   // the later rungs read. The relaxed aligner runs the identical feature
   // pipeline (relaxedRecoveryConfig), so it reads both.
-  std::shared_ptr<const EgoFeatures> ownedFeatures;
+  std::shared_ptr<const ImageFeatures> ownedFeatures;
   if (egoFeatures == nullptr) {
     ownedFeatures = primary_.computeEgoFeatures(ego);
     egoFeatures = ownedFeatures.get();
   }
-  OtherFeatures otherFeatures;
+  ImageFeatures otherFeatures;
 
   // Rungs 0 and 1 lock through here: a measurement that passed the gate
   // and validation becomes the track.
   auto lock = [&](const PoseRecoveryResult& r, TrackerOutcome outcome,
                   double confidence) {
     rep.rebootstrapped = lostSinceAccept_;
-    accept(frame, r.estimate);
+    accept(rep.frameIndex, r.estimate);
     lostSinceAccept_ = false;
-    offerKeyframe(ego, egoFeatures);
+    offerKeyframe(ego, *egoFeatures);
     TrackerResult out;
     out.poseValid = true;
     out.pose = r.estimate;
@@ -465,8 +436,7 @@ TrackerResult PoseTracker::update(const CarPerceptionData& other,
     rep.outcome = outcome;
     rep.confidence = confidence;
     rep.consecutiveMisses = 0;
-    recordTrackerMetrics(rep);
-    if (report) *report = rep;
+    finishStep(rep, report);
     return out;
   };
 
@@ -515,10 +485,9 @@ TrackerResult PoseTracker::update(const CarPerceptionData& other,
   if ((out.outcome == TrackerOutcome::TrackLost ||
        out.outcome == TrackerOutcome::Bootstrapping) &&
       mapRelocalizationReady()) {
-    tryRelocalize(ego, egoFeatures, rng, rep, out);
+    tryRelocalize(ego, *egoFeatures, rng, rep, out);
   }
-  recordTrackerMetrics(rep);
-  if (report) *report = rep;
+  finishStep(rep, report);
   return out;
 }
 

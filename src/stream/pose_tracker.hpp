@@ -121,9 +121,9 @@ struct PoseTrackerConfig {
 /// It changes only matching, RANSAC, box-pairing and threshold fields,
 /// never a feature-side one (BEV, Log-Gabor, keypoint detector,
 /// descriptor). That is what lets the relaxed rung reuse the primary's
-/// EgoFeatures and OtherFeatures byte-identically; a change here that
+/// ImageFeatures of both images byte-identically; a change here that
 /// touches a feature-side field breaks
-/// OtherFeatures.RelaxedRungReusesPrimaryFeaturesByteIdentically.
+/// ImageFeatures.RelaxedRungReusesPrimaryFeaturesByteIdentically.
 [[nodiscard]] BBAlignConfig relaxedRecoveryConfig(const BBAlignConfig& base);
 
 /// Constant-velocity extrapolation in (x, y, theta): the per-frame finite
@@ -215,18 +215,18 @@ class PoseTracker {
   /// Process one received frame payload. `rng` drives the RANSAC sampling
   /// of the underlying recover() call(s).
   ///
-  /// `egoFeatures` (optional) supplies the ego-side features precomputed
-  /// elsewhere (e.g. the per-frame EgoFeatures CooperationService shares
-  /// across its peer sessions); they must come from an aligner configured
-  /// like the primary one (computeEgoFeatures()). When null, the tracker
-  /// computes them once itself. Either way every rung of the step reads
-  /// the same ego features, and the peer image's features (OtherFeatures)
-  /// are computed by the first rung and reused by the later ones (see
+  /// `egoFeatures` (optional) supplies the ego image's features
+  /// precomputed elsewhere (e.g. the per-frame value CooperationService
+  /// shares across its peer sessions); they must come from an aligner
+  /// configured like the primary one (computeEgoFeatures()). When null, the
+  /// tracker computes them once itself. Either way every rung of the step
+  /// reads the same ego features, and the peer image's features are
+  /// computed by the first rung and reused by the later ones (see
   /// relaxedRecoveryConfig()).
   TrackerResult update(const CarPerceptionData& other,
                        const CarPerceptionData& ego, Rng& rng,
                        TrackerReport* report = nullptr,
-                       const EgoFeatures* egoFeatures = nullptr);
+                       const ImageFeatures* egoFeatures = nullptr);
 
   /// Process one frame whose remote payload never arrived (link drop):
   /// advances time and walks straight to rung 2 of the ladder.
@@ -270,7 +270,6 @@ class PoseTracker {
   /// keyframe to the store on every accepted measurement, and (b) gains
   /// the Relocalized rung below track-lost.
   void attachMapStore(map::KeyframeStore* store) { mapStore_ = store; }
-  [[nodiscard]] map::KeyframeStore* mapStore() const { return mapStore_; }
 
   /// Feed the ego vehicle's own global pose estimate (odometry / dead
   /// reckoning in the map frame) — the spatial prior for keyframe inserts
@@ -291,20 +290,10 @@ class PoseTracker {
   /// True once at least one pose has been accepted and the track has not
   /// been lost since.
   [[nodiscard]] bool hasTrack() const { return !history_.empty(); }
-  /// Most recently accepted pose (measurement or external injection);
-  /// nullopt without a track. This is the raw accept, not a prediction —
-  /// callers wanting the dead-reckoned current pose use predictNext().
-  [[nodiscard]] std::optional<Pose2> lastAcceptedPose() const {
-    if (history_.empty()) return std::nullopt;
-    return history_.back().pose;
-  }
   [[nodiscard]] int consecutiveMisses() const { return misses_; }
   /// Consecutive skipFrame() steps since the last accepted measurement.
   [[nodiscard]] int consecutiveSkips() const { return skips_; }
   [[nodiscard]] int framesProcessed() const { return frame_; }
-
-  /// Forget everything (manual re-bootstrap).
-  void reset();
 
  private:
   struct Accepted {
@@ -313,6 +302,9 @@ class PoseTracker {
   };
 
   [[nodiscard]] std::optional<Pose2> predictAt(int frame) const;
+  /// Every step's prologue: take the next frame index, stamp it on `rep`
+  /// and record the prediction for it there (returned too).
+  std::optional<Pose2> beginFrame(TrackerReport& rep);
   void accept(int frame, const Pose2& pose);
   TrackerResult miss(const std::optional<Pose2>& prediction,
                      TrackerReport& rep);
@@ -323,12 +315,12 @@ class PoseTracker {
   /// refreshes the ego pose prior. Never touches the peer-relative
   /// history.
   bool tryRelocalize(const CarPerceptionData& ego,
-                     const EgoFeatures* egoFeatures, Rng& rng,
+                     const ImageFeatures& egoFeatures, Rng& rng,
                      TrackerReport& rep, TrackerResult& out);
   /// Offer the current ego frame to the attached map as a keyframe
   /// (no-op without a map, an ego pose prior, or usable features).
   void offerKeyframe(const CarPerceptionData& ego,
-                     const EgoFeatures* egoFeatures);
+                     const ImageFeatures& egoFeatures);
 
   PoseTrackerConfig cfg_;
   BBAlign primary_;

@@ -7,6 +7,7 @@
 #include <cstring>
 #include <vector>
 
+#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "common/simd.hpp"
 #include "core/bb_align.hpp"
@@ -240,7 +241,7 @@ TEST(SimdIdentity, EndToEndRecoverByteIdenticalAcrossLevels) {
   }
 }
 
-TEST(EgoFeatures, SuppliedRecoverIsByteIdenticalToInline) {
+TEST(ImageFeatures, SuppliedRecoverIsByteIdenticalToInline) {
   const BBAlign aligner;
   const PinnedPair& pair = pinnedPair(aligner);
 
@@ -274,7 +275,7 @@ struct MemoRun {
 /// features itself under its own config.
 MemoRun runSequence(const PinnedPair& pair,
                     const std::vector<const BBAlign*>& aligners,
-                    const EgoFeatures* ego, OtherFeatures* memo) {
+                    const ImageFeatures* ego, ImageFeatures* memo) {
   MemoRun out;
   Rng rng(7);
   for (const BBAlign* aligner : aligners) {
@@ -303,7 +304,7 @@ void expectSameRuns(const MemoRun& a, const MemoRun& b) {
   }
 }
 
-TEST(OtherFeatures, RelaxedRungReusesPrimaryFeaturesByteIdentically) {
+TEST(ImageFeatures, RelaxedRungReusesPrimaryFeaturesByteIdentically) {
   const BBAlign primary;
   const PinnedPair& pair = pinnedPair(primary);
   const BBAlign relaxed(relaxedRecoveryConfig(primary.config()));
@@ -314,7 +315,7 @@ TEST(OtherFeatures, RelaxedRungReusesPrimaryFeaturesByteIdentically) {
 
   const std::vector<const BBAlign*> calls{&primary, &relaxed, &wide};
   const MemoRun fresh = runSequence(pair, calls, nullptr, nullptr);
-  OtherFeatures memo;
+  ImageFeatures memo;
   const MemoRun shared = runSequence(pair, calls, ego.get(), &memo);
   expectSameRuns(fresh, shared);
 
@@ -326,6 +327,46 @@ TEST(OtherFeatures, RelaxedRungReusesPrimaryFeaturesByteIdentically) {
   EXPECT_EQ(yaws(1), yaws(0));
   EXPECT_GT(memo.passes.size(), yaws(0));
   EXPECT_LT(memo.passes.size(), yaws(0) + yaws(2));
+}
+
+TEST(ImageFeatures, PeerSideReadsFeaturesBuiltForTheEgoSide) {
+  // An image's features do not depend on which car it belongs to: the
+  // other image's features, built by computeEgoFeatures() as if it were
+  // the ego's, serve recover() as the peer-side value.
+  const BBAlign aligner;
+  const PinnedPair& pair = pinnedPair(aligner);
+  for (const int threads : {1, 8}) {
+    const ThreadLimit limit(threads);
+    Rng rngInline(7);
+    PoseRecoveryReport repInline;
+    const PoseRecoveryResult inlineRun =
+        aligner.recover(pair.other, pair.ego, rngInline, &repInline);
+
+    ImageFeatures asPeer = *aligner.computeEgoFeatures(pair.other);
+    Rng rngSupplied(7);
+    PoseRecoveryReport repSupplied;
+    const PoseRecoveryResult suppliedRun =
+        aligner.recover(pair.other, pair.ego, rngSupplied, &repSupplied,
+                        nullptr, nullptr, &asPeer);
+
+    EXPECT_EQ(std::memcmp(&suppliedRun.estimate, &inlineRun.estimate,
+                          sizeof inlineRun.estimate),
+              0)
+        << threads << " threads";
+    EXPECT_EQ(std::memcmp(&suppliedRun.estimate3D, &inlineRun.estimate3D,
+                          sizeof inlineRun.estimate3D),
+              0)
+        << threads << " threads";
+    EXPECT_EQ(std::memcmp(&suppliedRun.stage1, &inlineRun.stage1,
+                          sizeof inlineRun.stage1),
+              0)
+        << threads << " threads";
+    EXPECT_EQ(suppliedRun.success, inlineRun.success) << threads;
+    EXPECT_EQ(suppliedRun.overlapScore, inlineRun.overlapScore) << threads;
+    EXPECT_EQ(repSupplied.toJson(false), repInline.toJson(false))
+        << threads << " threads";
+    EXPECT_FALSE(asPeer.passes.empty());  // recover() added its yaw passes
+  }
 }
 
 }  // namespace

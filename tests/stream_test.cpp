@@ -782,7 +782,7 @@ int expectSuppliedEgoFeaturesTransparent(
 
 TEST(PoseTrackerStream, SuppliedEgoFeaturesAreByteTransparent) {
   // What CooperationService relies on when it hands every session the
-  // frame's one EgoFeatures: every rung of a step, the relaxed retry
+  // frame's one ego ImageFeatures: every rung of a step, the relaxed retry
   // included, reads supplied features exactly as it reads its own.
   (void)expectSuppliedEgoFeaturesTransparent(faultedSequence());
   EXPECT_GT(expectSuppliedEgoFeaturesTransparent(degradedSequence()), 0);

@@ -13,9 +13,7 @@ BUILD_DIR="${1:-$REPO_ROOT/build-tsan}"
 
 cmake -B "$BUILD_DIR" -S "$REPO_ROOT" -DBBA_SANITIZE=thread \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
-cmake --build "$BUILD_DIR" --target parallel_test features_test obs_test \
-  match_test stream_test service_test health_test simd_test admission_test \
-  scenario_test map_test lifecycle_test -j"$(nproc)"
+cmake --build "$BUILD_DIR" --target tsan_tests -j"$(nproc)"
 
 # Force the pool on even when the host reports a single CPU: TSan finds
 # races through happens-before analysis, not timing, so timesliced worker
