@@ -14,8 +14,8 @@
 //     teleported by one common offset makes recover() "succeed" meters
 //     off the truth. Honest and attacked recoveries are scored by the
 //     gt-free PoseValidation, and a threshold sweep reports the
-//     reject-rate separation (the operating curve behind the default
-//     minValidationScore = 0.5).
+//     reject-rate separation (the operating curve behind the tracker's
+//     kMinValidationScore = 0.5).
 //
 // Reproduce:  build/bench/adversarial   (BBA_BENCH_PAIRS scales the frame
 // count; the sweep is deterministic for a fixed count).

@@ -28,17 +28,6 @@ PairEvaluation evaluatePair(const BBAlign& aligner, const FramePair& pair,
   return ev;
 }
 
-std::vector<PairEvaluation> evaluatePairs(
-    const BBAlign& aligner, const std::vector<FramePair>& pairs, Rng& rng,
-    bool runVips, const VipsParams& vipsParams) {
-  std::vector<PairEvaluation> out;
-  out.reserve(pairs.size());
-  for (const auto& pair : pairs) {
-    out.push_back(evaluatePair(aligner, pair, rng, runVips, vipsParams));
-  }
-  return out;
-}
-
 std::vector<double> translationErrors(
     const std::vector<PairEvaluation>& evals) {
   std::vector<double> out;

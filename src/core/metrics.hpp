@@ -29,11 +29,6 @@ struct PairEvaluation {
                                           bool runVips = false,
                                           const VipsParams& vipsParams = {});
 
-/// Evaluate a whole pool of pairs.
-[[nodiscard]] std::vector<PairEvaluation> evaluatePairs(
-    const BBAlign& aligner, const std::vector<FramePair>& pairs, Rng& rng,
-    bool runVips = false, const VipsParams& vipsParams = {});
-
 /// Extract a field across evaluations (helper for CDFs/percentiles).
 [[nodiscard]] std::vector<double> translationErrors(
     const std::vector<PairEvaluation>& evals);

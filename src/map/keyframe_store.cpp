@@ -20,10 +20,14 @@ constexpr std::int64_t kScoreGrain = 8;
 /// dimension-mismatched): sorts past every real score and is filtered out.
 constexpr float kIncomparable = FLT_MAX;
 
+/// Tile edge of the spatial index (see TileGrid2), meters. Also the future
+/// shard granularity.
+constexpr double kTileSizeM = 32.0;
+
 }  // namespace
 
 KeyframeStore::KeyframeStore(KeyframeStoreConfig cfg)
-    : cfg_(cfg), tiles_(cfg.tileSizeM) {
+    : cfg_(cfg), tiles_(kTileSizeM) {
   BBA_ASSERT_MSG(cfg.capacity >= 1, "KeyframeStore capacity must be >= 1");
   BBA_ASSERT_MSG(cfg.keyframeGapM >= 0.0, "keyframe gap must be >= 0");
   BBA_ASSERT_MSG(cfg.maxCandidates >= 1, "maxCandidates must be >= 1");
@@ -49,7 +53,7 @@ std::vector<float> KeyframeStore::signatureOf(
 
 InsertResult KeyframeStore::insert(const Pose2& globalPose,
                                    const DescriptorSet& descriptors,
-                                   CarPerceptionData payload) {
+                                   const CarPerceptionData& payload) {
   ++tick_;
   InsertResult out;
 
@@ -87,7 +91,7 @@ InsertResult KeyframeStore::insert(const Pose2& globalPose,
   e.kf.id = nextId_++;
   e.kf.globalPose = globalPose;
   e.kf.signature = signatureOf(descriptors);
-  e.kf.payload = std::move(payload);
+  e.kf.payload = payload;
   e.lastTouched = tick_;
   tiles_.insert(e.kf.id, globalPose.t);
   out.inserted = true;

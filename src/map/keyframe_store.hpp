@@ -21,9 +21,6 @@ struct KeyframeStoreConfig {
   /// least-recently-touched keyframe (LRU by logical tick — inserts,
   /// dedup revisits and query hits all touch; no wall clocks anywhere).
   int capacity = 256;
-  /// Tile edge of the spatial index (see TileGrid2). Also the future
-  /// shard granularity.
-  double tileSizeM = 32.0;
   /// k of the k-NN query: at most this many matches returned.
   int maxCandidates = 4;
   /// Spatial neighborhood of a query: only keyframes within this radius
@@ -110,10 +107,11 @@ class KeyframeStore {
   /// Offer a keyframe at `globalPose`. Skipped (dedupSkipped) when an
   /// existing keyframe lies within keyframeGapM — the skip touches that
   /// neighbor, since a revisited place is a live place. At capacity the
-  /// least-recently-touched keyframe is evicted first.
+  /// least-recently-touched keyframe is evicted first. `payload` is copied
+  /// only into a keyframe that is actually stored.
   InsertResult insert(const Pose2& globalPose,
                       const DescriptorSet& descriptors,
-                      CarPerceptionData payload = {});
+                      const CarPerceptionData& payload = {});
 
   /// k-NN by signature distance among keyframes within queryRadiusM of
   /// `priorPosition`: at most maxCandidates matches, ordered by

@@ -50,21 +50,19 @@ struct PreGateConfig {
 /// budget are shed — they coast on the tracker ladder this frame and move
 /// to the front of the line next frame (see grantRecoverSlots).
 ///
-/// The frame deadline is honored through a static cost model
-/// (`assumedRecoverCostMs`), never a mid-frame wall clock: a wall clock
-/// would make the schedule depend on machine load and break the
-/// byte-identical-results contract. The benchmark (bench/fleet_scale.cpp)
-/// measures the realized latency the model stands in for.
+/// The frame deadline is honored through a static cost model (the
+/// constant kAssumedRecoverCostMs in service/admission.cpp), never a
+/// mid-frame wall clock: a wall clock would make the schedule depend on
+/// machine load and break the byte-identical-results contract. The
+/// benchmark (bench/fleet_scale.cpp) measures the realized latency the
+/// model stands in for.
 struct BudgetConfig {
   /// Hard cap on recover() attempts per frame (0 = unlimited).
   int maxRecoversPerFrame = 0;
   /// Frame deadline in milliseconds (0 = unlimited), converted to a slot
-  /// count via assumedRecoverCostMs. When both caps are set the stricter
+  /// count via kAssumedRecoverCostMs. When both caps are set the stricter
   /// one wins.
   double frameDeadlineMs = 0.0;
-  /// Deterministic cost model: assumed cost of one admitted session
-  /// (decode + recover) used to convert frameDeadlineMs into slots.
-  double assumedRecoverCostMs = 200.0;
 };
 
 /// Effective recover slots per frame: min of the two caps, 0 = unlimited.

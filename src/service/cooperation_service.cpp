@@ -13,6 +13,22 @@ namespace bba::service {
 
 namespace {
 
+// Penalty weights of the health FSM's evidence channels (added to the
+// peer's suspicion; see service/peer_health.cpp for the thresholds they
+// are weighed against).
+constexpr int kPenaltyDecodeReject = 1;  ///< wire decode failure / mismatch
+constexpr int kPenaltyReplay = 2;  ///< frame-index/capture-time monotonicity
+constexpr int kPenaltyValidation = 2;   ///< gt-free validation gate demotion
+constexpr int kPenaltyGateReject = 1;   ///< innovation-gate reject
+constexpr int kPenaltyConsistency = 2;  ///< outvoted in cross-peer consistency
+
+// Cross-peer consistency vote: it runs with at least this many voters, and
+// a pair disagrees when its recovered and claimed relative poses differ by
+// more than either bound.
+constexpr int kConsistencyMinPeers = 3;
+constexpr double kConsistencyMaxTranslation = 2.0;  ///< meters
+constexpr double kConsistencyMaxRotationDeg = 10.0;
+
 /// Decorrelated per-session RNG stream: the same (seed, peerId) always
 /// yields the same stream, and distinct peers never share one (same
 /// mixing discipline as dataset/fault.cpp's frameRng).
@@ -142,7 +158,6 @@ struct CooperationService::Session : PeerRecord {
   Session(std::uint64_t id, const ServiceConfig& cfg)
       : peerId(id), tracker(cfg.tracker), rng(sessionSeed(cfg.seed, id)) {
     stats.peerId = id;
-    health = PeerHealthFsm(cfg.health);
   }
 
   std::uint64_t peerId;
@@ -183,8 +198,7 @@ CooperationService::Session& CooperationService::createSession(
     record.stats.retired = false;
     tally(record.stats.readmissions, "session.readmitted");
     if (record.hadLock &&
-        frames_ - record.lastLockFrame <=
-            cfg_.lifecycle.warmStartMaxGapFrames &&
+        frames_ - record.lastLockFrame <= kWarmStartMaxGapFrames &&
         record.health.shouldProcess()) {
       session->tracker.acceptExternalPose(record.lastLockedPose);
       BBA_COUNTER_ADD("session.warm_started", 1);
@@ -458,7 +472,7 @@ std::vector<SessionFrameResult> CooperationService::processFrame(
         voters.push_back(i);
     }
     const int p = static_cast<int>(voters.size());
-    if (p >= cfg_.consistencyMinPeers) {
+    if (p >= kConsistencyMinPeers) {
       for (int a = 0; a < p; ++a) {
         int mismatches = 0;
         const SessionFrameResult& ra = results[voters[static_cast<std::size_t>(a)]];
@@ -470,8 +484,8 @@ std::vector<SessionFrameResult> CooperationService::processFrame(
               ra.track.pose.inverse().compose(rb.track.pose);
           const Pose2 claimed = ra.claim.inverse().compose(rb.claim);
           const PoseError err = poseError(recovered, claimed);
-          if (err.translation > cfg_.consistencyMaxTranslation ||
-              err.rotationDeg > cfg_.consistencyMaxRotationDeg)
+          if (err.translation > kConsistencyMaxTranslation ||
+              err.rotationDeg > kConsistencyMaxRotationDeg)
             mismatches += 1;
         }
         // Strict majority of this voter's pairs disagree => outlier.
@@ -539,18 +553,17 @@ std::vector<SessionFrameResult> CooperationService::processFrame(
       }
     }
     if (cfg_.enableHealth) {
-      const PeerHealthConfig& h = cfg_.health;
       int penalty = 0;
       if (!res.quarantined) {
         // A pure link drop is weather, not malice: no penalty. Everything
         // a *sender* controls feeds the FSM.
         if (res.received && res.decodeError != wire::DecodeError::None)
-          penalty += h.penaltyDecodeReject;
-        if (res.payloadMismatch) penalty += h.penaltyDecodeReject;
-        if (res.replayRejected) penalty += h.penaltyReplay;
-        if (res.report.validationRejected) penalty += h.penaltyValidation;
-        if (res.report.gateRejected) penalty += h.penaltyGateReject;
-        if (res.consistencyOutlier) penalty += h.penaltyConsistency;
+          penalty += kPenaltyDecodeReject;
+        if (res.payloadMismatch) penalty += kPenaltyDecodeReject;
+        if (res.replayRejected) penalty += kPenaltyReplay;
+        if (res.report.validationRejected) penalty += kPenaltyValidation;
+        if (res.report.gateRejected) penalty += kPenaltyGateReject;
+        if (res.consistencyOutlier) penalty += kPenaltyConsistency;
       }
       const PeerHealth before = session->health.state();
       res.health = session->health.onFrame(res.quarantined ? 0 : penalty);

@@ -48,25 +48,19 @@ struct ServiceConfig {
   /// Per-peer trust FSM (src/service/peer_health.hpp): integrates decode
   /// rejects, replay-guard hits, validation/gate demotions and
   /// cross-peer-consistency votes into healthy/suspect/quarantined/probing,
-  /// and excludes quarantined peers from processing entirely.
+  /// and excludes quarantined peers from processing entirely. Cross-peer
+  /// consistency is part of it: with >= 3 freshly locked sessions that
+  /// carried pose-prior claims, each pair's recovered relative pose
+  /// T_a^-1∘T_b is compared against the claimed relative P_a^-1∘P_b; a
+  /// peer whose pairs disagree by majority is flagged (the honest peers
+  /// outvote a single liar). Never mutates honest sessions, so honest
+  /// results stay byte-identical.
   bool enableHealth = true;
-  PeerHealthConfig health;
 
   /// Replay guard: reject a cleanly decoded message whose frame index is
   /// non-increasing (or whose capture time runs backwards) relative to the
   /// last accepted message of the same session.
   bool enableReplayGuard = true;
-
-  /// Cross-peer consistency, part of the health layer (runs under
-  /// enableHealth): with >= consistencyMinPeers freshly locked sessions
-  /// that carried pose-prior claims, compare each pair's recovered
-  /// relative pose T_a^-1∘T_b against the claimed relative P_a^-1∘P_b; a
-  /// peer whose pairs disagree by majority is flagged (the honest peers
-  /// outvote a single liar). Never mutates honest sessions, so honest
-  /// results stay byte-identical.
-  int consistencyMinPeers = 3;
-  double consistencyMaxTranslation = 2.0;
-  double consistencyMaxRotationDeg = 10.0;
 
   /// Fleet-scale admission (see service/admission.hpp). Stage 1, spatial
   /// pre-gate: a message whose claimed pose prior puts the peer's BV

@@ -6,6 +6,35 @@
 
 namespace bba::service {
 
+namespace {
+
+// Tuning of the trust FSM. With the service's penalty weights these
+// quarantine a peer that misbehaves every frame within 4 frames (2 to
+// suspect, 2 more to quarantine) while absorbing the occasional honest
+// failure through the per-clean-frame decay.
+
+/// Suspicion at or above this enters `suspect`.
+constexpr int kSuspectThreshold = 2;
+/// Suspicion at or above this enters `quarantined`.
+constexpr int kQuarantineThreshold = 4;
+/// Suspicion subtracted per penalty-free frame (floor 0).
+constexpr int kDecayPerCleanFrame = 1;
+/// Backoff of the n-th quarantine: min(kBackoffMaxFrames,
+/// kBackoffBaseFrames * 2^(n-1)) frames — exponential, frame-counted,
+/// wall-clock free.
+constexpr int kBackoffBaseFrames = 4;
+constexpr int kBackoffMaxFrames = 64;
+/// Penalty-free probing frames required to return to `healthy`.
+constexpr int kProbationFrames = 2;
+
+static_assert(kSuspectThreshold >= 1 &&
+              kQuarantineThreshold > kSuspectThreshold);
+static_assert(kBackoffBaseFrames >= 1 &&
+              kBackoffMaxFrames >= kBackoffBaseFrames);
+static_assert(kProbationFrames >= 1);
+
+}  // namespace
+
 const char* toString(PeerHealth s) {
   switch (s) {
     case PeerHealth::Healthy:
@@ -20,16 +49,6 @@ const char* toString(PeerHealth s) {
   return "?";
 }
 
-PeerHealthFsm::PeerHealthFsm(PeerHealthConfig config) : cfg_(config) {
-  BBA_ASSERT_MSG(cfg_.suspectThreshold >= 1, "suspectThreshold must be >= 1");
-  BBA_ASSERT_MSG(cfg_.quarantineThreshold > cfg_.suspectThreshold,
-                 "quarantineThreshold must exceed suspectThreshold");
-  BBA_ASSERT_MSG(cfg_.backoffBaseFrames >= 1, "backoffBaseFrames must be >= 1");
-  BBA_ASSERT_MSG(cfg_.backoffMaxFrames >= cfg_.backoffBaseFrames,
-                 "backoffMaxFrames must be >= backoffBaseFrames");
-  BBA_ASSERT_MSG(cfg_.probationFrames >= 1, "probationFrames must be >= 1");
-}
-
 void PeerHealthFsm::moveTo(PeerHealth next) {
   transitions_[static_cast<std::size_t>(state_)]
               [static_cast<std::size_t>(next)] += 1;
@@ -40,10 +59,9 @@ void PeerHealthFsm::enterQuarantine() {
   quarantines_ += 1;
   // Deterministic exponential backoff in FRAMES: base * 2^(n-1), capped.
   // Shift count bounded by the cap check, so no UB for large n.
-  long long b = cfg_.backoffBaseFrames;
-  for (int i = 1; i < quarantines_ && b < cfg_.backoffMaxFrames; ++i) b *= 2;
-  backoff_ = static_cast<int>(
-      std::min<long long>(b, cfg_.backoffMaxFrames));
+  long long b = kBackoffBaseFrames;
+  for (int i = 1; i < quarantines_ && b < kBackoffMaxFrames; ++i) b *= 2;
+  backoff_ = static_cast<int>(std::min<long long>(b, kBackoffMaxFrames));
   inQuarantine_ = 0;
   moveTo(PeerHealth::Quarantined);
 }
@@ -62,13 +80,13 @@ PeerHealth PeerHealthFsm::onFrame(int penalty) {
       break;
     case PeerHealth::Probing:
       // Probation: any offense re-quarantines with a doubled backoff; a
-      // clean streak of probationFrames restores full trust.
+      // clean streak of kProbationFrames restores full trust.
       if (penalty > 0) {
-        suspicion_ = cfg_.quarantineThreshold;
+        suspicion_ = kQuarantineThreshold;
         enterQuarantine();
       } else {
         probeClean_ += 1;
-        if (probeClean_ >= cfg_.probationFrames) {
+        if (probeClean_ >= kProbationFrames) {
           suspicion_ = 0;
           moveTo(PeerHealth::Healthy);
         }
@@ -79,12 +97,12 @@ PeerHealth PeerHealthFsm::onFrame(int penalty) {
       if (penalty > 0) {
         suspicion_ += penalty;
       } else {
-        suspicion_ = std::max(0, suspicion_ - cfg_.decayPerCleanFrame);
+        suspicion_ = std::max(0, suspicion_ - kDecayPerCleanFrame);
       }
-      if (suspicion_ >= cfg_.quarantineThreshold) {
+      if (suspicion_ >= kQuarantineThreshold) {
         enterQuarantine();
       } else if (state_ == PeerHealth::Healthy &&
-                 suspicion_ >= cfg_.suspectThreshold) {
+                 suspicion_ >= kSuspectThreshold) {
         moveTo(PeerHealth::Suspect);
       } else if (state_ == PeerHealth::Suspect && suspicion_ == 0) {
         moveTo(PeerHealth::Healthy);

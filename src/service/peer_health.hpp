@@ -34,43 +34,14 @@ inline constexpr int kPeerHealthCount = 4;
 
 [[nodiscard]] const char* toString(PeerHealth s);
 
-/// Tuning of the per-peer trust FSM. The defaults quarantine a peer that
-/// misbehaves every frame within 4 frames (2 to suspect, 2 more to
-/// quarantine at the default penalties) while absorbing the occasional
-/// honest failure through the per-clean-frame decay.
-struct PeerHealthConfig {
-  /// Suspicion at or above this enters `suspect`.
-  int suspectThreshold = 2;
-  /// Suspicion at or above this enters `quarantined`.
-  int quarantineThreshold = 4;
-  /// Suspicion subtracted per penalty-free frame (floor 0).
-  int decayPerCleanFrame = 1;
-
-  // Penalty weights of the evidence channels (added to suspicion).
-  int penaltyDecodeReject = 1;   ///< typed wire decode failure / mismatch
-  int penaltyReplay = 2;         ///< frame-index/capture-time monotonicity
-  int penaltyValidation = 2;     ///< gt-free validation gate demotion
-  int penaltyGateReject = 1;     ///< innovation-gate reject
-  int penaltyConsistency = 2;    ///< outvoted in cross-peer consistency
-
-  /// Backoff of the n-th quarantine: min(backoffMaxFrames,
-  /// backoffBaseFrames * 2^(n-1)) frames — exponential, frame-counted,
-  /// wall-clock free.
-  int backoffBaseFrames = 4;
-  int backoffMaxFrames = 64;
-  /// Penalty-free probing frames required to return to `healthy`.
-  int probationFrames = 2;
-};
-
 /// Deterministic per-peer trust state machine. Feed it one penalty per
 /// service frame (0 = clean); read back the state, the suspicion level and
 /// the transition tally. The entire trajectory is a pure function of the
-/// penalty sequence — no clocks, no randomness.
+/// penalty sequence — no clocks, no randomness. Its thresholds, decay,
+/// backoff and probation are constants (service/peer_health.cpp); the
+/// penalty weights are the service's (service/cooperation_service.cpp).
 class PeerHealthFsm {
  public:
-  explicit PeerHealthFsm(PeerHealthConfig config = {});
-
-  [[nodiscard]] const PeerHealthConfig& config() const { return cfg_; }
   [[nodiscard]] PeerHealth state() const { return state_; }
   [[nodiscard]] int suspicion() const { return suspicion_; }
   /// Times the peer entered quarantine.
@@ -100,7 +71,6 @@ class PeerHealthFsm {
   void moveTo(PeerHealth next);
   void enterQuarantine();
 
-  PeerHealthConfig cfg_;
   PeerHealth state_ = PeerHealth::Healthy;
   int suspicion_ = 0;
   int quarantines_ = 0;

@@ -22,14 +22,30 @@ const char* toString(SessionAdmission a) {
 
 namespace {
 
-double healthTerm(PeerHealth h, const LifecycleConfig& cfg) {
+// Eviction score weights (see evictionScore for the formula).
+constexpr double kWeightQuarantined = 100.0;  ///< quarantined sessions go first
+constexpr double kWeightSuspect = 8.0;
+constexpr double kWeightProbing = 4.0;
+/// Per frame of the current silent run (frames since the peer last
+/// appeared in a processFrame input).
+constexpr double kWeightSilentFrame = 1.0;
+/// Per frame since the session's tracker last accepted a measurement (lock
+/// staleness), capped at kLockStalenessCapFrames.
+constexpr double kWeightLockStaleFrame = 0.1;
+/// Flat penalty for a session that never locked (no track to lose).
+constexpr double kWeightNoTrack = 5.0;
+/// Scaled by (1 - last reported confidence): a coasting, fading track is
+/// cheaper to give up than a fresh lock.
+constexpr double kWeightLowConfidence = 2.0;
+
+double healthTerm(PeerHealth h) {
   switch (h) {
     case PeerHealth::Quarantined:
-      return cfg.weightQuarantined;
+      return kWeightQuarantined;
     case PeerHealth::Suspect:
-      return cfg.weightSuspect;
+      return kWeightSuspect;
     case PeerHealth::Probing:
-      return cfg.weightProbing;
+      return kWeightProbing;
     case PeerHealth::Healthy:
       return 0.0;
   }
@@ -38,15 +54,16 @@ double healthTerm(PeerHealth h, const LifecycleConfig& cfg) {
 
 }  // namespace
 
-double evictionScore(const EvictionCandidate& c, const LifecycleConfig& cfg) {
+double evictionScore(const EvictionCandidate& c) {
   const double conf = std::clamp(c.lastConfidence, 0.0, 1.0);
   const int stale =
-      std::min(std::max(c.lockStaleFrames, 0), cfg.lockStalenessCapFrames);
-  double score = healthTerm(c.health, cfg);
-  score += cfg.weightSilentFrame * static_cast<double>(std::max(c.silentRunFrames, 0));
-  score += cfg.weightLockStaleFrame * static_cast<double>(stale);
-  if (!c.hasTrack) score += cfg.weightNoTrack;
-  score += cfg.weightLowConfidence * (1.0 - conf);
+      std::min(std::max(c.lockStaleFrames, 0), kLockStalenessCapFrames);
+  double score = healthTerm(c.health);
+  score += kWeightSilentFrame *
+           static_cast<double>(std::max(c.silentRunFrames, 0));
+  score += kWeightLockStaleFrame * static_cast<double>(stale);
+  if (!c.hasTrack) score += kWeightNoTrack;
+  score += kWeightLowConfidence * (1.0 - conf);
   return score;
 }
 
@@ -56,7 +73,7 @@ std::optional<std::uint64_t> pickEvictionVictim(
   std::optional<std::uint64_t> best;
   double bestScore = 0.0;
   for (const auto& c : candidates) {
-    const double s = evictionScore(c, cfg);
+    const double s = evictionScore(c);
     if (s < cfg.minEvictionScore) continue;
     // Strict total order: score desc, peerId asc — input order never
     // changes the pick.

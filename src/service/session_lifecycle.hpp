@@ -40,7 +40,8 @@ inline constexpr int kSessionAdmissionCount = 5;
 /// silent-peer reaper, and reconnect warm starts. Every clock in here is a
 /// LOGICAL frame count (service frames processed), never wall time — the
 /// whole lifecycle trajectory is a pure function of the input schedule, so
-/// schedules and reports stay byte-identical at any BBA_THREADS.
+/// schedules and reports stay byte-identical at any BBA_THREADS. The
+/// eviction weights are constants (see evictionScore).
 struct LifecycleConfig {
   /// Only sessions scoring at or above this are evictable: a healthy,
   /// locked, just-seen session scores below it and is never displaced by
@@ -49,41 +50,28 @@ struct LifecycleConfig {
   /// (RejectedFull) until the reaper frees a slot.
   double minEvictionScore = 1.0;
 
-  // Eviction score weights (see evictionScore for the formula).
-  double weightQuarantined = 100.0;  ///< quarantined sessions go first
-  double weightSuspect = 8.0;
-  double weightProbing = 4.0;
-  /// Per frame of the current silent run (frames since the peer last
-  /// appeared in a processFrame input).
-  double weightSilentFrame = 1.0;
-  /// Per frame since the session's tracker last accepted a measurement
-  /// (lock staleness), capped at lockStalenessCapFrames.
-  double weightLockStaleFrame = 0.1;
-  int lockStalenessCapFrames = 100;
-  /// Flat penalty for a session that never locked (no track to lose).
-  double weightNoTrack = 5.0;
-  /// Scaled by (1 - last reported confidence): a coasting, fading track
-  /// is cheaper to give up than a fresh lock.
-  double weightLowConfidence = 2.0;
-
   /// Silent-peer reaper: a session whose peer has not appeared in the
   /// inputs for more than this many consecutive service frames is retired
   /// (its stats are archived, its slot freed). 0 disables the reaper.
   /// Reaping runs in the serial end-of-frame phase and never touches the
   /// surviving sessions' RNG streams or results.
   int maxSilentFrames = 50;
-
-  /// Reconnect: when an evicted or reaped peer returns, its archived
-  /// stats + trust FSM are restored and — if its last lock is at most
-  /// this many service frames old — the fresh tracker is warm-started
-  /// from that pose via acceptExternalPose, so the returning peer re-locks
-  /// through the normal ladder instead of bootstrapping blind (beyond the
-  /// gap the dead-reckoned pose is stale enough to mis-gate honest
-  /// measurements). (With a keyframe map attached to the consuming
-  /// tracker, the relocalized rung provides the same service for the
-  /// peer-less case; the archive is the service-side analogue.)
-  int warmStartMaxGapFrames = 10;
 };
+
+/// Cap on the lock-staleness term of evictionScore: frames since the
+/// session's tracker last accepted a measurement count up to this many.
+inline constexpr int kLockStalenessCapFrames = 100;
+
+/// Reconnect: when an evicted or reaped peer returns, its archived stats +
+/// trust FSM are restored and — if its last lock is at most this many
+/// service frames old — the fresh tracker is warm-started from that pose
+/// via acceptExternalPose, so the returning peer re-locks through the
+/// normal ladder instead of bootstrapping blind (beyond the gap the
+/// dead-reckoned pose is stale enough to mis-gate honest measurements).
+/// (With a keyframe map attached to the consuming tracker, the relocalized
+/// rung provides the same service for the peer-less case; the archive is
+/// the service-side analogue.)
+inline constexpr int kWarmStartMaxGapFrames = 10;
 
 /// One session competing for eviction — a pure-value snapshot, so the
 /// score is computable (and testable) without a service instance.
@@ -100,16 +88,17 @@ struct EvictionCandidate {
 };
 
 /// Evictability of one session: higher = evicted sooner. A pure function
-/// of the candidate and the weights — no clocks, no randomness — so the
-/// eviction schedule is byte-identical across runs and thread counts.
+/// of the candidate and constant weights (service/session_lifecycle.cpp)
+/// — no clocks, no randomness — so the eviction schedule is byte-identical
+/// across runs and thread counts.
 ///
 ///   score = healthTerm(state)
-///         + weightSilentFrame    * silentRunFrames
-///         + weightLockStaleFrame * min(lockStaleFrames, cap)
-///         + (hasTrack ? 0 : weightNoTrack)
-///         + weightLowConfidence  * (1 - clamp(lastConfidence, 0, 1))
-[[nodiscard]] double evictionScore(const EvictionCandidate& c,
-                                   const LifecycleConfig& cfg);
+///         + kWeightSilentFrame    * silentRunFrames
+///         + kWeightLockStaleFrame * min(lockStaleFrames,
+///                                       kLockStalenessCapFrames)
+///         + (hasTrack ? 0 : kWeightNoTrack)
+///         + kWeightLowConfidence  * (1 - clamp(lastConfidence, 0, 1))
+[[nodiscard]] double evictionScore(const EvictionCandidate& c);
 
 /// Pick the eviction victim: the candidate with the strictly greatest
 /// (score, then LOWER peerId wins ties) whose score reaches

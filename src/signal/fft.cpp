@@ -397,16 +397,6 @@ void fft2d(ComplexImage& img, bool inverse) {
   transpose(t, img);
 }
 
-void multiplySpectrum(ComplexImage& spectrum, const ImageF& filter) {
-  BBA_ASSERT_MSG(spectrum.width() == filter.width() &&
-                     spectrum.height() == filter.height(),
-                 "spectrum and filter dimensions must match");
-  auto& s = spectrum.data();
-  const auto& f = filter.data();
-  // In-place is safe: element i reads only element i before writing it.
-  mulSpectrum(s.data(), f.data(), s.data(), s.size(), simdLevel());
-}
-
 void multiplySpectrumInto(const ComplexImage& spectrum, const ImageF& filter,
                           ComplexImage& out) {
   BBA_ASSERT_MSG(spectrum.width() == filter.width() &&

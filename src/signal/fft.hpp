@@ -60,15 +60,10 @@ class ComplexImage {
 /// common/parallel.hpp) with bit-identical results at any thread count.
 void fft2d(ComplexImage& img, bool inverse);
 
-/// In-place element-wise multiply of a complex spectrum by a real filter
-/// response: spectrum[i] *= filter[i]. The one operation every
-/// spectrum-domain filtering pass (Log-Gabor bank, correlation) performs.
-void multiplySpectrum(ComplexImage& spectrum, const ImageF& filter);
-
-/// Fused copy + multiply: out[i] = spectrum[i] * filter[i], product-wise
-/// identical to a copy followed by multiplySpectrum but without the
-/// separate copy pass. `out` is resized to match. The Log-Gabor bank's 48
-/// per-filter passes use this.
+/// Element-wise multiply of a complex spectrum by a real filter response
+/// into `out`: out[i] = spectrum[i] * filter[i], leaving the spectrum
+/// intact for the next filter. `out` is resized to match. The Log-Gabor
+/// bank's 48 per-filter passes use this.
 void multiplySpectrumInto(const ComplexImage& spectrum, const ImageF& filter,
                           ComplexImage& out);
 

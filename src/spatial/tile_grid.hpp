@@ -23,7 +23,6 @@ class TileGrid2 {
  public:
   explicit TileGrid2(double tileSize);
 
-  [[nodiscard]] double tileSize() const { return tileSize_; }
   [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] std::size_t tileCount() const { return tiles_.size(); }
 

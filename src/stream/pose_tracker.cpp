@@ -108,6 +108,33 @@ std::string TrackerReport::toJson(bool includeTimings) const {
 
 namespace {
 
+/// Accepted poses kept for prediction (>= 2 enables velocity).
+constexpr int kHistorySize = 4;
+
+/// Innovation gates: a fresh measurement is accepted only if it deviates
+/// from the constant-velocity prediction by less than these. Both scale up
+/// by kGateGrowthPerMiss per consecutive miss, so a track that has been
+/// coasting can re-capture a drifted target.
+constexpr double kMaxTranslationInnovation = 3.0;   ///< meters
+constexpr double kMaxRotationInnovationDeg = 12.0;  ///< degrees
+constexpr double kGateGrowthPerMiss = 0.5;
+
+/// Confidence of a Relocalized pose. Below kRelaxedConfidence: the map may
+/// be stale and the ego prior coarse, and unlike rungs 0/1 there is no
+/// motion-prediction gate backing the acceptance — only the gt-free
+/// validation gate: with no trusted prior to lean on, an unvalidated map
+/// lock is never reported.
+constexpr double kRelocalizedConfidence = 0.6;
+/// Odometry-consistency envelope: an accepted relocalization's ego global
+/// pose must land within this many meters of the fed pose prior.
+/// Self-similar environments (tunnels, corridors) produce slipped locks
+/// that the occupancy/box validator scores highly — a corridor shifted
+/// along itself still overlaps itself — but such locks stray from the
+/// dead-reckoned prior while honest ones land inside the drift envelope.
+/// Sized to the worst odometry drift expected between map visits; the
+/// pinned tunnel cell separates at ~0.5m (honest) vs ~3.3m (slipped).
+constexpr double kRelocalizationMaxPriorDeviationM = 2.5;
+
 /// Every tracker step's exit: hand its report to the caller and book it in
 /// the registry. Counter names are static so the stream taxonomy stays
 /// greppable (and gated by the CI docs-health leg alongside the
@@ -171,9 +198,9 @@ PoseTracker::PoseTracker(PoseTrackerConfig config)
     : cfg_(std::move(config)),
       primary_(cfg_.aligner),
       relaxed_(relaxedRecoveryConfig(cfg_.aligner)) {
-  BBA_ASSERT(cfg_.historySize >= 1);
+  static_assert(kHistorySize >= 1);
+  static_assert(kConfidenceDecay > 0.0 && kConfidenceDecay <= 1.0);
   BBA_ASSERT(cfg_.maxConsecutiveMisses >= 1);
-  BBA_ASSERT(cfg_.confidenceDecay > 0.0 && cfg_.confidenceDecay <= 1.0);
   BBA_ASSERT(cfg_.mapRelocalizationAttempts >= 1);
 }
 
@@ -201,7 +228,7 @@ std::optional<Pose2> PoseTracker::beginFrame(TrackerReport& rep) {
 
 void PoseTracker::accept(int frame, const Pose2& pose) {
   history_.push_back(Accepted{frame, pose});
-  while (history_.size() > static_cast<std::size_t>(cfg_.historySize)) {
+  while (history_.size() > static_cast<std::size_t>(kHistorySize)) {
     history_.pop_front();
   }
   misses_ = 0;
@@ -233,12 +260,12 @@ TrackerResult PoseTracker::miss(const std::optional<Pose2>& prediction,
   out.pose = *prediction;
   out.pose3D = Pose3::fromPose2(out.pose);
   out.confidence =
-      std::max(cfg_.minConfidence, std::pow(cfg_.confidenceDecay, misses_));
+      std::max(kMinConfidence, std::pow(kConfidenceDecay, misses_));
   if (misses_ >= cfg_.maxConsecutiveMisses) {
     // Rung 3: the extrapolation has decayed past trust. Report it one last
     // time at floor confidence and re-bootstrap from scratch.
     out.outcome = TrackerOutcome::TrackLost;
-    out.confidence = cfg_.minConfidence;
+    out.confidence = kMinConfidence;
     rep.trackLostThisFrame = true;
     history_.clear();
     misses_ = 0;
@@ -263,8 +290,8 @@ void PoseTracker::offerKeyframe(const CarPerceptionData& ego,
     return;
   }
   // The store dedups by spatial gap, so offering every accepted frame is
-  // cheap in steady state; the payload copy only sticks for frames that
-  // actually become keyframes.
+  // cheap in steady state: a dedup skip copies nothing, and the payload is
+  // copied only into a keyframe the store actually keeps.
   (void)mapStore_->insert(*egoPosePrior_, egoFeatures.descriptors, ego);
 }
 
@@ -294,7 +321,7 @@ bool PoseTracker::tryRelocalize(const CarPerceptionData& ego,
     const PoseRecoveryResult r = primary_.recover(
         kf->payload, ego, rng, &rep.relocalization, &expected, &egoFeatures);
     if (!r.success || !r.validation.computed ||
-        r.validation.score < cfg_.minValidationScore) {
+        r.validation.score < kMinValidationScore) {
       continue;
     }
     // Lift the relative lock back to the map frame: G_ego = G_kf * T^-1.
@@ -302,8 +329,7 @@ bool PoseTracker::tryRelocalize(const CarPerceptionData& ego,
     // Odometry-consistency gate: a lock that strays outside the drift
     // envelope of the dead-reckoned prior is a slipped match (self-similar
     // corridors validate shifted poses), not a recovery.
-    if ((egoGlobal.t - prior.t).norm() >
-        cfg_.relocalizationMaxPriorDeviationM) {
+    if ((egoGlobal.t - prior.t).norm() > kRelocalizationMaxPriorDeviationM) {
       continue;
     }
     egoPosePrior_ = egoGlobal;
@@ -312,7 +338,7 @@ bool PoseTracker::tryRelocalize(const CarPerceptionData& ego,
     out.poseValid = true;
     out.pose = egoGlobal;
     out.pose3D = Pose3::fromPose2(egoGlobal);
-    out.confidence = cfg_.relocalizedConfidence;
+    out.confidence = kRelocalizedConfidence;
     out.outcome = TrackerOutcome::Relocalized;
     rep.outcome = out.outcome;
     rep.confidence = out.confidence;
@@ -363,8 +389,7 @@ TrackerResult PoseTracker::skipFrame(TrackerReport* report) {
     // only misses charge the track-loss budget: the skipped payloads may
     // have been perfectly good — nobody looked.
     out.confidence =
-        std::max(cfg_.minConfidence,
-                 std::pow(cfg_.confidenceDecay, misses_ + skips_));
+        std::max(kMinConfidence, std::pow(kConfidenceDecay, misses_ + skips_));
     out.outcome = TrackerOutcome::Held;
   } else {
     out.outcome = TrackerOutcome::Bootstrapping;
@@ -388,12 +413,12 @@ TrackerResult PoseTracker::update(const CarPerceptionData& other,
   // Scheduler skips (skipFrame) count toward the growth like misses do —
   // a long-held track must be able to re-capture a drifted target once
   // readmitted — they just never charge the track-loss budget.
-  const double gateScale = 1.0 + cfg_.gateGrowthPerMiss * (misses_ + skips_);
+  const double gateScale = 1.0 + kGateGrowthPerMiss * (misses_ + skips_);
   auto withinGate = [&](const Pose2& measurement) {
     if (!prediction) return true;  // bootstrap: nothing to gate against
     const PoseError innov = poseError(measurement, *prediction);
-    return innov.translation <= cfg_.maxTranslationInnovation * gateScale &&
-           innov.rotationDeg <= cfg_.maxRotationInnovationDeg * gateScale;
+    return innov.translation <= kMaxTranslationInnovation * gateScale &&
+           innov.rotationDeg <= kMaxRotationInnovationDeg * gateScale;
   };
 
   // The gt-free validation gate: a recovery may report success and still
@@ -401,7 +426,7 @@ TrackerResult PoseTracker::update(const CarPerceptionData& other,
   // boxes, impostor BV consensus). Such a lock is demoted to a miss.
   auto validated = [&](const PoseRecoveryResult& r) {
     return !r.validation.computed ||
-           r.validation.score >= cfg_.minValidationScore;
+           r.validation.score >= kMinValidationScore;
   };
 
   const Pose2* posePrior = prediction ? &*prediction : nullptr;
@@ -474,7 +499,7 @@ TrackerResult PoseTracker::update(const CarPerceptionData& other,
     if (retried.success && withinGate(retried.estimate) &&
         validated(retried)) {
       return lock(retried, TrackerOutcome::RecoveredRelaxed,
-                  cfg_.relaxedConfidence);
+                  kRelaxedConfidence);
     }
   }
 

@@ -42,43 +42,34 @@ inline constexpr int kTrackerOutcomeCount = 7;
 
 [[nodiscard]] const char* toString(TrackerOutcome o);
 
+/// Gt-free validation gate: a "successful" recovery whose PoseValidation
+/// score (see obs/report.hpp) falls below this is demoted to a miss — a
+/// geometrically inconsistent lock never replaces the trusted pose.
+/// Deterministic geometry, so the gate preserves the
+/// byte-identical-at-any-thread-count contract. Calibrated against the
+/// pinned scenarios: honest recoveries score >= ~0.72, coherent box lies
+/// <= ~0.61 (see tests/stream_test.cpp) — 0.5 rejects most attacks with
+/// headroom for degraded-but-honest payloads; a sensitivity-critical
+/// deployment would raise it toward 0.65.
+inline constexpr double kMinValidationScore = 0.5;
+
+/// Confidence of a rung-1 (relaxed) acceptance; rung 0 reports 1.0.
+inline constexpr double kRelaxedConfidence = 0.8;
+/// Per-coasted-frame multiplicative confidence decay of rung 2.
+inline constexpr double kConfidenceDecay = 0.7;
+/// Confidence floor of any reported pose.
+inline constexpr double kMinConfidence = 0.05;
+
 /// Tracker configuration. The defaults assume a 10 Hz frame period and the
-/// paper-default aligner; the gates are sized to the physics (two cars at
-/// urban speeds move well under a meter per frame relative to each other,
-/// while a wrong BB-Align lock is typically off by several meters).
+/// paper-default aligner. The gates, confidences and relocalization
+/// envelope are constants sized to the physics (two cars at urban speeds
+/// move well under a meter per frame relative to each other, while a wrong
+/// BB-Align lock is typically off by several meters): see the k* values
+/// above and in pose_tracker.cpp.
 struct PoseTrackerConfig {
   /// The primary (rung-0) aligner configuration. The rung-1 relaxed
   /// aligner is relaxedRecoveryConfig(aligner).
   BBAlignConfig aligner;
-
-  /// Accepted poses kept for prediction (>= 2 enables velocity).
-  int historySize = 4;
-
-  /// Innovation gates: a fresh measurement is accepted only if it deviates
-  /// from the constant-velocity prediction by less than these. Both scale
-  /// up by `gateGrowthPerMiss` per consecutive miss, so a track that has
-  /// been coasting can re-capture a drifted target.
-  double maxTranslationInnovation = 3.0;   ///< meters
-  double maxRotationInnovationDeg = 12.0;  ///< degrees
-  double gateGrowthPerMiss = 0.5;
-
-  /// Gt-free validation gate: a "successful" recovery whose
-  /// PoseValidation score (see obs/report.hpp) falls below this is demoted
-  /// to a miss — a geometrically inconsistent lock never replaces the
-  /// trusted pose. Deterministic geometry, so the gate preserves the
-  /// byte-identical-at-any-thread-count contract.
-  /// Calibrated against the pinned scenarios: honest recoveries score
-  /// >= ~0.72, coherent box lies <= ~0.61 (see tests/stream_test.cpp) —
-  /// 0.5 rejects most attacks with headroom for degraded-but-honest
-  /// payloads; sensitivity-critical deployments raise it toward 0.65.
-  double minValidationScore = 0.5;
-
-  /// Confidence of a rung-1 (relaxed) acceptance; rung 0 reports 1.0.
-  double relaxedConfidence = 0.8;
-  /// Per-coasted-frame multiplicative confidence decay of rung 2.
-  double confidenceDecay = 0.7;
-  /// Confidence floor of any reported pose.
-  double minConfidence = 0.05;
 
   /// Consecutive misses (gate rejections, failed recoveries or dropped
   /// frames) tolerated before the track is declared lost and the tracker
@@ -93,22 +84,6 @@ struct PoseTrackerConfig {
   /// recover() call; the best-scoring candidate goes first, so attempt 2+
   /// only runs when attempt 1 fails or is rejected).
   int mapRelocalizationAttempts = 2;
-  /// Confidence of a Relocalized pose. Below relaxedConfidence: the map
-  /// may be stale and the ego prior coarse, and unlike rungs 0/1 there is
-  /// no motion-prediction gate backing the acceptance — only the gt-free
-  /// validation gate: with no trusted prior to lean on, an unvalidated map
-  /// lock is never reported.
-  double relocalizedConfidence = 0.6;
-  /// Odometry-consistency envelope: an accepted relocalization's ego
-  /// global pose must land within this many meters of the fed pose prior.
-  /// Self-similar environments (tunnels, corridors) produce slipped locks
-  /// that the occupancy/box validator scores highly — a corridor shifted
-  /// along itself still overlaps itself — but such locks stray from the
-  /// dead-reckoned prior while honest ones land inside the drift
-  /// envelope. Size it to the worst odometry drift expected between map
-  /// visits; the pinned tunnel cell separates at ~0.5m (honest) vs
-  /// ~3.3m (slipped).
-  double relocalizationMaxPriorDeviationM = 2.5;
 };
 
 /// Relaxed-parameter variant of an aligner config for the rung-1 retry:
@@ -191,7 +166,7 @@ struct TrackerResult {
   bool poseValid = false;
   Pose2 pose;                ///< delivered-payload other -> ego
   Pose3 pose3D;              ///< Eq. 1 lift of `pose`
-  double confidence = 0.0;   ///< 1.0 fresh ... minConfidence stale
+  double confidence = 0.0;   ///< 1.0 fresh ... kMinConfidence stale
   TrackerOutcome outcome = TrackerOutcome::Bootstrapping;
 };
 

@@ -84,7 +84,6 @@ class ByteReader {
 
   [[nodiscard]] std::size_t offset() const { return pos_; }
   [[nodiscard]] std::size_t remaining() const { return size_ - pos_; }
-  [[nodiscard]] const std::uint8_t* cursor() const { return data_ + pos_; }
 
   [[nodiscard]] bool u8(std::uint8_t& v) {
     if (remaining() < 1) return false;

@@ -87,14 +87,14 @@ TEST(PreGate, IsPureBitwiseRepeatable) {
 
 TEST(RecoverSlots, EffectiveBudgetCombinesCapAndDeadline) {
   EXPECT_EQ(effectiveRecoverBudget(BudgetConfig{}), 0);  // unlimited
-  EXPECT_EQ(effectiveRecoverBudget(BudgetConfig{4, 0.0, 200.0}), 4);
-  // Deadline -> slots through the static cost model.
-  EXPECT_EQ(effectiveRecoverBudget(BudgetConfig{0, 450.0, 200.0}), 2);
+  EXPECT_EQ(effectiveRecoverBudget(BudgetConfig{4, 0.0}), 4);
+  // Deadline -> slots through the static cost model (200 ms a recover).
+  EXPECT_EQ(effectiveRecoverBudget(BudgetConfig{0, 450.0}), 2);
   // A deadline below one recover still grants one slot (no fleet freeze).
-  EXPECT_EQ(effectiveRecoverBudget(BudgetConfig{0, 50.0, 200.0}), 1);
+  EXPECT_EQ(effectiveRecoverBudget(BudgetConfig{0, 50.0}), 1);
   // Both set: the stricter cap wins.
-  EXPECT_EQ(effectiveRecoverBudget(BudgetConfig{3, 1000.0, 200.0}), 3);
-  EXPECT_EQ(effectiveRecoverBudget(BudgetConfig{9, 400.0, 200.0}), 2);
+  EXPECT_EQ(effectiveRecoverBudget(BudgetConfig{3, 1000.0}), 3);
+  EXPECT_EQ(effectiveRecoverBudget(BudgetConfig{9, 400.0}), 2);
 }
 
 TEST(RecoverSlots, StalenessFirstThenPeerId) {

@@ -86,14 +86,11 @@ TEST(PeerHealthFsm, SingleMassiveOffenseQuarantinesImmediately) {
 }
 
 TEST(PeerHealthFsm, PinnedBackoffScheduleDoublesToTheCap) {
-  PeerHealthConfig cfg;
-  cfg.backoffBaseFrames = 4;
-  cfg.backoffMaxFrames = 16;
-  PeerHealthFsm fsm(cfg);
+  PeerHealthFsm fsm;
   // Offend every processed frame: quarantine n has backoff
-  // min(16, 4 * 2^(n-1)) frames -> pinned schedule 4, 8, 16, 16.
-  const int expected[] = {4, 8, 16, 16};
-  for (int q = 0; q < 4; ++q) {
+  // min(64, 4 * 2^(n-1)) frames -> pinned schedule 4, 8, 16, 32, 64, 64.
+  const int expected[] = {4, 8, 16, 32, 64, 64};
+  for (int q = 0; q < 6; ++q) {
     while (fsm.state() != PeerHealth::Quarantined) (void)fsm.onFrame(2);
     EXPECT_EQ(fsm.quarantines(), q + 1);
     EXPECT_EQ(fsm.backoffFrames(), expected[q]) << "quarantine " << q + 1;
@@ -104,16 +101,14 @@ TEST(PeerHealthFsm, PinnedBackoffScheduleDoublesToTheCap) {
     }
     EXPECT_EQ(fsm.state(), PeerHealth::Probing);
   }
-  EXPECT_EQ(edge(fsm, PeerHealth::Quarantined, PeerHealth::Probing), 4);
-  EXPECT_EQ(edge(fsm, PeerHealth::Probing, PeerHealth::Quarantined), 3);
+  EXPECT_EQ(edge(fsm, PeerHealth::Quarantined, PeerHealth::Probing), 6);
+  EXPECT_EQ(edge(fsm, PeerHealth::Probing, PeerHealth::Quarantined), 5);
 }
 
 TEST(PeerHealthFsm, ProbationRestoresFullTrustAfterCleanStreak) {
-  PeerHealthConfig cfg;
-  cfg.probationFrames = 2;
-  PeerHealthFsm fsm(cfg);
+  PeerHealthFsm fsm;  // probation: 2 clean frames
   (void)fsm.onFrame(4);                                   // quarantine
-  for (int k = 0; k < cfg.backoffBaseFrames; ++k) (void)fsm.onFrame(0);
+  for (int k = 0; k < fsm.backoffFrames(); ++k) (void)fsm.onFrame(0);
   ASSERT_EQ(fsm.state(), PeerHealth::Probing);
   EXPECT_EQ(fsm.onFrame(0), PeerHealth::Probing);  // clean probe 1 of 2
   EXPECT_EQ(fsm.onFrame(0), PeerHealth::Healthy);  // clean probe 2 of 2

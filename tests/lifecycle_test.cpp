@@ -38,24 +38,22 @@ EvictionCandidate candidate(std::uint64_t id, PeerHealth h, int silent,
 }
 
 TEST(EvictionScore, IsAPureFunctionOfTheCandidate) {
-  const LifecycleConfig cfg;
   const EvictionCandidate c =
       candidate(7, PeerHealth::Suspect, 3, 12, true, 0.4);
-  EXPECT_EQ(evictionScore(c, cfg), evictionScore(c, cfg));
+  EXPECT_EQ(evictionScore(c), evictionScore(c));
 }
 
 TEST(EvictionScore, OrdersByHealthSilenceAndLockQuality) {
-  const LifecycleConfig cfg;
   const double fresh =
-      evictionScore(candidate(1, PeerHealth::Healthy, 0, 0, true, 1.0), cfg);
+      evictionScore(candidate(1, PeerHealth::Healthy, 0, 0, true, 1.0));
   const double stale =
-      evictionScore(candidate(2, PeerHealth::Healthy, 0, 50, true, 1.0), cfg);
+      evictionScore(candidate(2, PeerHealth::Healthy, 0, 50, true, 1.0));
   const double silent =
-      evictionScore(candidate(3, PeerHealth::Healthy, 6, 0, true, 1.0), cfg);
+      evictionScore(candidate(3, PeerHealth::Healthy, 6, 0, true, 1.0));
   const double trackless =
-      evictionScore(candidate(4, PeerHealth::Healthy, 0, 0, false, 0.0), cfg);
-  const double quarantined = evictionScore(
-      candidate(5, PeerHealth::Quarantined, 0, 0, true, 1.0), cfg);
+      evictionScore(candidate(4, PeerHealth::Healthy, 0, 0, false, 0.0));
+  const double quarantined =
+      evictionScore(candidate(5, PeerHealth::Quarantined, 0, 0, true, 1.0));
   EXPECT_LT(fresh, stale);
   EXPECT_LT(fresh, silent);
   EXPECT_LT(fresh, trackless);
@@ -64,19 +62,18 @@ TEST(EvictionScore, OrdersByHealthSilenceAndLockQuality) {
   EXPECT_LT(trackless, quarantined);
   // Lock staleness saturates at the cap: an ancient lock is not
   // infinitely worse than a merely old one.
-  const double ancient = evictionScore(
-      candidate(6, PeerHealth::Healthy, 0, 100000, true, 1.0), cfg);
-  EXPECT_EQ(ancient,
-            evictionScore(candidate(6, PeerHealth::Healthy, 0,
-                                    cfg.lockStalenessCapFrames, true, 1.0),
-                          cfg));
+  const double ancient =
+      evictionScore(candidate(6, PeerHealth::Healthy, 0, 100000, true, 1.0));
+  EXPECT_EQ(ancient, evictionScore(candidate(6, PeerHealth::Healthy, 0,
+                                             kLockStalenessCapFrames, true,
+                                             1.0)));
 }
 
 TEST(EvictionScore, FreshHealthyLockedSessionIsProtected) {
   const LifecycleConfig cfg;
   const std::vector<EvictionCandidate> only = {
       candidate(9, PeerHealth::Healthy, 0, 0, true, 1.0)};
-  EXPECT_LT(evictionScore(only[0], cfg), cfg.minEvictionScore);
+  EXPECT_LT(evictionScore(only[0]), cfg.minEvictionScore);
   EXPECT_FALSE(pickEvictionVictim(only, cfg).has_value());
 }
 
@@ -672,6 +669,55 @@ TEST(LifecycleScenario, EvictedHonestPeerRelocksWithinMissBudgetPlusTwo) {
   }
   EXPECT_GE(evictions, 2);     // peer 1 and peer 9 each displaced once
   EXPECT_GE(readmissions, 1);  // peer 1's return
+}
+
+TEST(LifecycleScenario, WarmStartReachesExactlyTheMaxGap) {
+  // Peer 1 locks on frames 0-1, is reaped during empty frames and returns
+  // later. A return whose last lock is exactly kWarmStartMaxGapFrames old
+  // warm-starts from the archived pose: the tracker predicts on its first
+  // frame back. One frame later the peer bootstraps blind.
+  const ScenarioRig rig(3);
+  const CarPerceptionData none;
+  auto firstFrameBack = [&](int returnFrame, Pose2& lastLock) {
+    ServiceConfig cfg = rig.cfg;
+    cfg.lifecycle.maxSilentFrames = 1;
+    CooperationService svc(cfg);
+    const BBAlign aligner(cfg.tracker.aligner);
+    auto step = [&](int frame, std::size_t rigFrame) {
+      const StreamFrame& f = rig.frames[rigFrame];
+      const std::vector<std::uint8_t> payload =
+          svc.sendFrame(aligner.makeCarData(f.otherCloud, f.otherDets), 1,
+                        static_cast<std::uint32_t>(frame));
+      return svc.processFrame(aligner.makeCarData(f.egoCloud, f.egoDets),
+                              {{1, &payload}})[0];
+    };
+    for (int k = 0; k < 2; ++k) {
+      const SessionFrameResult r = step(k, static_cast<std::size_t>(k));
+      EXPECT_EQ(r.track.outcome, TrackerOutcome::Recovered) << k;
+      lastLock = r.track.pose;
+    }
+    for (int k = 2; k < returnFrame; ++k) (void)svc.processFrame(none, {});
+    EXPECT_EQ(svc.retiredCount(), 1);
+    const SessionFrameResult back = step(returnFrame, 2);
+    EXPECT_EQ(back.admission, SessionAdmission::Admitted);
+    EXPECT_TRUE(back.readmission);
+    // Only the two lock frames and the return frame ran recover().
+    const ServiceReport rep = svc.report();
+    EXPECT_EQ(rep.aggregate.recoverSlots, 3);
+    return back;
+  };
+
+  Pose2 lastLock;
+  const SessionFrameResult warm =
+      firstFrameBack(1 + kWarmStartMaxGapFrames, lastLock);
+  EXPECT_TRUE(warm.report.predictionAvailable);
+  EXPECT_EQ(warm.report.prediction.t.x, lastLock.t.x);
+  EXPECT_EQ(warm.report.prediction.t.y, lastLock.t.y);
+  EXPECT_EQ(warm.report.prediction.theta, lastLock.theta);
+
+  const SessionFrameResult cold =
+      firstFrameBack(2 + kWarmStartMaxGapFrames, lastLock);
+  EXPECT_FALSE(cold.report.predictionAvailable);
 }
 
 TEST(LifecycleScenario, LyingClaimCannotHoldALockedInRangePeer) {

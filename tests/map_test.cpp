@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <set>
 #include <vector>
 
@@ -40,6 +41,35 @@ DescriptorSet constantDescriptors(float fill, int count = 3) {
       std::vector<float>(static_cast<std::size_t>(kDim), fill));
   return DescriptorSet(std::move(kps), std::move(descs), kGrid,
                        kOrientations);
+}
+
+/// A small perception payload whose every pixel and box field depends on
+/// `seed`, so payloads from different seeds differ everywhere.
+CarPerceptionData testPayload(float seed) {
+  CarPerceptionData p;
+  p.bvImage = ImageF(8, 8);
+  for (std::size_t i = 0; i < p.bvImage.data().size(); ++i)
+    p.bvImage.data()[i] = seed + 0.01f * static_cast<float>(i);
+  OrientedBox2 box;
+  box.center = Vec2{seed, -seed};
+  box.yaw = 0.5 * seed;
+  p.boxes = {box, OrientedBox2{}};
+  return p;
+}
+
+/// Byte equality of two payloads: image shape and pixels, every box field.
+void expectSamePayload(const CarPerceptionData& a,
+                       const CarPerceptionData& b) {
+  ASSERT_EQ(a.bvImage.width(), b.bvImage.width());
+  ASSERT_EQ(a.bvImage.height(), b.bvImage.height());
+  EXPECT_EQ(std::memcmp(a.bvImage.data().data(), b.bvImage.data().data(),
+                        a.bvImage.size() * sizeof(float)),
+            0);
+  ASSERT_EQ(a.boxes.size(), b.boxes.size());
+  for (std::size_t i = 0; i < a.boxes.size(); ++i) {
+    EXPECT_EQ(std::memcmp(&a.boxes[i], &b.boxes[i], sizeof(OrientedBox2)), 0)
+        << i;
+  }
 }
 
 /// Random-lane descriptors: the signature of two draws is almost surely
@@ -144,23 +174,29 @@ TEST(KeyframeStore, InsertAndDedupBySpatialGap) {
   cfg.keyframeGapM = 4.0;
   map::KeyframeStore store(cfg);
 
-  const map::InsertResult a =
-      store.insert(Pose2{0.0, 0.0, 0.0}, constantDescriptors(0.1f));
+  const CarPerceptionData payloadA = testPayload(1.0f);
+  const map::InsertResult a = store.insert(
+      Pose2{0.0, 0.0, 0.0}, constantDescriptors(0.1f), payloadA);
   ASSERT_TRUE(a.inserted);
   EXPECT_FALSE(a.dedupSkipped);
   EXPECT_EQ(store.size(), 1u);
+  ASSERT_NE(store.keyframe(a.id), nullptr);
+  expectSamePayload(store.keyframe(a.id)->payload, payloadA);
 
-  // Within the gap: skipped, and the result names the blocking neighbor.
-  const map::InsertResult b =
-      store.insert(Pose2{1.0, 1.0, 0.3}, constantDescriptors(0.2f));
+  // Within the gap: skipped, and the result names the blocking neighbor,
+  // whose payload the skipped offer leaves untouched.
+  const map::InsertResult b = store.insert(
+      Pose2{1.0, 1.0, 0.3}, constantDescriptors(0.2f), testPayload(2.0f));
   EXPECT_FALSE(b.inserted);
   EXPECT_TRUE(b.dedupSkipped);
   EXPECT_EQ(b.id, a.id);
   EXPECT_EQ(store.size(), 1u);
+  expectSamePayload(store.keyframe(a.id)->payload, payloadA);
 
   // Beyond the gap: a new keyframe.
-  const map::InsertResult c =
-      store.insert(Pose2{10.0, 0.0, 0.0}, constantDescriptors(0.3f));
+  const CarPerceptionData payloadC = testPayload(3.0f);
+  const map::InsertResult c = store.insert(
+      Pose2{10.0, 0.0, 0.0}, constantDescriptors(0.3f), payloadC);
   EXPECT_TRUE(c.inserted);
   EXPECT_EQ(store.size(), 2u);
   ASSERT_NE(store.keyframe(c.id), nullptr);
@@ -168,6 +204,8 @@ TEST(KeyframeStore, InsertAndDedupBySpatialGap) {
   ASSERT_EQ(store.keyframe(c.id)->signature.size(),
             static_cast<std::size_t>(kDim));
   EXPECT_NEAR(store.keyframe(c.id)->signature[0], 0.3f, 1e-6f);
+  expectSamePayload(store.keyframe(c.id)->payload, payloadC);
+  expectSamePayload(store.keyframe(a.id)->payload, payloadA);
 }
 
 TEST(KeyframeStore, EvictionIsLruWithQueryTouchProtection) {
@@ -491,7 +529,7 @@ TEST(MapReloc, TunnelNoFalseLockPinHoldsWithMapAttached) {
   // every accepted pose must be CORRECT. Along-corridor slips validate
   // well (a corridor shifted along itself still overlaps itself; seed 7
   // frame 5 scores 0.889 at 3.3m error), so they must die at the
-  // odometry-consistency gate (relocalizationMaxPriorDeviationM) instead.
+  // odometry-consistency gate (kRelocalizationMaxPriorDeviationM) instead.
   SequenceConfig sc;
   sc.seed = 7;
   sc.frames = 10;

@@ -505,11 +505,11 @@ TEST(PoseTracker, BootstrapCoastDecayAndTrackLoss) {
   r = tracker.coast(&rep);
   EXPECT_EQ(r.outcome, TrackerOutcome::Extrapolated);
   EXPECT_TRUE(r.poseValid);
-  EXPECT_NEAR(r.confidence, cfg.confidenceDecay, 1e-12);
+  EXPECT_NEAR(r.confidence, kConfidenceDecay, 1e-12);
   const double conf1 = r.confidence;
   r = tracker.coast(&rep);
   EXPECT_EQ(r.outcome, TrackerOutcome::Extrapolated);
-  EXPECT_NEAR(r.confidence, cfg.confidenceDecay * cfg.confidenceDecay, 1e-12);
+  EXPECT_NEAR(r.confidence, kConfidenceDecay * kConfidenceDecay, 1e-12);
   EXPECT_LT(r.confidence, conf1);
   EXPECT_EQ(tracker.consecutiveMisses(), 2);
 
@@ -518,7 +518,7 @@ TEST(PoseTracker, BootstrapCoastDecayAndTrackLoss) {
   r = tracker.coast(&rep);
   EXPECT_EQ(r.outcome, TrackerOutcome::TrackLost);
   EXPECT_TRUE(r.poseValid);
-  EXPECT_EQ(r.confidence, cfg.minConfidence);
+  EXPECT_EQ(r.confidence, kMinConfidence);
   EXPECT_TRUE(rep.trackLostThisFrame);
   EXPECT_FALSE(tracker.hasTrack());
 
@@ -567,7 +567,7 @@ TEST(PoseTracker, SkipFrameHoldsTheTrackWithoutChargingMisses) {
     prevConfidence = r.confidence;
   }
   EXPECT_TRUE(tracker.hasTrack());
-  EXPECT_GE(r.confidence, cfg.minConfidence);
+  EXPECT_GE(r.confidence, kMinConfidence);
 }
 
 TEST(PoseTracker, SkipFrameWithoutTrackStaysBootstrapping) {
@@ -581,17 +581,15 @@ TEST(PoseTracker, SkipFrameWithoutTrackStaysBootstrapping) {
 }
 
 TEST(PoseTracker, MissesAndSkipsShareTheConfidenceLadder) {
-  PoseTrackerConfig cfg;
-  PoseTracker tracker(cfg);
+  PoseTracker tracker;
   tracker.acceptExternalPose(Pose2{Vec2{10.0, 0.0}, 0.0});
   tracker.acceptExternalPose(Pose2{Vec2{10.5, 0.0}, 0.0});
 
   const TrackerResult coasted = tracker.coast();
-  EXPECT_NEAR(coasted.confidence, cfg.confidenceDecay, 1e-12);
+  EXPECT_NEAR(coasted.confidence, kConfidenceDecay, 1e-12);
   const TrackerResult held = tracker.skipFrame();
   // One miss + one skip: two rungs down the same geometric ladder...
-  EXPECT_NEAR(held.confidence, cfg.confidenceDecay * cfg.confidenceDecay,
-              1e-12);
+  EXPECT_NEAR(held.confidence, kConfidenceDecay * kConfidenceDecay, 1e-12);
   // ...but only the miss counted against the miss budget.
   EXPECT_EQ(tracker.consecutiveMisses(), 1);
   EXPECT_EQ(tracker.consecutiveSkips(), 1);
@@ -833,8 +831,7 @@ TEST(PoseTrackerStream, RelaxedRetryRungEngagesOnDegradedPayload) {
   EXPECT_EQ(tracked[0].result.outcome, TrackerOutcome::Recovered);
   EXPECT_EQ(tracked[1].result.outcome, TrackerOutcome::Recovered);
   ASSERT_EQ(tracked[2].result.outcome, TrackerOutcome::RecoveredRelaxed);
-  EXPECT_EQ(tracked[2].result.confidence,
-            tracker.config().relaxedConfidence);
+  EXPECT_EQ(tracked[2].result.confidence, kRelaxedConfidence);
   EXPECT_TRUE(tracked[2].report.relaxedAttempted);
   EXPECT_FALSE(tracked[2].report.recovery.success);
   EXPECT_EQ(tracked[2].report.recovery.failure,
@@ -917,7 +914,7 @@ TEST(ValidationGate, CoherentBoxLieIsDemotedToAMiss) {
   EXPECT_TRUE(rep.recovery.success);
   // ...but its self-validation score collapsed (pinned: 0.37 vs the
   // honest 0.81, threshold 0.5) and the gate demoted it to a miss.
-  EXPECT_LT(rep.recovery.validation.score, tc.minValidationScore);
+  EXPECT_LT(rep.recovery.validation.score, kMinValidationScore);
   EXPECT_TRUE(rep.validationRejected);
   EXPECT_FALSE(r.poseValid);
   EXPECT_EQ(r.outcome, TrackerOutcome::Bootstrapping);
@@ -927,7 +924,7 @@ TEST(ValidationGate, CoherentBoxLieIsDemotedToAMiss) {
   const TrackerResult h = tracker.update(other, ego, rng, &rep);
   EXPECT_EQ(h.outcome, TrackerOutcome::Recovered);
   EXPECT_FALSE(rep.validationRejected);
-  EXPECT_GE(rep.recovery.validation.score, tc.minValidationScore);
+  EXPECT_GE(rep.recovery.validation.score, kMinValidationScore);
   EXPECT_GT(rep.recovery.validation.boxesCompared, 0);
 }
 
