@@ -33,41 +33,3 @@ target_compile_definitions(perf_micro PRIVATE
   BBA_BUILD_TYPE="$<LOWER_CASE:$<CONFIG>>")
 set_target_properties(perf_micro PROPERTIES
   RUNTIME_OUTPUT_DIRECTORY "${CMAKE_BINARY_DIR}/bench")
-
-# Fleet-scale service benchmark (google-benchmark, manual per-frame timing):
-# peers x recover-budget sweep emitting fps / p50 / p99 / coverage / shed.
-add_executable(fleet_scale ${BBA_BENCH_DIR}/fleet_scale.cpp)
-target_link_libraries(fleet_scale PRIVATE bba benchmark::benchmark)
-target_compile_definitions(fleet_scale PRIVATE
-  BBA_BUILD_TYPE="$<LOWER_CASE:$<CONFIG>>")
-set_target_properties(fleet_scale PROPERTIES
-  RUNTIME_OUTPUT_DIRECTORY "${CMAKE_BINARY_DIR}/bench")
-
-# Fleet-churn lifecycle benchmark (google-benchmark, manual per-frame
-# timing): rotating peers contending for a smaller session table, emitting
-# eviction / reaper / readmission tallies alongside fps / p50 / p99.
-add_executable(fleet_churn ${BBA_BENCH_DIR}/fleet_churn.cpp)
-target_link_libraries(fleet_churn PRIVATE bba benchmark::benchmark)
-target_compile_definitions(fleet_churn PRIVATE
-  BBA_BUILD_TYPE="$<LOWER_CASE:$<CONFIG>>")
-set_target_properties(fleet_churn PROPERTIES
-  RUNTIME_OUTPUT_DIRECTORY "${CMAKE_BINARY_DIR}/bench")
-
-# Keyframe map benchmark (google-benchmark, manual timing): index
-# build/query latency vs store size (4 -> 4096 keyframes) plus
-# relocalization latency / coverage on scenario-matrix worlds.
-add_executable(map_reloc ${BBA_BENCH_DIR}/map_reloc.cpp)
-target_link_libraries(map_reloc PRIVATE bba benchmark::benchmark)
-target_compile_definitions(map_reloc PRIVATE
-  BBA_BUILD_TYPE="$<LOWER_CASE:$<CONFIG>>")
-set_target_properties(map_reloc PROPERTIES
-  RUNTIME_OUTPUT_DIRECTORY "${CMAKE_BINARY_DIR}/bench")
-
-# `cmake --build <dir> --target run_perf` runs the suite and distills
-# BENCH_PR1.json at the repo root (serial vs. threaded ns/op per stage).
-add_custom_target(run_perf
-  COMMAND ${BBA_BENCH_DIR}/run_perf.sh ${CMAKE_BINARY_DIR}
-  DEPENDS perf_micro
-  WORKING_DIRECTORY ${CMAKE_SOURCE_DIR}
-  COMMENT "Running perf_micro and distilling BENCH_PR1.json"
-  USES_TERMINAL)

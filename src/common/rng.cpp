@@ -8,12 +8,4 @@ double Rng::angle() {
   return uniform(-std::numbers::pi, std::numbers::pi);
 }
 
-Rng Rng::fork() {
-  // Draw two words from the parent to seed the child; this advances the
-  // parent so successive forks are independent.
-  const std::uint64_t a = engine_();
-  const std::uint64_t b = engine_();
-  return Rng(a ^ (b << 1) ^ 0x9E3779B97F4A7C15ULL);
-}
-
 }  // namespace bba

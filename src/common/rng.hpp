@@ -40,10 +40,6 @@ class Rng {
   /// Uniform angle in [-pi, pi).
   double angle();
 
-  /// Derive an independent child generator (for parallel or per-frame
-  /// streams that must not perturb the parent sequence).
-  Rng fork();
-
   std::mt19937_64& engine() { return engine_; }
 
  private:

@@ -28,19 +28,4 @@ PairEvaluation evaluatePair(const BBAlign& aligner, const FramePair& pair,
   return ev;
 }
 
-std::vector<double> translationErrors(
-    const std::vector<PairEvaluation>& evals) {
-  std::vector<double> out;
-  out.reserve(evals.size());
-  for (const auto& e : evals) out.push_back(e.error.translation);
-  return out;
-}
-
-std::vector<double> rotationErrors(const std::vector<PairEvaluation>& evals) {
-  std::vector<double> out;
-  out.reserve(evals.size());
-  for (const auto& e : evals) out.push_back(e.error.rotationDeg);
-  return out;
-}
-
 }  // namespace bba

@@ -1,7 +1,5 @@
 #pragma once
 
-#include <vector>
-
 #include "baselines/vips.hpp"
 #include "core/bb_align.hpp"
 #include "dataset/frame_pair.hpp"
@@ -28,11 +26,5 @@ struct PairEvaluation {
                                           const FramePair& pair, Rng& rng,
                                           bool runVips = false,
                                           const VipsParams& vipsParams = {});
-
-/// Extract a field across evaluations (helper for CDFs/percentiles).
-[[nodiscard]] std::vector<double> translationErrors(
-    const std::vector<PairEvaluation>& evals);
-[[nodiscard]] std::vector<double> rotationErrors(
-    const std::vector<PairEvaluation>& evals);
 
 }  // namespace bba

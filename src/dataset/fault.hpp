@@ -113,7 +113,7 @@ struct FaultConfig {
 
   // ---- fleet-churn channel (PR 10) ------------------------------------
   // Per-peer join/leave/silence schedules for multi-peer drivers (the
-  // cooperation service's session-lifecycle layer, bench/fleet_churn).
+  // cooperation service's session-lifecycle layer, bench/e2e's churn).
   // Like every other channel: a pure function — here of (seed, frame,
   // peerId) — on its own decorrelated stream (channel 8), so enabling
   // churn never re-randomizes channels 1..7, and evaluating one peer's

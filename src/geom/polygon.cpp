@@ -57,12 +57,4 @@ Polygon clipConvex(const Polygon& subject, const Polygon& clip) {
   return output;
 }
 
-bool pointInConvex(const Polygon& poly, const Vec2& p) {
-  if (poly.size() < 3) return false;
-  for (std::size_t i = 0; i < poly.size(); ++i) {
-    if (side(poly[i], poly[(i + 1) % poly.size()], p) < 0.0) return false;
-  }
-  return true;
-}
-
 }  // namespace bba

@@ -17,7 +17,4 @@ using Polygon = std::vector<Vec2>;
 /// intersection polygon.
 [[nodiscard]] Polygon clipConvex(const Polygon& subject, const Polygon& clip);
 
-/// True if point p is inside (or on the boundary of) a CCW convex polygon.
-[[nodiscard]] bool pointInConvex(const Polygon& poly, const Vec2& p);
-
 }  // namespace bba

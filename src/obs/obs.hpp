@@ -13,7 +13,9 @@ namespace bba::obs {
 /// `BBA_TRACE_OUT` / `BBA_METRICS_OUT` name output paths, the constructor
 /// installs a TraceRecorder / MetricsRegistry, and the destructor writes
 /// the Chrome-trace / metrics JSON there and uninstalls. With neither
-/// variable set (or the layer compiled out) this is inert.
+/// variable set this is inert. With the layer compiled out
+/// (`-DBBA_OBSERVABILITY=OFF`) it still writes the files it is given, but
+/// they hold no spans and no metrics.
 ///
 ///   BBA_TRACE_OUT=trace.json BBA_METRICS_OUT=metrics.json
 ///     ./build/examples/example_cooperative_detection 3

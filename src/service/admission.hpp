@@ -54,7 +54,7 @@ struct PreGateConfig {
 /// constant kAssumedRecoverCostMs in service/admission.cpp), never a
 /// mid-frame wall clock: a wall clock would make the schedule depend on
 /// machine load and break the byte-identical-results contract. The
-/// benchmark (bench/fleet_scale.cpp) measures the realized latency the
+/// `fleet` workload of bench/e2e measures the realized frame latency the
 /// model stands in for.
 struct BudgetConfig {
   /// Hard cap on recover() attempts per frame (0 = unlimited).

@@ -48,8 +48,6 @@ class PeerHealthFsm {
   [[nodiscard]] int quarantines() const { return quarantines_; }
   /// Backoff length (frames) of the current/most recent quarantine.
   [[nodiscard]] int backoffFrames() const { return backoff_; }
-  /// Frames spent in the current quarantine so far.
-  [[nodiscard]] int framesInQuarantine() const { return inQuarantine_; }
   /// Whether the service should process this peer's traffic this frame
   /// (false exactly while quarantined).
   [[nodiscard]] bool shouldProcess() const {

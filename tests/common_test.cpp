@@ -21,14 +21,6 @@ TEST(Rng, DeterministicFromSeed) {
   }
 }
 
-TEST(Rng, ForkDecorrelatesAndAdvancesParent) {
-  Rng a(5);
-  Rng fork1 = a.fork();
-  Rng fork2 = a.fork();
-  // Independent forks produce different streams.
-  EXPECT_NE(fork1.uniform(0, 1), fork2.uniform(0, 1));
-}
-
 TEST(Rng, UniformRespectsRange) {
   Rng rng(9);
   for (int i = 0; i < 1000; ++i) {

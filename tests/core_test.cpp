@@ -150,15 +150,5 @@ TEST(Metrics, EvaluatePairPopulatesCovariates) {
   EXPECT_GE(ev.errorStage1.translation, 0.0);
 }
 
-TEST(Metrics, ErrorExtractors) {
-  std::vector<PairEvaluation> evals(2);
-  evals[0].error.translation = 1.0;
-  evals[0].error.rotationDeg = 2.0;
-  evals[1].error.translation = 3.0;
-  evals[1].error.rotationDeg = 4.0;
-  EXPECT_EQ(translationErrors(evals), (std::vector<double>{1.0, 3.0}));
-  EXPECT_EQ(rotationErrors(evals), (std::vector<double>{2.0, 4.0}));
-}
-
 }  // namespace
 }  // namespace bba

@@ -137,9 +137,6 @@ TEST(Polygon, AreaAndClip) {
   const Polygon far{{10, 10}, {11, 10}, {11, 11}, {10, 11}};
   EXPECT_TRUE(clipConvex(square, far).empty() ||
               polygonArea(clipConvex(square, far)) < 1e-12);
-
-  EXPECT_TRUE(pointInConvex(square, {1, 1}));
-  EXPECT_FALSE(pointInConvex(square, {3, 1}));
 }
 
 TEST(Obb, CornersAreCcwAndConsistent) {

@@ -1,7 +1,8 @@
 // Tests for the stage-level observability layer (src/obs): trace span
 // recording and cross-thread nesting under parallelFor, deterministic
-// metric aggregation, JSON export validity, and the contract that
-// observability never perturbs recovered poses.
+// metric aggregation, JSON export validity, the environment-driven file
+// sinks, and the contract that observability never perturbs recovered
+// poses.
 #include "obs/obs.hpp"
 
 #include <gtest/gtest.h>
@@ -9,6 +10,11 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdint>
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -346,6 +352,99 @@ TEST(Metrics, JsonIsSyntacticallyValidAndSorted) {
   EXPECT_NE(json.find("\"counters\""), std::string::npos);
   EXPECT_NE(json.find("\"histograms\""), std::string::npos);
 }
+
+// ---- environment-driven sinks ---------------------------------------------
+
+#if defined(BBA_OBSERVABILITY_ENABLED)
+/// Sets (or, with nullptr, unsets) one environment variable for a scope and
+/// restores its previous value afterwards.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    if (const char* old = std::getenv(name)) old_ = old;
+    if (value)
+      setenv(name, value, 1);
+    else
+      unsetenv(name);
+  }
+  ~ScopedEnv() {
+    if (old_)
+      setenv(name_, old_->c_str(), 1);
+    else
+      unsetenv(name_);
+  }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+ private:
+  const char* name_;
+  std::optional<std::string> old_;
+};
+
+std::string readFile(const std::string& path) {
+  std::ifstream in(path);
+  std::ostringstream os;
+  os << in.rdbuf();
+  return os.str();
+}
+
+TEST(EnvObservability, WritesTheSinksTheEnvironmentNames) {
+  const std::string tracePath = testing::TempDir() + "env_obs_trace.json";
+  const std::string metricsPath = testing::TempDir() + "env_obs_metrics.json";
+  std::filesystem::remove(tracePath);
+  std::filesystem::remove(metricsPath);
+  {
+    const ScopedEnv traceEnv("BBA_TRACE_OUT", tracePath.c_str());
+    const ScopedEnv metricsEnv("BBA_METRICS_OUT", metricsPath.c_str());
+    obs::EnvObservability env;
+    ASSERT_NE(env.trace(), nullptr);
+    ASSERT_NE(env.metrics(), nullptr);
+    EXPECT_EQ(obs::traceRecorder(), env.trace());
+    EXPECT_EQ(obs::metricsRegistry(), env.metrics());
+    BBA_SPAN("env-obs-span");
+    BBA_COUNTER_ADD("env_obs.counter", 3);
+  }
+  EXPECT_EQ(obs::traceRecorder(), nullptr);
+  EXPECT_EQ(obs::metricsRegistry(), nullptr);
+
+  const std::string trace = readFile(tracePath);
+  EXPECT_TRUE(JsonChecker(trace).valid()) << trace;
+  const std::size_t events = trace.find("\"traceEvents\":[");
+  ASSERT_NE(events, std::string::npos) << trace;
+  EXPECT_NE(trace.find("{\"name\":\"env-obs-span\"", events),
+            std::string::npos)
+      << trace;
+
+  const std::string metrics = readFile(metricsPath);
+  EXPECT_TRUE(JsonChecker(metrics).valid()) << metrics;
+  const std::string counters = metrics.substr(0, metrics.find("},\"gauges\""));
+  EXPECT_EQ(counters.rfind("{\"counters\":{", 0), 0u) << metrics;
+  EXPECT_NE(counters.find("\"env_obs.counter\":3"), std::string::npos)
+      << metrics;
+}
+
+TEST(EnvObservability, IsInertWithBothVariablesUnset) {
+  const std::string tracePath = testing::TempDir() + "env_obs_trace.json";
+  const std::string metricsPath = testing::TempDir() + "env_obs_metrics.json";
+  std::filesystem::remove(tracePath);
+  std::filesystem::remove(metricsPath);
+  {
+    const ScopedEnv traceEnv("BBA_TRACE_OUT", nullptr);
+    const ScopedEnv metricsEnv("BBA_METRICS_OUT", nullptr);
+    obs::EnvObservability env;
+    EXPECT_EQ(env.trace(), nullptr);
+    EXPECT_EQ(env.metrics(), nullptr);
+    EXPECT_EQ(obs::traceRecorder(), nullptr);
+    EXPECT_EQ(obs::metricsRegistry(), nullptr);
+    BBA_SPAN("env-obs-span");
+    BBA_COUNTER_ADD("env_obs.counter", 3);
+  }
+  EXPECT_EQ(obs::traceRecorder(), nullptr);
+  EXPECT_EQ(obs::metricsRegistry(), nullptr);
+  EXPECT_FALSE(std::filesystem::exists(tracePath));
+  EXPECT_FALSE(std::filesystem::exists(metricsPath));
+}
+#endif  // BBA_OBSERVABILITY_ENABLED
 
 // ---- report ---------------------------------------------------------------
 
