@@ -1,12 +1,12 @@
 // Design-choice ablations called out in DESIGN.md (beyond the paper's own
 // Fig. 14 ablation):
-//   (a) height-map vs density-map BV rasterization (§IV-A's argument);
-//   (b) descriptor rotation handling: global fixed-angle vs per-keypoint
+//   (a) descriptor rotation handling: global fixed-angle vs per-keypoint
 //       (BVFT-style) vs none (the SIFT/ORB-like failure mode of §V-A);
-//   (c) keypoint surface: occupied-pixel block maxima vs Log-Gabor
+//   (b) keypoint surface: occupied-pixel block maxima vs Log-Gabor
 //       amplitude maxima vs FAST-9 corners on the raw BV image;
-//   (d) stage-2 estimation mode: translation-only vs rigid vs auto;
-//   (e) classical 2-D ICP from identity instead of BB-Align stage 1.
+//   (c) stage-2 estimation mode: translation-only vs rigid vs auto, and
+//       stage 1 alone with no polish;
+//   (d) classical 2-D ICP from identity instead of BB-Align stage 1.
 #include <iostream>
 
 #include "baselines/icp.hpp"
@@ -101,7 +101,7 @@ int main() {
     results.push_back(runVariant("stage 1 only, no polish", cfg, pairs));
   }
 
-  // (e) classical ICP from identity (no prior pose, like BB-Align).
+  // (d) classical ICP from identity (no prior pose, like BB-Align).
   {
     VariantResult icp;
     icp.name = "2-D ICP from identity (baseline)";

@@ -41,9 +41,9 @@ int main() {
   // Quantization sweep: position resolution (m), yaw resolution (rad),
   // BV intensity depth. "default" is WireConfig{}.
   std::vector<Profile> profiles = {
-      {"coarse", {0.1, 0.01, 15, true, 0}},
+      {"coarse", {0.1, 0.01, 15, true}},
       {"default", {}},
-      {"fine", {0.001, 0.0001, 255, true, 0}},
+      {"fine", {0.001, 0.0001, 255, true}},
   };
 
   // Per-frame byte accounting, meaned over the pool's "other" vehicles.

@@ -4,8 +4,9 @@
 //
 // Every stage benchmark takes a `threads` argument: /1 is the serial
 // baseline (ThreadLimit(1), fully inline execution), /N exercises the
-// work-sharing pool of common/parallel.hpp. bench/run_perf.sh distills the
-// JSON output of this binary into BENCH_PR<k>.json at the repo root.
+// work-sharing pool of common/parallel.hpp. Run the binary directly with
+// --benchmark_format=json --benchmark_out=raw.json; tools/check_bench.py
+// raw.json checks the pinned stages against bench/baseline.json.
 //
 // Setting BBA_TRACE_OUT / BBA_METRICS_OUT additionally writes a Chrome
 // trace / metrics-registry JSON covering the whole run (see src/obs).
@@ -27,8 +28,8 @@
 // Build type of the *bba library* under test, injected by bench/
 // targets.cmake from the CMake configuration. The system libbenchmark
 // package hardcodes its own "library_build_type" (its build, not ours)
-// into the JSON context, so we publish the truth under a separate key and
-// tools/distill_bench.py prefers it.
+// into the JSON context, so we publish the truth under a separate key, and
+// tools/check_bench.py fails any run whose bba_build_type is not release.
 #ifndef BBA_BUILD_TYPE
 #define BBA_BUILD_TYPE ""
 #endif

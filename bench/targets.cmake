@@ -1,6 +1,8 @@
-# Benchmark targets, included from the top-level CMakeLists so that
-# ${CMAKE_BINARY_DIR}/bench contains ONLY runnable bench binaries
-# (the canonical runner is `for b in build/bench/*; do $b; done`).
+# Benchmark targets, included from the top-level CMakeLists. They build
+# every runnable bench binary, and nothing else, into
+# ${CMAKE_BINARY_DIR}/bench. CMake never deletes the outputs of removed
+# targets, so run `for b in build/bench/*; do $b; done` from a fresh build
+# directory: an older tree may still hold retired benches.
 
 set(BBA_BENCH_DIR "${CMAKE_SOURCE_DIR}/bench")
 

@@ -1,7 +1,6 @@
 #include "bev/bev_image.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/assert.hpp"
 #include "obs/trace.hpp"
@@ -33,28 +32,6 @@ ImageF makeHeightBV(const PointCloud& cloud, const BevParams& params) {
     img(u, v) = std::max(img(u, v), static_cast<float>(z));
   }
   return img;
-}
-
-ImageF makeDensityBV(const PointCloud& cloud, const BevParams& params) {
-  BBA_SPAN("bev");
-  BBA_ASSERT(params.range > 0.0 && params.cellSize > 0.0);
-  const int h = params.imageSize();
-  ImageF counts(h, h, 0.0f);
-  for (const auto& lp : cloud.points) {
-    int u = 0, v = 0;
-    if (!toCell(params, lp.p, u, v)) continue;
-    counts(u, v) += 1.0f;
-  }
-  // log(1 + n) compression, normalized by the 99th-percentile-ish max.
-  float maxLog = 0.0f;
-  for (float& c : counts.data()) {
-    c = std::log1p(c);
-    maxLog = std::max(maxLog, c);
-  }
-  if (maxLog > 0.0f) {
-    for (float& c : counts.data()) c /= maxLog;
-  }
-  return counts;
 }
 
 ImageF boxBlur3(const ImageF& img) {

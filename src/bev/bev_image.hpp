@@ -44,12 +44,6 @@ struct BevParams {
 [[nodiscard]] ImageF makeHeightBV(const PointCloud& cloud,
                                   const BevParams& params);
 
-/// Density-map BV image (per-cell point count, log-compressed, normalized).
-/// Implemented for the design-choice ablation (§IV-A argues height beats
-/// density for pose recovery).
-[[nodiscard]] ImageF makeDensityBV(const PointCloud& cloud,
-                                   const BevParams& params);
-
 /// 3x3 box blur; stabilizes keypoint detection on sparse BV images.
 [[nodiscard]] ImageF boxBlur3(const ImageF& img);
 

@@ -16,6 +16,9 @@ Rng sensingRng(std::uint64_t seed, int frameIndex, std::uint64_t role) {
              (role * 0xC2B2AE3D27D4EB4FULL));
 }
 
+/// Weather of a peer without a profile: inactive, so a strict no-op.
+constexpr WeatherConfig kClearWeather{};
+
 }  // namespace
 
 const LidarConfig& SequenceGenerator::peerLidar(int peerIdx) const {
@@ -27,7 +30,7 @@ const LidarConfig& SequenceGenerator::peerLidar(int peerIdx) const {
 const WeatherConfig& SequenceGenerator::peerWeather(int peerIdx) const {
   const auto idx = static_cast<std::size_t>(peerIdx);
   return idx < cfg_.peerProfiles.size() ? cfg_.peerProfiles[idx].weather
-                                        : cfg_.otherWeather;
+                                        : kClearWeather;
 }
 
 SequenceGenerator::SequenceGenerator(SequenceConfig config)
@@ -58,7 +61,6 @@ StreamFrame SequenceGenerator::frame(int k) const {
     Rng rng = sensingRng(cfg_.seed, k, 0);
     f.egoCloud = scanVehicle(world_, world_.egoVehicleId, cfg_.egoLidar,
                              f.time, rng, scanOpt);
-    applyWeather(f.egoCloud, k, cfg_.egoWeather);
   }
   {
     Rng rng = sensingRng(cfg_.seed, k, 1);

@@ -34,22 +34,16 @@ struct SequenceConfig {
   DetectorProfile detector = DetectorProfile::coBEVT();
   bool motionDistortion = true;
 
-  /// Weather over each role's sweeps (lidar/conditions.hpp). The defaults
-  /// are inactive — a strict no-op, so existing streams stay
-  /// byte-identical. `otherWeather` also covers peers without a per-peer
-  /// profile below. Applied to the captured cloud after the scan and
-  /// before any FaultConfig cloud fault; realizations are keyed by the
+  /// Mixed-resolution fleets: entry p (when present) sets the sensor and
+  /// the weather (lidar/conditions.hpp) of peer index p — beam-count
+  /// presets per car, paper Figs. 11–12. Entry 0 also governs the classic
+  /// remote side of frame(), so peerObservation(k, 0) remains
+  /// byte-identical to an unfaulted frame(k) payload. Peers beyond the
+  /// vector use otherLidar in clear weather; the ego side is always clear.
+  /// Weather is applied to the captured cloud after the scan and before
+  /// any FaultConfig cloud fault, and its realization is keyed by the
   /// SOURCE frame index, so a stale payload stays byte-identical to the
   /// payload its source frame would have transmitted.
-  WeatherConfig egoWeather;
-  WeatherConfig otherWeather;
-
-  /// Mixed-resolution fleets: entry p (when present) replaces the sensor
-  /// AND weather of peer index p — beam-count presets per car, paper
-  /// Figs. 11–12. Entry 0 also governs the classic remote side of
-  /// frame(), so peerObservation(k, 0) remains byte-identical to an
-  /// unfaulted frame(k) payload. Peers beyond the vector use
-  /// otherLidar/otherWeather.
   std::vector<LidarProfile> peerProfiles;
 
   /// Faults applied to the remote side of every frame (default: none).
@@ -144,8 +138,8 @@ class SequenceGenerator {
 
   // ---- per-role condition profiles --------------------------------------
   /// Sensor / weather in effect for peer `peerIdx`: the per-peer profile
-  /// when configured, otherLidar/otherWeather otherwise. Peer 0 is also
-  /// the classic remote side of frame().
+  /// when configured, otherLidar in clear weather otherwise. Peer 0 is
+  /// also the classic remote side of frame().
   [[nodiscard]] const LidarConfig& peerLidar(int peerIdx) const;
   [[nodiscard]] const WeatherConfig& peerWeather(int peerIdx) const;
 

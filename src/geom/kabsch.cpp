@@ -36,15 +36,4 @@ Pose2 estimateRigid2D(std::span<const Vec2> src, std::span<const Vec2> dst) {
   return Pose2{t, theta};
 }
 
-double rigidRms(const Pose2& T, std::span<const Vec2> src,
-                std::span<const Vec2> dst) {
-  BBA_ASSERT(src.size() == dst.size());
-  if (src.empty()) return 0.0;
-  double s = 0.0;
-  for (std::size_t i = 0; i < src.size(); ++i) {
-    s += (dst[i] - T.apply(src[i])).squaredNorm();
-  }
-  return std::sqrt(s / static_cast<double>(src.size()));
-}
-
 }  // namespace bba

@@ -16,8 +16,4 @@ namespace bba {
 [[nodiscard]] Pose2 estimateRigid2D(std::span<const Vec2> src,
                                     std::span<const Vec2> dst);
 
-/// Root-mean-square residual of dst[i] - T(src[i]).
-[[nodiscard]] double rigidRms(const Pose2& T, std::span<const Vec2> src,
-                              std::span<const Vec2> dst);
-
 }  // namespace bba

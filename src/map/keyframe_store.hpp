@@ -82,9 +82,10 @@ struct QueryMatch {
 /// a pure function of the call sequence. Ties (same tick) break toward
 /// the lowest id.
 ///
-/// Threading: externally synchronized. Producers (PoseTracker /
-/// CooperationService) call from their serial merge phase; the store
-/// itself spawns the only parallelism it needs.
+/// Threading: externally synchronized. The one producer in the library,
+/// CooperationService::recordEgoKeyframe, calls from serial code, and a
+/// relocalizing PoseTracker only reads; the store itself spawns the only
+/// parallelism it needs.
 ///
 /// Metrics: map.inserts, map.dedup_skips, map.evictions, map.queries,
 /// map.hits, map.size (gauge), map.candidates (histogram of in-radius

@@ -15,24 +15,18 @@ struct Match {
 };
 
 struct MatchParams {
-  /// Lowe ratio test: accept only if best/secondBest < ratio. 1.0 disables.
-  /// Left disabled by default: in repetitive road scenes the ratio test
-  /// starves RANSAC, whose overlap verification is the better filter.
-  float ratio = 1.0f;
   /// Keep the k nearest destination descriptors per source keypoint. The
   /// true counterpart frequently ranks 2nd or 3rd among self-similar
   /// structure; downstream geometric verification discards the rest.
   int topK = 2;
-  /// Require the match to be mutual (src's best dst also picks src back).
-  /// Only applied when topK == 1.
-  bool mutualCheck = false;
-  /// Also try each source descriptor's 180-degree-flipped variant and use
-  /// the smaller distance (resolves the MIM's pi rotation ambiguity).
-  bool useFlipped = true;
 };
 
 /// Brute-force descriptor matching by Euclidean distance (Algorithm 1
-/// line 9).
+/// line 9). Each source descriptor is also tried 180 degrees flipped and
+/// the smaller distance counts, which resolves the MIM's pi rotation
+/// ambiguity. Per source row, matches come out by ascending distance, ties
+/// in destination order; so a row's topK = k matches are the first k of
+/// its topK = k + 1 matches.
 [[nodiscard]] std::vector<Match> matchDescriptors(const DescriptorSet& src,
                                                   const DescriptorSet& dst,
                                                   const MatchParams& params = {});

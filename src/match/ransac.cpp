@@ -38,6 +38,12 @@ struct Gate {
   }
 };
 
+/// One unrefined RANSAC hypothesis.
+struct RansacCandidate {
+  Pose2 transform;
+  int inlierCount = 0;
+};
+
 int countInliers(const Pose2& T, std::span<const Vec2> src,
                  std::span<const Vec2> dst, double threshold,
                  const Gate& gate, std::vector<int>* indices) {
@@ -115,6 +121,8 @@ bool sampleHypothesis(std::uint64_t base, std::int64_t it,
   return true;
 }
 
+/// Iteratively recount inliers and least-squares refit, starting from
+/// `initial`: the final polish of the winning hypothesis.
 RansacResult refineWithGate(const Pose2& initial, std::span<const Vec2> src,
                             std::span<const Vec2> dst,
                             const RansacParams& prm, const Gate& gate) {
@@ -297,17 +305,6 @@ VerifiedRansacResult ransacRigid2DVerified(
   if (best.verifierScore < 0.0) return best;
   best.ransac = refineWithGate(best.ransac.transform, src, dst, prm, gate);
   return best;
-}
-
-RansacResult refineRigid2D(const Pose2& initial, std::span<const Vec2> src,
-                           std::span<const Vec2> dst,
-                           const RansacParams& prm,
-                           std::span<const double> srcOrientations,
-                           std::span<const double> dstOrientations) {
-  BBA_ASSERT(src.size() == dst.size());
-  const Gate gate{srcOrientations, dstOrientations,
-                  prm.orientationToleranceRad};
-  return refineWithGate(initial, src, dst, prm, gate);
 }
 
 RansacResult ransacRigid2D(std::span<const Vec2> src,

@@ -46,12 +46,6 @@ struct RansacResult {
   bool ok = false;
 };
 
-/// One unrefined RANSAC hypothesis.
-struct RansacCandidate {
-  Pose2 transform;
-  int inlierCount = 0;
-};
-
 /// Robustly estimate the rigid 2-D transform mapping src[i] -> dst[i]
 /// (Algorithm 1 lines 11 & 14). Minimal sample: 2 correspondences. The
 /// winning hypothesis — the first in iteration order with the most
@@ -94,14 +88,6 @@ struct VerifiedRansacResult {
 [[nodiscard]] VerifiedRansacResult ransacRigid2DVerified(
     std::span<const Vec2> src, std::span<const Vec2> dst,
     const RansacParams& params, Rng& rng, const PoseVerifier& verifier,
-    std::span<const double> srcOrientations = {},
-    std::span<const double> dstOrientations = {});
-
-/// Iteratively recount inliers and least-squares refit, starting from
-/// `initial`. The final polish applied to the winning hypothesis.
-[[nodiscard]] RansacResult refineRigid2D(
-    const Pose2& initial, std::span<const Vec2> src,
-    std::span<const Vec2> dst, const RansacParams& params,
     std::span<const double> srcOrientations = {},
     std::span<const double> dstOrientations = {});
 

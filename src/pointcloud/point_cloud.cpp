@@ -1,6 +1,5 @@
 #include "pointcloud/point_cloud.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 namespace bba {
@@ -42,20 +41,6 @@ PointCloud merged(const PointCloud& a, const PointCloud& b) {
   out.points.insert(out.points.end(), a.points.begin(), a.points.end());
   out.points.insert(out.points.end(), b.points.begin(), b.points.end());
   return out;
-}
-
-Extents2 groundExtents(const PointCloud& cloud) {
-  Extents2 e;
-  if (cloud.empty()) return e;
-  e.lo = {cloud.points.front().p.x, cloud.points.front().p.y};
-  e.hi = e.lo;
-  for (const auto& lp : cloud.points) {
-    e.lo.x = std::min(e.lo.x, lp.p.x);
-    e.lo.y = std::min(e.lo.y, lp.p.y);
-    e.hi.x = std::max(e.hi.x, lp.p.x);
-    e.hi.y = std::max(e.hi.y, lp.p.y);
-  }
-  return e;
 }
 
 }  // namespace bba

@@ -46,11 +46,4 @@ struct PointCloud {
 /// Merge two clouds (concatenation) — the "early fusion" primitive.
 [[nodiscard]] PointCloud merged(const PointCloud& a, const PointCloud& b);
 
-/// Axis-aligned bounding extents of a cloud on the ground plane.
-struct Extents2 {
-  Vec2 lo{};
-  Vec2 hi{};
-};
-[[nodiscard]] Extents2 groundExtents(const PointCloud& cloud);
-
 }  // namespace bba

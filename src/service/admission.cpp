@@ -8,14 +8,6 @@
 
 namespace bba::service {
 
-namespace {
-
-/// Deterministic cost model: assumed cost of one admitted session (decode +
-/// recover) used to convert a frame deadline into recover slots.
-constexpr double kAssumedRecoverCostMs = 200.0;
-
-}  // namespace
-
 double bvFootprintOverlap(const Pose2& claimedOtherToEgo, double bvRangeM) {
   BBA_ASSERT(bvRangeM > 0.0);
   // Both footprints are the BV raster's ground coverage: a square of side
@@ -40,15 +32,11 @@ bool preGateAdmits(const Pose2& claimedOtherToEgo, double bvRangeM,
 }
 
 int effectiveRecoverBudget(const BudgetConfig& cfg) {
-  int budget = cfg.maxRecoversPerFrame > 0 ? cfg.maxRecoversPerFrame : 0;
-  if (cfg.frameDeadlineMs > 0.0) {
-    // At least one slot: a deadline below one recover's assumed cost still
-    // has to make progress, or the whole fleet would starve.
-    const int deadlineSlots = std::max(
-        1, static_cast<int>(cfg.frameDeadlineMs / kAssumedRecoverCostMs));
-    budget = budget > 0 ? std::min(budget, deadlineSlots) : deadlineSlots;
-  }
-  return budget;
+  if (cfg.frameDeadlineMs <= 0.0) return 0;
+  // At least one slot: a deadline below one recover's assumed cost still
+  // has to make progress, or the whole fleet would starve.
+  return std::max(
+      1, static_cast<int>(cfg.frameDeadlineMs / kAssumedRecoverCostMs));
 }
 
 std::vector<std::size_t> grantRecoverSlots(

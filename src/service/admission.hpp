@@ -45,27 +45,27 @@ struct PreGateConfig {
 [[nodiscard]] bool preGateAdmits(const Pose2& claimedOtherToEgo,
                                  double bvRangeM, const PreGateConfig& cfg);
 
+/// Deterministic cost model: assumed cost of one admitted session (decode +
+/// recover), which converts a frame deadline into recover slots.
+inline constexpr double kAssumedRecoverCostMs = 200.0;
+
 /// Per-frame work budget (fleet-scale admission stage 2): how many full
 /// recover() attempts one processFrame() may spend. Sessions beyond the
 /// budget are shed — they coast on the tracker ladder this frame and move
 /// to the front of the line next frame (see grantRecoverSlots).
 ///
-/// The frame deadline is honored through a static cost model (the
-/// constant kAssumedRecoverCostMs in service/admission.cpp), never a
-/// mid-frame wall clock: a wall clock would make the schedule depend on
-/// machine load and break the byte-identical-results contract. The
-/// `fleet` workload of bench/e2e measures the realized frame latency the
-/// model stands in for.
+/// The frame deadline is honored through the static cost model
+/// kAssumedRecoverCostMs, never a mid-frame wall clock: a wall clock would
+/// make the schedule depend on machine load and break the
+/// byte-identical-results contract. The `fleet` workload of bench/e2e
+/// measures the realized frame latency the model stands in for.
 struct BudgetConfig {
-  /// Hard cap on recover() attempts per frame (0 = unlimited).
-  int maxRecoversPerFrame = 0;
   /// Frame deadline in milliseconds (0 = unlimited), converted to a slot
-  /// count via kAssumedRecoverCostMs. When both caps are set the stricter
-  /// one wins.
+  /// count via kAssumedRecoverCostMs.
   double frameDeadlineMs = 0.0;
 };
 
-/// Effective recover slots per frame: min of the two caps, 0 = unlimited.
+/// Recover slots per frame the deadline allows, 0 = unlimited.
 [[nodiscard]] int effectiveRecoverBudget(const BudgetConfig& cfg);
 
 /// One admitted session competing for a recover slot this frame.

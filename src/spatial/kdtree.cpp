@@ -8,11 +8,9 @@
 namespace bba {
 
 namespace {
-template <std::size_t Dim>
-double sqDist(const std::array<double, Dim>& a,
-              const std::array<double, Dim>& b) {
+double sqDist(const KdTree2::Point& a, const KdTree2::Point& b) {
   double s = 0.0;
-  for (std::size_t d = 0; d < Dim; ++d) {
+  for (std::size_t d = 0; d < a.size(); ++d) {
     const double diff = a[d] - b[d];
     s += diff * diff;
   }
@@ -20,8 +18,7 @@ double sqDist(const std::array<double, Dim>& a,
 }
 }  // namespace
 
-template <std::size_t Dim>
-KdTree<Dim>::KdTree(std::vector<Point> points) : points_(std::move(points)) {
+KdTree2::KdTree2(std::vector<Point> points) : points_(std::move(points)) {
   if (points_.empty()) return;
   std::vector<std::size_t> idx(points_.size());
   std::iota(idx.begin(), idx.end(), std::size_t{0});
@@ -29,11 +26,10 @@ KdTree<Dim>::KdTree(std::vector<Point> points) : points_(std::move(points)) {
   root_ = build(idx, 0, points_.size(), 0);
 }
 
-template <std::size_t Dim>
-int KdTree<Dim>::build(std::vector<std::size_t>& idx, std::size_t lo,
-                       std::size_t hi, int depth) {
+int KdTree2::build(std::vector<std::size_t>& idx, std::size_t lo,
+                   std::size_t hi, int depth) {
   if (lo >= hi) return -1;
-  const int dim = depth % static_cast<int>(Dim);
+  const int dim = depth % 2;
   const std::size_t mid = (lo + hi) / 2;
   std::nth_element(idx.begin() + static_cast<std::ptrdiff_t>(lo),
                    idx.begin() + static_cast<std::ptrdiff_t>(mid),
@@ -51,21 +47,18 @@ int KdTree<Dim>::build(std::vector<std::size_t>& idx, std::size_t lo,
   return nodeId;
 }
 
-template <std::size_t Dim>
-typename KdTree<Dim>::Neighbor KdTree<Dim>::nearest(const Point& query) const {
-  if (empty()) throw ComputationError("KdTree::nearest on empty tree");
+KdTree2::Neighbor KdTree2::nearest(const Point& query) const {
+  if (empty()) throw ComputationError("KdTree2::nearest on empty tree");
   Neighbor best;
   nearestRec(root_, query, best);
   return best;
 }
 
-template <std::size_t Dim>
-void KdTree<Dim>::nearestRec(int node, const Point& query,
-                             Neighbor& best) const {
+void KdTree2::nearestRec(int node, const Point& query, Neighbor& best) const {
   if (node < 0) return;
   const Node& n = nodes_[static_cast<std::size_t>(node)];
   const Point& p = points_[n.pointIndex];
-  const double d2 = sqDist<Dim>(p, query);
+  const double d2 = sqDist(p, query);
   if (d2 < best.squaredDistance) {
     best.squaredDistance = d2;
     best.index = n.pointIndex;
@@ -77,32 +70,5 @@ void KdTree<Dim>::nearestRec(int node, const Point& query,
   nearestRec(near, query, best);
   if (delta * delta < best.squaredDistance) nearestRec(far, query, best);
 }
-
-template <std::size_t Dim>
-std::vector<std::size_t> KdTree<Dim>::radiusSearch(const Point& query,
-                                                   double radius) const {
-  BBA_ASSERT(radius >= 0.0);
-  std::vector<std::size_t> out;
-  radiusRec(root_, query, radius * radius, out);
-  return out;
-}
-
-template <std::size_t Dim>
-void KdTree<Dim>::radiusRec(int node, const Point& query, double r2,
-                            std::vector<std::size_t>& out) const {
-  if (node < 0) return;
-  const Node& n = nodes_[static_cast<std::size_t>(node)];
-  const Point& p = points_[n.pointIndex];
-  if (sqDist<Dim>(p, query) <= r2) out.push_back(n.pointIndex);
-  const double delta = query[static_cast<std::size_t>(n.splitDim)] -
-                       p[static_cast<std::size_t>(n.splitDim)];
-  const int near = delta < 0.0 ? n.left : n.right;
-  const int far = delta < 0.0 ? n.right : n.left;
-  radiusRec(near, query, r2, out);
-  if (delta * delta <= r2) radiusRec(far, query, r2, out);
-}
-
-template class KdTree<2>;
-template class KdTree<3>;
 
 }  // namespace bba

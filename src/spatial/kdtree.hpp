@@ -7,17 +7,16 @@
 
 namespace bba {
 
-/// Static k-d tree over a fixed set of points (Dim = 2 or 3). Built once,
-/// then answers nearest-neighbour and radius queries. Used by the ICP
-/// baseline and the clustering detector.
-template <std::size_t Dim>
-class KdTree {
+/// Static 2-D k-d tree over a fixed set of points. Built once, then
+/// answers nearest-neighbour queries. Used by the ICP baseline and by
+/// BB-Align's BV ICP polish.
+class KdTree2 {
  public:
-  using Point = std::array<double, Dim>;
+  using Point = std::array<double, 2>;
 
-  KdTree() = default;
+  KdTree2() = default;
   /// Build from a point set (copied). O(n log n).
-  explicit KdTree(std::vector<Point> points);
+  explicit KdTree2(std::vector<Point> points);
 
   [[nodiscard]] std::size_t size() const { return points_.size(); }
   [[nodiscard]] bool empty() const { return points_.empty(); }
@@ -28,13 +27,10 @@ class KdTree {
     double squaredDistance = std::numeric_limits<double>::infinity();
   };
 
-  /// Index and squared distance of the nearest stored point. Throws
+  /// Index and squared distance of the nearest stored point; of equally
+  /// near points, the first one the traversal visits. Throws
   /// ComputationError on an empty tree.
   [[nodiscard]] Neighbor nearest(const Point& query) const;
-
-  /// Indices of all stored points within `radius` of the query.
-  [[nodiscard]] std::vector<std::size_t> radiusSearch(const Point& query,
-                                                      double radius) const;
 
  private:
   struct Node {
@@ -47,15 +43,10 @@ class KdTree {
   int build(std::vector<std::size_t>& idx, std::size_t lo, std::size_t hi,
             int depth);
   void nearestRec(int node, const Point& query, Neighbor& best) const;
-  void radiusRec(int node, const Point& query, double r2,
-                 std::vector<std::size_t>& out) const;
 
   std::vector<Point> points_;
   std::vector<Node> nodes_;
   int root_ = -1;
 };
-
-using KdTree2 = KdTree<2>;
-using KdTree3 = KdTree<3>;
 
 }  // namespace bba

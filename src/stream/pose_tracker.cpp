@@ -283,18 +283,6 @@ bool PoseTracker::mapRelocalizationReady() const {
   return mapStore_ != nullptr && egoPosePrior_.has_value();
 }
 
-void PoseTracker::offerKeyframe(const CarPerceptionData& ego,
-                                const ImageFeatures& egoFeatures) {
-  if (mapStore_ == nullptr || !egoPosePrior_ ||
-      egoFeatures.descriptors.empty()) {
-    return;
-  }
-  // The store dedups by spatial gap, so offering every accepted frame is
-  // cheap in steady state: a dedup skip copies nothing, and the payload is
-  // copied only into a keyframe the store actually keeps.
-  (void)mapStore_->insert(*egoPosePrior_, egoFeatures.descriptors, ego);
-}
-
 /// Rung 4: query the attached keyframe map around the ego pose prior and
 /// run full recover() against the best-scoring candidates. Acceptance is
 /// gated by the gt-free validation score — with no motion prediction to
@@ -451,7 +439,6 @@ TrackerResult PoseTracker::update(const CarPerceptionData& other,
     rep.rebootstrapped = lostSinceAccept_;
     accept(rep.frameIndex, r.estimate);
     lostSinceAccept_ = false;
-    offerKeyframe(ego, *egoFeatures);
     TrackerResult out;
     out.poseValid = true;
     out.pose = r.estimate;

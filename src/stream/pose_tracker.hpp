@@ -240,19 +240,20 @@ class PoseTracker {
 
   /// Attach a keyframe map (nullptr detaches). NOT owned; must outlive
   /// the tracker's use of it, and must only be shared between trackers
-  /// that run serially (the store is externally synchronized). With a map
-  /// attached AND an ego pose prior set, the tracker (a) offers an ego
-  /// keyframe to the store on every accepted measurement, and (b) gains
-  /// the Relocalized rung below track-lost.
+  /// that run serially (the store is externally synchronized). The
+  /// tracker only reads the map: with a map attached AND an ego pose prior
+  /// set, it gains the Relocalized rung below track-lost. Keyframes come
+  /// from the map's owner (CooperationService::recordEgoKeyframe, or a
+  /// direct KeyframeStore::insert).
   void attachMapStore(map::KeyframeStore* store) { mapStore_ = store; }
 
   /// Feed the ego vehicle's own global pose estimate (odometry / dead
-  /// reckoning in the map frame) — the spatial prior for keyframe inserts
-  /// and map queries. Call once per frame BEFORE update()/coastWithEgo()
-  /// when a map is attached; a successful relocalization refreshes it to
-  /// the recovered map-frame pose. Deliberately a plain setter: the
-  /// tracker models no ego-motion of its own (its history is
-  /// peer-relative), the platform's odometry does.
+  /// reckoning in the map frame) — the spatial prior for map queries.
+  /// Call once per frame BEFORE update()/coastWithEgo() when a map is
+  /// attached; a successful relocalization refreshes it to the recovered
+  /// map-frame pose. Deliberately a plain setter: the tracker models no
+  /// ego-motion of its own (its history is peer-relative), the platform's
+  /// odometry does.
   void setEgoPosePrior(const Pose2& pose) { egoPosePrior_ = pose; }
   [[nodiscard]] const std::optional<Pose2>& egoPosePrior() const {
     return egoPosePrior_;
@@ -292,10 +293,6 @@ class PoseTracker {
   bool tryRelocalize(const CarPerceptionData& ego,
                      const ImageFeatures& egoFeatures, Rng& rng,
                      TrackerReport& rep, TrackerResult& out);
-  /// Offer the current ego frame to the attached map as a keyframe
-  /// (no-op without a map, an ego pose prior, or usable features).
-  void offerKeyframe(const CarPerceptionData& ego,
-                     const ImageFeatures& egoFeatures);
 
   PoseTrackerConfig cfg_;
   BBAlign primary_;

@@ -54,12 +54,11 @@ const char* rejectCounterName(DecodeError e) {
 }
 #endif
 
-/// Encode with the first `boxCount` boxes. The budget logic re-runs this
-/// with smaller counts; stats reflect the final call.
-std::vector<std::uint8_t> encodeWithBoxCount(const CooperativeMessage& msg,
-                                             const WireConfig& cfg,
-                                             int boxCount, bool truncated,
-                                             EncodeStats* stats) {
+}  // namespace
+
+std::vector<std::uint8_t> encode(const CooperativeMessage& msg,
+                                 const WireConfig& cfg, EncodeStats* stats) {
+  BBA_ASSERT(cfg.positionResolution > 0.0 && cfg.yawResolution > 0.0);
   // Normalize the resolutions through their on-wire micro-unit form so the
   // encoder quantizes with exactly the resolution the decoder will
   // reconstruct (1e4 µm * 1e-6 is not the same double as 0.01).
@@ -70,8 +69,6 @@ std::vector<std::uint8_t> encodeWithBoxCount(const CooperativeMessage& msg,
   const int levels = std::clamp(cfg.bvIntensityLevels, 1, 255);
 
   EncodeStats st;
-  st.boxesEncoded = boxCount;
-  st.boxesDropped = static_cast<int>(msg.boxes.size()) - boxCount;
   auto trackPos = [&st, &pos](double v) {
     st.maxPositionError = std::max(st.maxPositionError, pos.error(v));
     return pos.quantize(v);
@@ -82,8 +79,7 @@ std::vector<std::uint8_t> encodeWithBoxCount(const CooperativeMessage& msg,
   };
 
   std::vector<std::uint8_t> out;
-  out.reserve(64 + msg.bvImage.size() / 8 +
-              static_cast<std::size_t>(boxCount) * 12);
+  out.reserve(64 + msg.bvImage.size() / 8 + msg.boxes.size() * 12);
   FrameBuilder frame(out, kMagic, kVersion);
   ByteWriter w(frame.buffer());
 
@@ -94,7 +90,7 @@ std::vector<std::uint8_t> encodeWithBoxCount(const CooperativeMessage& msg,
   const bool hasImage = cfg.includeBvImage && !msg.bvImage.empty();
   std::uint8_t flags = 0;
   if (msg.hasPosePrior) flags |= kFlagPosePrior;
-  if (truncated || msg.truncated) flags |= kFlagTruncated;
+  if (msg.truncated) flags |= kFlagTruncated;
   if (hasImage) flags |= kFlagBvImage;
   w.u8(flags);
 
@@ -133,9 +129,8 @@ std::vector<std::uint8_t> encodeWithBoxCount(const CooperativeMessage& msg,
     }
   }
 
-  w.varint(static_cast<std::uint64_t>(boxCount));
-  for (int b = 0; b < boxCount; ++b) {
-    const OrientedBox2& box = msg.boxes[static_cast<std::size_t>(b)];
+  w.varint(static_cast<std::uint64_t>(msg.boxes.size()));
+  for (const OrientedBox2& box : msg.boxes) {
     w.svarint(trackPos(box.center.x));
     w.svarint(trackPos(box.center.y));
     // Half extents are strictly positive: quantize, then clamp to one LSB
@@ -149,41 +144,9 @@ std::vector<std::uint8_t> encodeWithBoxCount(const CooperativeMessage& msg,
 
   frame.finish();
   st.bytes = out.size();
-  if (stats) *stats = st;
-  return out;
-}
-
-}  // namespace
-
-std::vector<std::uint8_t> encode(const CooperativeMessage& msg,
-                                 const WireConfig& cfg, EncodeStats* stats) {
-  BBA_ASSERT(cfg.positionResolution > 0.0 && cfg.yawResolution > 0.0);
-  const int total = static_cast<int>(msg.boxes.size());
-  EncodeStats st;
-  std::vector<std::uint8_t> out =
-      encodeWithBoxCount(msg, cfg, total, false, &st);
-  if (cfg.maxMessageBytes > 0 && out.size() > cfg.maxMessageBytes &&
-      total > 0) {
-    // Largest prefix of boxes that fits the budget (encoded size is
-    // monotonic in the box count, so binary search works). Callers order
-    // boxes by importance before encoding if they care which survive.
-    int lo = 0, hi = total - 1;  // highest count known over budget: total
-    while (lo < hi) {
-      const int mid = lo + (hi - lo + 1) / 2;
-      const std::vector<std::uint8_t> probe =
-          encodeWithBoxCount(msg, cfg, mid, true, nullptr);
-      if (probe.size() <= cfg.maxMessageBytes) {
-        lo = mid;
-      } else {
-        hi = mid - 1;
-      }
-    }
-    out = encodeWithBoxCount(msg, cfg, lo, true, &st);
-  }
   BBA_COUNTER_ADD("wire.messages_encoded", 1);
   BBA_COUNTER_ADD("wire.bytes_encoded",
                   static_cast<std::int64_t>(out.size()));
-  BBA_COUNTER_ADD("wire.boxes_truncated", st.boxesDropped);
   BBA_HISTOGRAM_OBSERVE("wire.message_bytes",
                         static_cast<double>(out.size()));
   BBA_HISTOGRAM_OBSERVE("wire.quant_error_position", st.maxPositionError);

@@ -29,10 +29,6 @@ struct WireConfig {
   /// message is the boxes-only extreme of the paper's bandwidth argument —
   /// but stage 1 of BB-Align cannot run on the receiving side.
   bool includeBvImage = true;
-  /// Soft byte budget (0 = unlimited): the encoder drops trailing boxes
-  /// until the frame fits, and sets CooperativeMessage::truncated. The BV
-  /// image is never truncated — a partial height map is worse than none.
-  std::size_t maxMessageBytes = 0;
 };
 
 /// The over-the-air V2V payload (Algorithm 1 lines 1–3 of the paper): what
@@ -54,7 +50,9 @@ struct CooperativeMessage {
   bool hasPosePrior = false;
   Pose2 posePrior;
 
-  /// Set by the encoder when the byte budget forced it to drop boxes.
+  /// The sender's mark that `boxes` is not its full detection list (for
+  /// example, cut to fit a link budget). The encoder transmits it as given
+  /// and never sets it itself; the decoder reads it back.
   bool truncated = false;
 
   /// BV height image (empty when the encoder skipped it).
@@ -66,18 +64,14 @@ struct CooperativeMessage {
 /// Encoder-side accounting of one encode() call.
 struct EncodeStats {
   std::size_t bytes = 0;
-  int boxesEncoded = 0;
-  /// Boxes dropped to satisfy WireConfig::maxMessageBytes.
-  int boxesDropped = 0;
   /// Realized worst-case quantization error across every encoded metric
   /// field (meters) / angle field (radians); bounded by resolution / 2.
   double maxPositionError = 0.0;
   double maxYawErrorRad = 0.0;
 };
 
-/// Encode one message. Infallible: any message encodes (the budget drops
-/// boxes, never fails the call). Emits wire.* metrics when a registry is
-/// installed.
+/// Encode one message, every box included, in one pass. Infallible: any
+/// message encodes. Emits wire.* metrics when a registry is installed.
 [[nodiscard]] std::vector<std::uint8_t> encode(const CooperativeMessage& msg,
                                                const WireConfig& cfg,
                                                EncodeStats* stats = nullptr);

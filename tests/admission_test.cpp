@@ -85,16 +85,13 @@ TEST(PreGate, IsPureBitwiseRepeatable) {
 
 // ---- RecoverSlots: budget arithmetic + deterministic rotation -------------
 
-TEST(RecoverSlots, EffectiveBudgetCombinesCapAndDeadline) {
+TEST(RecoverSlots, EffectiveBudgetConvertsDeadlineToSlots) {
   EXPECT_EQ(effectiveRecoverBudget(BudgetConfig{}), 0);  // unlimited
-  EXPECT_EQ(effectiveRecoverBudget(BudgetConfig{4, 0.0}), 4);
   // Deadline -> slots through the static cost model (200 ms a recover).
-  EXPECT_EQ(effectiveRecoverBudget(BudgetConfig{0, 450.0}), 2);
+  EXPECT_EQ(effectiveRecoverBudget(BudgetConfig{.frameDeadlineMs = 450.0}),
+            2);
   // A deadline below one recover still grants one slot (no fleet freeze).
-  EXPECT_EQ(effectiveRecoverBudget(BudgetConfig{0, 50.0}), 1);
-  // Both set: the stricter cap wins.
-  EXPECT_EQ(effectiveRecoverBudget(BudgetConfig{3, 1000.0}), 3);
-  EXPECT_EQ(effectiveRecoverBudget(BudgetConfig{9, 400.0}), 2);
+  EXPECT_EQ(effectiveRecoverBudget(BudgetConfig{.frameDeadlineMs = 50.0}), 1);
 }
 
 TEST(RecoverSlots, StalenessFirstThenPeerId) {
@@ -193,7 +190,7 @@ TEST(PreGate, HeldShedAndReplayedInputsReportTheirClaim) {
   // it whether the gate held it, the budget shed it, or the replay guard
   // coasted it after its slot was granted.
   ServiceConfig cfg;
-  cfg.budget.maxRecoversPerFrame = 1;
+  cfg.budget = {.frameDeadlineMs = 1 * kAssumedRecoverCostMs};
   CooperationService svc(cfg);
   const CarPerceptionData ego;
   const Pose2 near{Vec2{20.0, 5.0}, 0.1};
@@ -244,7 +241,7 @@ FleetRun runTinyFleet(int threads, int peers, int budget, int frames,
   ThreadLimit limit(threads);
   ServiceConfig cfg;
   if (!pregate) cfg.pregate = openGate();
-  cfg.budget.maxRecoversPerFrame = budget;
+  cfg.budget = {.frameDeadlineMs = budget * kAssumedRecoverCostMs};
   CooperationService svc(cfg);
   const CarPerceptionData ego;
   const Pose2 near{Vec2{15.0, -3.0}, 0.05};

@@ -1,5 +1,5 @@
-// bev module: Eq. 4 height-map rasterization, density map, coordinate
-// round trips.
+// bev module: Eq. 4 height-map rasterization, coordinate round trips and
+// the 3x3 box blur.
 #include <gtest/gtest.h>
 
 #include "bev/bev_image.hpp"
@@ -55,19 +55,6 @@ TEST(HeightBv, GroundPointsNearZeroIntensity) {
   float mx = 0;
   for (float v : img.data()) mx = std::max(mx, v);
   EXPECT_LT(mx, 0.01f);  // effectively filtered out, as §IV-A argues
-}
-
-TEST(DensityBv, NormalizedLogCounts) {
-  BevParams p;
-  p.range = 8.0;
-  p.cellSize = 1.0;
-  PointCloud c;
-  for (int i = 0; i < 9; ++i) c.push({0.5, 0.5, 1.0});
-  c.push({-3.5, 2.5, 1.0});
-  const ImageF img = makeDensityBV(c, p);
-  EXPECT_FLOAT_EQ(img(8, 8), 1.0f);  // densest cell normalizes to 1
-  EXPECT_GT(img(4, 10), 0.0f);
-  EXPECT_LT(img(4, 10), 1.0f);
 }
 
 TEST(BoxBlur3, AveragesAndPreservesMass) {

@@ -346,7 +346,7 @@ TEST(SessionLifecycle, CountersMirrorTheReport) {
   ServiceConfig cfg;
   cfg.maxSessions = 4;
   cfg.lifecycle.maxSilentFrames = 2;
-  cfg.budget.maxRecoversPerFrame = 3;
+  cfg.budget = {.frameDeadlineMs = 3 * kAssumedRecoverCostMs};
   CooperationService svc(cfg);
   const CarPerceptionData ego;
   const Pose2 far{Vec2{400.0, 0.0}, 0.0};

@@ -480,47 +480,6 @@ TEST(MapReloc, TrackLostTrackerRelocalizesFromMapWithNoPeer) {
   EXPECT_DOUBLE_EQ(tracker.egoPosePrior()->t.x, t.pose.t.x);
 }
 
-TEST(MapReloc, UpdateFeedsAcceptedFramesIntoAttachedMap) {
-  // The producer side: a tracker with a map attached offers an ego
-  // keyframe on every accepted measurement, stamped with the fed ego pose
-  // prior, and the store's spatial dedup keeps the density bounded.
-  SequenceConfig sc;
-  sc.seed = 4242;
-  sc.frames = 4;
-  sc.scenario = scenarioPreset(WorldPreset::Suburban);
-  const SequenceGenerator gen(sc);
-
-  map::KeyframeStore store;
-  PoseTracker tracker;
-  tracker.attachMapStore(&store);
-  Rng rng(11);
-  int accepted = 0;
-  for (int k = 0; k < sc.frames; ++k) {
-    tracker.setEgoPosePrior(egoGtPose(gen, k));
-    const TrackerResult t = tracker.processFrame(gen.frame(k), rng);
-    if (t.outcome == TrackerOutcome::Recovered ||
-        t.outcome == TrackerOutcome::RecoveredRelaxed) {
-      ++accepted;
-    }
-  }
-  ASSERT_GT(accepted, 0);
-  EXPECT_GE(store.size(), 1u);
-  EXPECT_LE(store.size(), static_cast<std::size_t>(accepted));
-  // Keyframe poses are the fed odometry poses (map frame), so they must
-  // sit on the ego trajectory.
-  bool anyOnTrajectory = false;
-  for (int k = 0; k < sc.frames; ++k) {
-    const Pose2 gt = egoGtPose(gen, k);
-    for (std::uint64_t id = 1; id <= 8; ++id) {
-      const map::Keyframe* kf = store.keyframe(id);
-      if (kf != nullptr && (kf->globalPose.t - gt.t).norm() < 1e-9) {
-        anyOnTrajectory = true;
-      }
-    }
-  }
-  EXPECT_TRUE(anyOnTrajectory);
-}
-
 TEST(MapReloc, TunnelNoFalseLockPinHoldsWithMapAttached) {
   // The other half of the acceptance criterion: the pinned tunnel +
   // sector-dropout cell (scenario_test pins it map-less) must accept ZERO

@@ -1,4 +1,4 @@
-// pointcloud module: transforms, merging, extents, deskewing.
+// pointcloud module: transforms, merging, deskewing.
 #include <gtest/gtest.h>
 
 #include "pointcloud/point_cloud.hpp"
@@ -26,17 +26,6 @@ TEST(PointCloud, MergeConcatenates) {
   b.push({3, 3, 3});
   const PointCloud m = merged(a, b);
   EXPECT_EQ(m.size(), 3u);
-}
-
-TEST(PointCloud, GroundExtents) {
-  PointCloud c;
-  c.push({-3, 7, 0});
-  c.push({5, -2, 0});
-  const Extents2 e = groundExtents(c);
-  EXPECT_DOUBLE_EQ(e.lo.x, -3);
-  EXPECT_DOUBLE_EQ(e.lo.y, -2);
-  EXPECT_DOUBLE_EQ(e.hi.x, 5);
-  EXPECT_DOUBLE_EQ(e.hi.y, 7);
 }
 
 TEST(Deskew, StraightMotionExactCorrection) {

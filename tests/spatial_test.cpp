@@ -1,4 +1,4 @@
-// spatial module: k-d tree vs brute force, radius search, voxel filter.
+// spatial module: k-d tree nearest neighbour vs brute force, voxel filter.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -46,56 +46,8 @@ TEST_P(KdTreeSizes, NearestMatchesBruteForce2D) {
   }
 }
 
-TEST_P(KdTreeSizes, RadiusMatchesBruteForce2D) {
-  const int n = GetParam();
-  Rng rng(static_cast<std::uint64_t>(n) + 77);
-  std::vector<KdTree2::Point> pts;
-  for (int i = 0; i < n; ++i)
-    pts.push_back({rng.uniform(-50, 50), rng.uniform(-50, 50)});
-  const KdTree2 tree(pts);
-
-  for (int q = 0; q < 20; ++q) {
-    const KdTree2::Point query{rng.uniform(-50, 50), rng.uniform(-50, 50)};
-    const double r = rng.uniform(1.0, 20.0);
-    auto found = tree.radiusSearch(query, r);
-    std::sort(found.begin(), found.end());
-    std::vector<std::size_t> expected;
-    for (std::size_t i = 0; i < pts.size(); ++i) {
-      const double d = (pts[i][0] - query[0]) * (pts[i][0] - query[0]) +
-                       (pts[i][1] - query[1]) * (pts[i][1] - query[1]);
-      if (d <= r * r) expected.push_back(i);
-    }
-    ASSERT_EQ(found, expected);
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(Sizes, KdTreeSizes,
                          ::testing::Values(1, 2, 7, 64, 333, 2000));
-
-TEST(KdTree, NearestMatchesBruteForce3D) {
-  Rng rng(4);
-  std::vector<KdTree3::Point> pts;
-  for (int i = 0; i < 500; ++i)
-    pts.push_back({rng.uniform(-10, 10), rng.uniform(-10, 10),
-                   rng.uniform(-10, 10)});
-  const KdTree3 tree(pts);
-  for (int q = 0; q < 30; ++q) {
-    const KdTree3::Point query{rng.uniform(-10, 10), rng.uniform(-10, 10),
-                               rng.uniform(-10, 10)};
-    const auto nn = tree.nearest(query);
-    double best = 1e18;
-    for (const auto& p : pts) {
-      double d = 0;
-      for (int k = 0; k < 3; ++k)
-        d += (p[static_cast<std::size_t>(k)] -
-              query[static_cast<std::size_t>(k)]) *
-             (p[static_cast<std::size_t>(k)] -
-              query[static_cast<std::size_t>(k)]);
-      best = std::min(best, d);
-    }
-    ASSERT_NEAR(nn.squaredDistance, best, 1e-9);
-  }
-}
 
 TEST(Voxel, DownsamplesToCellCentroids) {
   PointCloud cloud;
