@@ -91,28 +91,23 @@ std::vector<ImageF> LogGaborBank::orientationAmplitudes(
                  "image dimensions must match the bank");
 
   ComplexImage spectrum = ComplexImage::fromReal(img);
-  fft2d(spectrum, /*inverse=*/false);  // itself row-parallel
+  fft2d(spectrum, /*inverse=*/false);  // itself strip-parallel
 
   const int ns = params_.numScales;
   const int no = params_.numOrientations;
   std::vector<ImageF> amp(static_cast<std::size_t>(no), ImageF(w_, h_, 0.0f));
 
-  // One task per orientation: each owns its amp[o] accumulator and its own
-  // ComplexImage scratch, and walks the scales in index order, so no two
-  // tasks share a write range and the per-pixel accumulation order is
-  // fixed regardless of thread count. The inverse FFTs inside run inline
-  // (nested parallel regions are serial by contract).
+  // One task per orientation: each owns its amp[o] accumulator and sums
+  // its scales' moduli in index order, so no two tasks share a write range
+  // and the per-pixel accumulation order is fixed regardless of thread
+  // count. The inverse transforms inside run on the task's thread.
   parallelFor(0, no, 1, [&](std::int64_t o0, std::int64_t o1) {
-    ComplexImage response(w_, h_);
+    std::vector<const ImageF*> scales(static_cast<std::size_t>(ns));
     for (std::int64_t o = o0; o < o1; ++o) {
-      ImageF& acc = amp[static_cast<std::size_t>(o)];
-      for (int s = 0; s < ns; ++s) {
-        multiplySpectrumInto(spectrum, filter(s, static_cast<int>(o)),
-                             response);
-        fft2d(response, /*inverse=*/true);
-        absAccumulate(response.data().data(), acc.data().data(),
-                      acc.data().size());
-      }
+      for (int s = 0; s < ns; ++s)
+        scales[static_cast<std::size_t>(s)] = &filter(s, static_cast<int>(o));
+      accumulateFilteredModuli(spectrum, scales,
+                               amp[static_cast<std::size_t>(o)]);
     }
   });
   return amp;

@@ -4,7 +4,9 @@
 // bits, not within a tolerance.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "common/parallel.hpp"
@@ -41,8 +43,8 @@ std::vector<SimdLevel> dispatchableLevels() {
   return levels;
 }
 
-template <typename T>
-bool bitsEqual(const std::vector<T>& a, const std::vector<T>& b) {
+template <typename T, typename A>
+bool bitsEqual(const std::vector<T, A>& a, const std::vector<T, A>& b) {
   return a.size() == b.size() &&
          (a.empty() ||
           std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
@@ -82,50 +84,77 @@ TEST(SimdDispatch, EnvironmentAndOverrideClampToHardware) {
 
 TEST(SimdIdentity, Fft1dBitIdenticalAcrossLevels) {
   SimdLevelGuard guard;
-  Rng rng(4242);
-  std::vector<Complexf> input(256);
-  for (Complexf& c : input)
-    c = Complexf(static_cast<float>(rng.uniform(-1.0, 1.0)),
-                 static_cast<float>(rng.uniform(-1.0, 1.0)));
+  // A 256-point line as one row (the row pass) and as one column (the
+  // column pass).
+  for (const bool asRow : {true, false}) {
+    Rng rng(4242);
+    ComplexImage input(asRow ? 256 : 1, asRow ? 1 : 256);
+    for (Complexf& c : input.data())
+      c = Complexf(static_cast<float>(rng.uniform(-1.0, 1.0)),
+                   static_cast<float>(rng.uniform(-1.0, 1.0)));
 
-  setSimdLevel(SimdLevel::Scalar);
-  std::vector<Complexf> reference = input;
-  fft1d(reference, false);
-
-  for (SimdLevel level : dispatchableLevels()) {
-    setSimdLevel(level);
-    std::vector<Complexf> probe = input;
-    fft1d(probe, false);
-    EXPECT_TRUE(bitsEqual(probe, reference)) << toString(level);
-    // And the inverse returns bit-stable data too.
-    fft1d(probe, true);
-    std::vector<Complexf> roundTrip = probe;
     setSimdLevel(SimdLevel::Scalar);
-    std::vector<Complexf> scalarInv = reference;
-    fft1d(scalarInv, true);
-    EXPECT_TRUE(bitsEqual(roundTrip, scalarInv)) << toString(level);
+    ComplexImage reference = input;
+    fft2d(reference, false);
+
+    for (SimdLevel level : dispatchableLevels()) {
+      setSimdLevel(level);
+      ComplexImage probe = input;
+      fft2d(probe, false);
+      EXPECT_TRUE(bitsEqual(probe.data(), reference.data()))
+          << toString(level) << (asRow ? " row" : " column");
+      // And the inverse returns bit-stable data too.
+      fft2d(probe, true);
+      setSimdLevel(SimdLevel::Scalar);
+      ComplexImage scalarInv = reference;
+      fft2d(scalarInv, true);
+      EXPECT_TRUE(bitsEqual(probe.data(), scalarInv.data()))
+          << toString(level) << (asRow ? " row" : " column");
+    }
   }
 }
 
-TEST(SimdIdentity, AbsAccumulateBitIdenticalAcrossLevels) {
+TEST(SimdIdentity, FilteredModuliBitIdenticalAcrossLevels) {
   SimdLevelGuard guard;
-  Rng rng(4242);
-  std::vector<Complexf> src(1037);  // odd length: exercises every tail
-  for (Complexf& c : src)
-    c = Complexf(static_cast<float>(rng.uniform(-10.0, 10.0)),
-                 static_cast<float>(rng.uniform(-10.0, 10.0)));
-  std::vector<float> init(src.size());
-  for (float& v : init) v = static_cast<float>(rng.uniform(0.0, 5.0));
+  // Whole 8-lane strips, and part strips where an image side is below 8.
+  const std::pair<int, int> sizes[] = {
+      {4, 4}, {2, 8}, {8, 2}, {16, 16}, {256, 8}};
+  for (const auto& [w, h] : sizes) {
+    Rng rng(static_cast<std::uint64_t>(4242 + w * 1000 + h));
+    ComplexImage spectrum(w, h);
+    for (Complexf& c : spectrum.data())
+      c = Complexf(static_cast<float>(rng.uniform(-10.0, 10.0)),
+                   static_cast<float>(rng.uniform(-10.0, 10.0)));
+    std::vector<ImageF> filters(2, ImageF(w, h));
+    for (ImageF& f : filters)
+      for (float& v : f.data()) v = static_cast<float>(rng.uniform(0.0, 1.0));
+    ImageF init(w, h);
+    for (float& v : init.data()) v = static_cast<float>(rng.uniform(0.0, 5.0));
 
-  setSimdLevel(SimdLevel::Scalar);
-  std::vector<float> reference = init;
-  absAccumulate(src.data(), reference.data(), src.size());
+    // The unfused steps at the scalar level: multiply into a complex
+    // image, inverse fft2d, accumulate sqrt(re*re + im*im).
+    setSimdLevel(SimdLevel::Scalar);
+    ImageF reference = init;
+    for (const ImageF& f : filters) {
+      ComplexImage response(w, h);
+      for (std::size_t i = 0; i < response.data().size(); ++i)
+        response.data()[i] = spectrum.data()[i] * f.data()[i];
+      fft2d(response, true);
+      for (std::size_t i = 0; i < response.data().size(); ++i) {
+        const float re = response.data()[i].real();
+        const float im = response.data()[i].imag();
+        reference.data()[i] += std::sqrt(re * re + im * im);
+      }
+    }
 
-  for (SimdLevel level : dispatchableLevels()) {
-    setSimdLevel(level);
-    std::vector<float> probe = init;
-    absAccumulate(src.data(), probe.data(), src.size());
-    EXPECT_TRUE(bitsEqual(probe, reference)) << toString(level);
+    const std::vector<const ImageF*> bank{&filters[0], &filters[1]};
+    for (SimdLevel level : dispatchableLevels()) {
+      setSimdLevel(level);
+      ImageF probe = init;
+      accumulateFilteredModuli(spectrum, bank, probe);
+      EXPECT_TRUE(bitsEqual(probe.data(), reference.data()))
+          << toString(level) << " " << w << "x" << h;
+    }
   }
 }
 
