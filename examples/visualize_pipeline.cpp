@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
     const MimResult mim = aligner.computeImageMim(d.bvImage);
     writePgm(d.bvImage, outDir + "/" + tag + "_bv.pgm", 1.0f);
     writePgm(mim.totalAmplitude, outDir + "/" + tag + "_amplitude.pgm");
-    writeIndexPgm(mim.mim, aligner.config().logGabor.numOrientations,
+    writeIndexPgm(mim.mim, mim.numOrientations,
                   outDir + "/" + tag + "_mim.pgm");
   };
   dump(ego, "ego");

@@ -29,7 +29,7 @@ BBAlign::BBAlign(BBAlignConfig config) : cfg_(std::move(config)) {
   const int h = cfg_.bev.imageSize();
   BBA_ASSERT_MSG(isPowerOfTwo(h),
                  "BevParams must give a power-of-two image size");
-  bank_ = sharedLogGaborBank(h, h, cfg_.logGabor);
+  bank_ = sharedLogGaborBank(h, h);
 }
 
 CarPerceptionData BBAlign::makeCarData(const PointCloud& cloud,
@@ -52,11 +52,11 @@ std::vector<Keypoint> detectKeypoints(const BBAlignConfig& cfg,
   std::vector<Keypoint> keypoints = [&] {
     switch (cfg.keypointSurface) {
       case BBAlignConfig::KeypointSurface::BvDense:
-        return detectBlockMaxima(bvImage, cfg.blockMax);
+        return detectBlockMaxima(bvImage);
       case BBAlignConfig::KeypointSurface::Amplitude:
-        return detectLocalMaxima(mim.totalAmplitude, cfg.localMax);
+        return detectLocalMaxima(mim.totalAmplitude);
       case BBAlignConfig::KeypointSurface::BvFast:
-        return detectFast(bvImage, cfg.fast);
+        return detectFast(bvImage);
     }
     throw ComputationError("unknown keypoint surface");
   }();
@@ -132,19 +132,23 @@ std::shared_ptr<const ImageFeatures> BBAlign::computeEgoFeatures(
 
 namespace {
 
+/// A BV pixel above this intensity counts as occupied structure (the
+/// overlap verifier's and the ICP polish's point sets).
+constexpr float kOccupiedIntensity = 0.02f;
+
 /// Occupancy-overlap verifier for stage-1 hypotheses: projects the other
 /// car's occupied BV pixels through a candidate transform and measures the
 /// fraction landing on (3x3-dilated) occupied ego pixels.
 class OverlapScorer {
  public:
   OverlapScorer(const ImageF& egoBv, const ImageF& otherBv,
-                const BevParams& bev, float intensityThreshold)
+                const BevParams& bev)
       : bev_(bev), occ_(egoBv.width(), egoBv.height(), 0) {
     const int w = egoBv.width();
     const int h = egoBv.height();
     for (int y = 0; y < h; ++y) {
       for (int x = 0; x < w; ++x) {
-        if (egoBv(x, y) <= intensityThreshold) continue;
+        if (egoBv(x, y) <= kOccupiedIntensity) continue;
         for (int dy = -1; dy <= 1; ++dy) {
           for (int dx = -1; dx <= 1; ++dx) {
             if (occ_.inBounds(x + dx, y + dy)) occ_(x + dx, y + dy) = 1;
@@ -156,13 +160,13 @@ class OverlapScorer {
     // (subsampled for bounded cost).
     std::size_t count = 0;
     for (float v : otherBv.data()) {
-      if (v > intensityThreshold) ++count;
+      if (v > kOccupiedIntensity) ++count;
     }
     const std::size_t stride = std::max<std::size_t>(1, count / 1200);
     std::size_t seen = 0;
     for (int y = 0; y < otherBv.height(); ++y) {
       for (int x = 0; x < otherBv.width(); ++x) {
-        if (otherBv(x, y) <= intensityThreshold) continue;
+        if (otherBv(x, y) <= kOccupiedIntensity) continue;
         if (seen++ % stride != 0) continue;
         otherPts_.push_back(bev.toMeters(
             Vec2{static_cast<double>(x), static_cast<double>(y)}));
@@ -204,13 +208,12 @@ class OverlapScorer {
 /// starting from the stage-1 transform. The keypoint matches constrain the
 /// pose with a few dozen points; this polish uses every occupied pixel.
 Pose2 icpPolishBv(const std::vector<Vec2>& srcPts, const ImageF& egoBv,
-                  const BevParams& bev, float intensityThreshold,
-                  const Pose2& init) {
+                  const BevParams& bev, const Pose2& init) {
   std::vector<Vec2> dstPts;
   std::vector<KdTree2::Point> arr;
   for (int y = 0; y < egoBv.height(); ++y) {
     for (int x = 0; x < egoBv.width(); ++x) {
-      if (egoBv(x, y) <= intensityThreshold) continue;
+      if (egoBv(x, y) <= kOccupiedIntensity) continue;
       const Vec2 m = bev.toMeters(
           Vec2{static_cast<double>(x), static_cast<double>(y)});
       dstPts.push_back(m);
@@ -266,6 +269,9 @@ void pairBoxes(const std::vector<OrientedBox2>& otherBoxes,
   }
 }
 
+/// Stage2Mode::Auto fits a rigid model from this many paired boxes on.
+constexpr int kAutoRigidMinPairs = 4;
+
 /// Stage 2 (§IV-B): pair up overlapping boxes and align their corners.
 struct BoxAlignment {
   RansacResult ransac;
@@ -307,7 +313,7 @@ BoxAlignment alignBoxes(const std::vector<OrientedBox2>& otherBoxes,
         rigid = true;
         break;
       case BBAlignConfig::Stage2Mode::Auto:
-        rigid = out.pairs >= cfg.autoRigidMinPairs;
+        rigid = out.pairs >= kAutoRigidMinPairs;
         break;
     }
     BBA_SPAN("ransac-box");
@@ -522,8 +528,7 @@ PoseRecoveryResult BBAlign::recover(const CarPerceptionData& other,
     if (yawCands.empty()) yawCands.push_back(0.0);
   }
 
-  const OverlapScorer scorer(ego.bvImage, other.bvImage, cfg_.bev,
-                             cfg_.overlapIntensityThreshold);
+  const OverlapScorer scorer(ego.bvImage, other.bvImage, cfg_.bev);
   VerifiedRansacResult bestVerified;
   int bestMatches = 0;
   int bestDescOther = 0;
@@ -601,8 +606,7 @@ PoseRecoveryResult BBAlign::recover(const CarPerceptionData& other,
   if (cfg_.bvIcpPolish && result.stage1Ok) {
     BBA_SPAN("icp-polish");
     const Pose2 polished =
-        icpPolishBv(scorer.otherPoints(), ego.bvImage, cfg_.bev,
-                    cfg_.overlapIntensityThreshold, bv.transform);
+        icpPolishBv(scorer.otherPoints(), ego.bvImage, cfg_.bev, bv.transform);
     const double polishedScore = scorer.score(polished);
     if (polishedScore >= result.overlapScore - 0.02) {
       bv.transform = polished;

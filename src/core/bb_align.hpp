@@ -18,22 +18,12 @@
 
 namespace bba {
 
-/// Configuration of the full two-stage framework (paper defaults: N_s = 4,
-/// N_o = 12, J = 96, l = 6; success thresholds Inliers_bv > 25 and
-/// Inliers_box > 6 from §V-A).
+/// Configuration of the full two-stage framework. The Log-Gabor bank is
+/// fixed at the paper's N_s = 4 scales and N_o = 12 orientations
+/// (signal/log_gabor.hpp); the success criterion keeps §V-A's form (see
+/// successInliersBv).
 struct BBAlignConfig {
   BevParams bev;
-  LogGaborParams logGabor;
-  /// Keypoints anchored to occupied BV pixels (block-wise brightest):
-  /// repeatable across viewpoints/sensors because they sit on physical
-  /// structure. The default detector.
-  BlockMaxParams blockMax;
-  /// Keypoints on the amplitude surface: local maxima of the Log-Gabor
-  /// energy (KeypointSurface::Amplitude ablation).
-  LocalMaxParams localMax;
-  /// Keypoints on the raw BV image (KeypointSurface::BvImage ablation):
-  /// FAST corners.
-  FastParams fast;
   DescriptorParams descriptor;
   MatchParams matching;
   /// Stage-1 RANSAC. The inlier threshold must absorb BV discretization
@@ -60,11 +50,10 @@ struct BBAlignConfig {
   ///    box alignment predominantly corrects translation);
   ///  - Rigid: full rotation + translation (lets the yaw noise of a few
   ///    box corners perturb an already-good stage-1 rotation);
-  ///  - Auto: rigid when >= autoRigidMinPairs boxes support it (yaw noise
-  ///    averages out), translation-only otherwise.
+  ///  - Auto: rigid when at least 4 boxes support it (yaw noise averages
+  ///    out), translation-only otherwise.
   enum class Stage2Mode { TranslationOnly, Rigid, Auto };
   Stage2Mode stage2Mode = Stage2Mode::Auto;
-  int autoRigidMinPairs = 4;
 
   /// Polish the stage-1 transform with a short 2-D ICP over the two BV
   /// images' occupied pixels: the matched keypoints constrain the pose
@@ -90,10 +79,8 @@ struct BBAlignConfig {
   /// 180-degree flips); every hypothesis that reaches ransacBv.minInliers
   /// is therefore scored by projecting the other car's occupied BV pixels
   /// into the ego BV image — the true pose overlays structure on
-  /// structure, the impostors land on empty road. A BV pixel above this
-  /// intensity counts as occupied structure.
-  float overlapIntensityThreshold = 0.02f;
-  /// Hypotheses whose overlap score falls below this fail verification.
+  /// structure, the impostors land on empty road. Hypotheses whose overlap
+  /// score falls below this fail verification.
   double minOverlapScore = 0.2;
 
   /// Stage-2 toggle (disabled for the Fig. 14 ablation).
@@ -110,11 +97,14 @@ struct BBAlignConfig {
   /// ...and inliers_box > this (the paper's value).
   int successInliersBox = 6;
 
-  /// Keypoint detection strategy. `BvDense` (block maxima on the height
-  /// map) is the robust default for sparse BV images; `Amplitude` takes
-  /// local maxima of the summed Log-Gabor energy; `BvFast` runs FAST-9 on
-  /// the raw height map (the corner test mostly stays silent on straight
-  /// building edges — kept as an ablation).
+  /// Keypoint detection strategy, each detector at its default parameters
+  /// (features/fast.hpp). `BvDense` (block maxima on the height map:
+  /// keypoints anchored to occupied pixels, repeatable across viewpoints
+  /// and sensors because they sit on physical structure) is the robust
+  /// default for sparse BV images; `Amplitude` takes local maxima of the
+  /// summed Log-Gabor energy; `BvFast` runs FAST-9 on the raw height map
+  /// (the corner test mostly stays silent on straight building edges —
+  /// kept as an ablation).
   enum class KeypointSurface { BvDense, Amplitude, BvFast };
   KeypointSurface keypointSurface = KeypointSurface::BvDense;
 };

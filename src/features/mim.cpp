@@ -136,7 +136,7 @@ MimResult computeMim(const ImageF& bvImage, const LogGaborBank& bank) {
                      bvImage.height() == bank.height(),
                  "BV image dimensions must match the Log-Gabor bank");
   const std::vector<ImageF> amps = bank.orientationAmplitudes(bvImage);
-  const int no = bank.params().numOrientations;
+  const int no = LogGaborBank::kNumOrientations;
   const int w = bvImage.width();
   const int h = bvImage.height();
 

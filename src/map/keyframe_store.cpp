@@ -5,29 +5,19 @@
 #include <utility>
 
 #include "common/assert.hpp"
-#include "common/parallel.hpp"
 #include "obs/metrics.hpp"
 
 namespace bba::map {
 
 namespace {
 
-/// Candidate-scoring grain: one signature distance is ~a hundred flops,
-/// so chunks batch enough of them to amortize the dispatch.
-constexpr std::int64_t kScoreGrain = 8;
-
 /// Distance slot for candidates without a comparable signature (empty or
 /// dimension-mismatched): sorts past every real score and is filtered out.
 constexpr float kIncomparable = FLT_MAX;
 
-/// Tile edge of the spatial index (see TileGrid2), meters. Also the future
-/// shard granularity.
-constexpr double kTileSizeM = 32.0;
-
 }  // namespace
 
-KeyframeStore::KeyframeStore(KeyframeStoreConfig cfg)
-    : cfg_(cfg), tiles_(kTileSizeM) {
+KeyframeStore::KeyframeStore(KeyframeStoreConfig cfg) : cfg_(cfg) {
   BBA_ASSERT_MSG(cfg.capacity >= 1, "KeyframeStore capacity must be >= 1");
   BBA_ASSERT_MSG(cfg.keyframeGapM >= 0.0, "keyframe gap must be >= 0");
   BBA_ASSERT_MSG(cfg.maxCandidates >= 1, "maxCandidates must be >= 1");
@@ -58,14 +48,12 @@ InsertResult KeyframeStore::insert(const Pose2& globalPose,
   InsertResult out;
 
   // Dedup: the nearest existing keyframe within the gap blocks the insert
-  // (ties on distance break toward the lowest id — candidates arrive
+  // (ties on distance break toward the lowest id — the scan runs
   // id-ascending, so the first strict improvement wins).
   if (cfg_.keyframeGapM > 0.0) {
     Entry* blocking = nullptr;
     double best = cfg_.keyframeGapM;
-    for (std::uint64_t id :
-         tiles_.candidatesInRadius(globalPose.t, cfg_.keyframeGapM)) {
-      Entry& e = frames_.at(id);
+    for (auto& [id, e] : frames_) {
       const double d = (e.kf.globalPose.t - globalPose.t).norm();
       if (d < best) {
         best = d;
@@ -93,7 +81,6 @@ InsertResult KeyframeStore::insert(const Pose2& globalPose,
   e.kf.signature = signatureOf(descriptors);
   e.kf.payload = payload;
   e.lastTouched = tick_;
-  tiles_.insert(e.kf.id, globalPose.t);
   out.inserted = true;
   out.id = e.kf.id;
   frames_.emplace(e.kf.id, std::move(e));
@@ -110,7 +97,6 @@ void KeyframeStore::evictLeastRecent() {
   for (auto it = std::next(frames_.begin()); it != frames_.end(); ++it)
     if (it->second.lastTouched < victim->second.lastTouched) victim = it;
   lastEvictedId_ = victim->first;
-  tiles_.remove(victim->first, victim->second.kf.globalPose.t);
   frames_.erase(victim);
   BBA_COUNTER_ADD("map.evictions", 1);
   BBA_GAUGE_SET("map.size", static_cast<double>(frames_.size()));
@@ -127,34 +113,25 @@ std::vector<QueryMatch> KeyframeStore::query(
     return {};
   }
 
-  // Stage 1: spatial neighborhood (tile superset -> exact radius filter),
-  // id-ascending.
+  // Stage 1: spatial neighborhood, id-ascending.
   std::vector<const Keyframe*> candidates;
-  for (std::uint64_t id :
-       tiles_.candidatesInRadius(priorPosition, cfg_.queryRadiusM)) {
-    const Keyframe& kf = frames_.at(id).kf;
-    if ((kf.globalPose.t - priorPosition).norm() <= cfg_.queryRadiusM)
-      candidates.push_back(&kf);
+  for (const auto& [id, e] : frames_) {
+    if ((e.kf.globalPose.t - priorPosition).norm() <= cfg_.queryRadiusM)
+      candidates.push_back(&e.kf);
   }
   BBA_HISTOGRAM_OBSERVE("map.candidates",
                         static_cast<double>(candidates.size()));
   if (candidates.empty()) return {};
 
-  // Stage 2: SIMD signature scoring — one slot per candidate, written
-  // only by its own chunk, so the merge below reads a thread-count-
-  // independent array.
+  // Stage 2: SIMD signature scoring, then order by (signatureDistance,
+  // id) and keep the top k.
   std::vector<float> dist(candidates.size());
-  parallelFor(0, static_cast<std::int64_t>(candidates.size()), kScoreGrain,
-              [&](std::int64_t b, std::int64_t e) {
-                for (std::int64_t i = b; i < e; ++i) {
-                  const std::vector<float>& sig = candidates[i]->signature;
-                  dist[i] = sig.size() == querySig.size()
-                                ? descriptorDistance2(querySig, sig)
-                                : kIncomparable;
-                }
-              });
-
-  // Serial merge: order by (signatureDistance, id), keep the top k.
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    const std::vector<float>& sig = candidates[i]->signature;
+    dist[i] = sig.size() == querySig.size()
+                  ? descriptorDistance2(querySig, sig)
+                  : kIncomparable;
+  }
   std::vector<std::size_t> order;
   order.reserve(candidates.size());
   for (std::size_t i = 0; i < candidates.size(); ++i)

@@ -7,7 +7,6 @@
 #include "core/bb_align.hpp"
 #include "features/descriptor.hpp"
 #include "geom/pose2.hpp"
-#include "spatial/tile_grid.hpp"
 
 namespace bba::map {
 
@@ -66,16 +65,15 @@ struct QueryMatch {
   double spatialDistance = 0.0;
 };
 
-/// Capacity-bounded keyframe database with an approximate spatial index:
-/// the single-process seed of ROADMAP item 5's shared map service.
+/// Capacity-bounded keyframe database for track-lost relocalization.
 ///
-/// Lookup is two-stage: TileGrid2 gathers the keyframes whose tiles
-/// intersect the query neighborhood (a deterministic, id-ordered
-/// superset), then every in-radius candidate is scored against the query
-/// signature with the SIMD descriptor-distance kernel. Scoring runs
-/// under parallelFor with one result slot per candidate and a serial
-/// merge in id order, so query results are byte-identical at any
-/// BBA_THREADS.
+/// Lookup is two-stage: one scan of the stored keyframes in id order
+/// keeps those within queryRadiusM of the prior, then every candidate is
+/// scored against the query signature with the SIMD descriptor-distance
+/// kernel and the best maxCandidates are kept. A query therefore costs at
+/// most `capacity` distance tests and signature scores. Everything runs
+/// on the caller's thread in id order, so query results are
+/// byte-identical at any BBA_THREADS.
 ///
 /// Eviction is LRU over a logical tick counter that advances once per
 /// insert/query call — never a wall clock — so the full store history is
@@ -84,8 +82,7 @@ struct QueryMatch {
 ///
 /// Threading: externally synchronized. The one producer in the library,
 /// CooperationService::recordEgoKeyframe, calls from serial code, and a
-/// relocalizing PoseTracker only reads; the store itself spawns the only
-/// parallelism it needs.
+/// relocalizing PoseTracker only reads.
 ///
 /// Metrics: map.inserts, map.dedup_skips, map.evictions, map.queries,
 /// map.hits, map.size (gauge), map.candidates (histogram of in-radius
@@ -97,9 +94,6 @@ class KeyframeStore {
   [[nodiscard]] const KeyframeStoreConfig& config() const { return cfg_; }
   [[nodiscard]] std::size_t size() const { return frames_.size(); }
   [[nodiscard]] bool empty() const { return frames_.empty(); }
-  /// Occupied tiles in the spatial index (diagnostic: keyframes / tiles
-  /// is the mean bucket depth a query scans).
-  [[nodiscard]] std::size_t tileCount() const { return tiles_.tileCount(); }
 
   /// Mean of a descriptor set's vectors (empty when the set is empty).
   [[nodiscard]] static std::vector<float> signatureOf(
@@ -137,7 +131,6 @@ class KeyframeStore {
   void evictLeastRecent();
 
   KeyframeStoreConfig cfg_;
-  TileGrid2 tiles_;
   /// id -> entry, ascending id (node-based: keyframe pointers stable).
   std::map<std::uint64_t, Entry> frames_;
   std::uint64_t nextId_ = 1;

@@ -21,14 +21,12 @@ double bvFootprintOverlap(const Pose2& claimedOtherToEgo, double bvRangeM) {
   return intersectionArea(egoFootprint, peerFootprint) / egoFootprint.area();
 }
 
-bool preGateAdmits(const Pose2& claimedOtherToEgo, double bvRangeM,
-                   const PreGateConfig& cfg) {
+bool preGateAdmits(const Pose2& claimedOtherToEgo, double bvRangeM) {
   // Cheap range reject first: the clipping below is exact but ~50x the
   // cost of a norm, and most of a dense fleet is out of range.
   const double range = claimedOtherToEgo.t.norm();
-  if (range > cfg.maxPairingRangeM) return false;
-  return bvFootprintOverlap(claimedOtherToEgo, bvRangeM) >=
-         cfg.minOverlapFrac;
+  if (range > kMaxPairingRangeM) return false;
+  return bvFootprintOverlap(claimedOtherToEgo, bvRangeM) >= kMinOverlapFrac;
 }
 
 int effectiveRecoverBudget(const BudgetConfig& cfg) {

@@ -22,17 +22,15 @@ namespace bba::service {
 /// spoofer's own session, but never seeds a track or touches other peers.
 /// A locked session is gated on the tracker's own, unspoofable prediction
 /// (PoseTracker::predictNext), a bootstrapping one on its claim; a
-/// claim-less one always passes. maxPairingRangeM = +inf with
-/// minOverlapFrac = 0 opens the gate.
-struct PreGateConfig {
-  /// Hard range cap on the claimed translation (meters). Beyond ~2x the
-  /// BV range two 256x256 footprints share no pixels; the default leaves
-  /// margin for claim error.
-  double maxPairingRangeM = 150.0;
-  /// Minimum fraction of the ego BV footprint area that the claimed peer
-  /// footprint must cover for alignment to be attemptable.
-  double minOverlapFrac = 0.02;
-};
+/// claim-less one always passes.
+///
+/// Hard range cap on the claimed translation (meters). Beyond ~2x the BV
+/// range two 256x256 footprints share no pixels; the value leaves margin
+/// for claim error.
+inline constexpr double kMaxPairingRangeM = 150.0;
+/// Minimum fraction of the ego BV footprint area that the claimed peer
+/// footprint must cover for alignment to be attemptable.
+inline constexpr double kMinOverlapFrac = 0.02;
 
 /// Fraction of the ego BV footprint (a square of side 2*bvRangeM centered
 /// on the ego) covered by the claimed peer footprint (the same square
@@ -41,9 +39,9 @@ struct PreGateConfig {
                                         double bvRangeM);
 
 /// The pre-gate decision: true when the pose passes both the range cap
-/// and the footprint-overlap floor.
+/// (kMaxPairingRangeM) and the footprint-overlap floor (kMinOverlapFrac).
 [[nodiscard]] bool preGateAdmits(const Pose2& claimedOtherToEgo,
-                                 double bvRangeM, const PreGateConfig& cfg);
+                                 double bvRangeM);
 
 /// Deterministic cost model: assumed cost of one admitted session (decode +
 /// recover), which converts a frame deadline into recover slots.

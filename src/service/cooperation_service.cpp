@@ -283,7 +283,7 @@ std::vector<SessionFrameResult> CooperationService::processFrame(
         candidates.push_back(c);
       }
       const std::optional<std::uint64_t> victim =
-          pickEvictionVictim(candidates, cfg_.lifecycle);
+          pickEvictionVictim(candidates);
       if (!victim) {
         res.admission = SessionAdmission::RejectedFull;
         tally(rejectedFull_, "session.rejected_full");
@@ -320,7 +320,7 @@ std::vector<SessionFrameResult> CooperationService::processFrame(
     Session* session = bySlot[i];
     SessionFrameResult& res = results[i];
     if (session == nullptr) continue;  // rejected: no session this frame
-    if (cfg_.enableHealth && !session->health.shouldProcess()) {
+    if (!session->health.shouldProcess()) {
       res.quarantined = true;
       continue;
     }
@@ -343,7 +343,7 @@ std::vector<SessionFrameResult> CooperationService::processFrame(
       res.pregatePriorFromTrack = gatePose.has_value();
     }
     if (!gatePose && res.hasClaim) gatePose = res.claim;
-    if (gatePose && !preGateAdmits(*gatePose, bvRange, cfg_.pregate)) {
+    if (gatePose && !preGateAdmits(*gatePose, bvRange)) {
       res.pregateSkipped = true;
       continue;
     }
@@ -461,38 +461,35 @@ std::vector<SessionFrameResult> CooperationService::processFrame(
   // P_a^-1∘P_b. A lying claim poisons every pair the liar is in, so the
   // liar (and only the liar) loses the majority vote. Honest sessions are
   // never mutated — their results stay byte-identical to a no-liar run.
-  if (cfg_.enableHealth) {
-    std::vector<std::size_t> voters;
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      const SessionFrameResult& r = results[i];
-      const bool fresh = r.track.poseValid &&
-                         (r.track.outcome == TrackerOutcome::Recovered ||
-                          r.track.outcome == TrackerOutcome::RecoveredRelaxed);
-      if (fresh && r.hasClaim && !r.quarantined && !r.replayRejected)
-        voters.push_back(i);
-    }
-    const int p = static_cast<int>(voters.size());
-    if (p >= kConsistencyMinPeers) {
-      for (int a = 0; a < p; ++a) {
-        int mismatches = 0;
-        const SessionFrameResult& ra = results[voters[static_cast<std::size_t>(a)]];
-        for (int b = 0; b < p; ++b) {
-          if (a == b) continue;
-          const SessionFrameResult& rb =
-              results[voters[static_cast<std::size_t>(b)]];
-          const Pose2 recovered =
-              ra.track.pose.inverse().compose(rb.track.pose);
-          const Pose2 claimed = ra.claim.inverse().compose(rb.claim);
-          const PoseError err = poseError(recovered, claimed);
-          if (err.translation > kConsistencyMaxTranslation ||
-              err.rotationDeg > kConsistencyMaxRotationDeg)
-            mismatches += 1;
-        }
-        // Strict majority of this voter's pairs disagree => outlier.
-        if (2 * mismatches > p - 1)
-          results[voters[static_cast<std::size_t>(a)]].consistencyOutlier =
-              true;
+  std::vector<std::size_t> voters;
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    const SessionFrameResult& r = results[i];
+    const bool fresh = r.track.poseValid &&
+                       (r.track.outcome == TrackerOutcome::Recovered ||
+                        r.track.outcome == TrackerOutcome::RecoveredRelaxed);
+    if (fresh && r.hasClaim && !r.quarantined && !r.replayRejected)
+      voters.push_back(i);
+  }
+  const int p = static_cast<int>(voters.size());
+  if (p >= kConsistencyMinPeers) {
+    for (int a = 0; a < p; ++a) {
+      int mismatches = 0;
+      const SessionFrameResult& ra =
+          results[voters[static_cast<std::size_t>(a)]];
+      for (int b = 0; b < p; ++b) {
+        if (a == b) continue;
+        const SessionFrameResult& rb =
+            results[voters[static_cast<std::size_t>(b)]];
+        const Pose2 recovered = ra.track.pose.inverse().compose(rb.track.pose);
+        const Pose2 claimed = ra.claim.inverse().compose(rb.claim);
+        const PoseError err = poseError(recovered, claimed);
+        if (err.translation > kConsistencyMaxTranslation ||
+            err.rotationDeg > kConsistencyMaxRotationDeg)
+          mismatches += 1;
       }
+      // Strict majority of this voter's pairs disagree => outlier.
+      if (2 * mismatches > p - 1)
+        results[voters[static_cast<std::size_t>(a)]].consistencyOutlier = true;
     }
   }
 
@@ -552,48 +549,44 @@ std::vector<SessionFrameResult> CooperationService::processFrame(
         tally(st.recoverSlots, "service.recover_slots");
       }
     }
-    if (cfg_.enableHealth) {
-      int penalty = 0;
-      if (!res.quarantined) {
-        // A pure link drop is weather, not malice: no penalty. Everything
-        // a *sender* controls feeds the FSM.
-        if (res.received && res.decodeError != wire::DecodeError::None)
-          penalty += kPenaltyDecodeReject;
-        if (res.payloadMismatch) penalty += kPenaltyDecodeReject;
-        if (res.replayRejected) penalty += kPenaltyReplay;
-        if (res.report.validationRejected) penalty += kPenaltyValidation;
-        if (res.report.gateRejected) penalty += kPenaltyGateReject;
-        if (res.consistencyOutlier) penalty += kPenaltyConsistency;
-      }
-      const PeerHealth before = session->health.state();
-      res.health = session->health.onFrame(res.quarantined ? 0 : penalty);
-      BBA_COUNTER_ADD("health.frames", 1);
-      BBA_HISTOGRAM_OBSERVE("health.penalty", static_cast<double>(penalty));
-      BBA_HISTOGRAM_OBSERVE("health.suspicion",
-                            static_cast<double>(session->health.suspicion()));
-      if (res.health != before) {
-        switch (res.health) {
-          case PeerHealth::Healthy:
-            BBA_COUNTER_ADD("health.to_healthy", 1);
-            break;
-          case PeerHealth::Suspect:
-            BBA_COUNTER_ADD("health.to_suspect", 1);
-            break;
-          case PeerHealth::Quarantined:
-            BBA_COUNTER_ADD("health.to_quarantined", 1);
-            break;
-          case PeerHealth::Probing:
-            BBA_COUNTER_ADD("health.to_probing", 1);
-            break;
-        }
-      }
-      st.health = session->health.state();
-      st.suspicion = session->health.suspicion();
-      st.quarantines = session->health.quarantines();
-      st.healthTransitions = session->health.transitions();
-    } else {
-      res.health = PeerHealth::Healthy;
+    int penalty = 0;
+    if (!res.quarantined) {
+      // A pure link drop is weather, not malice: no penalty. Everything
+      // a *sender* controls feeds the FSM.
+      if (res.received && res.decodeError != wire::DecodeError::None)
+        penalty += kPenaltyDecodeReject;
+      if (res.payloadMismatch) penalty += kPenaltyDecodeReject;
+      if (res.replayRejected) penalty += kPenaltyReplay;
+      if (res.report.validationRejected) penalty += kPenaltyValidation;
+      if (res.report.gateRejected) penalty += kPenaltyGateReject;
+      if (res.consistencyOutlier) penalty += kPenaltyConsistency;
     }
+    const PeerHealth before = session->health.state();
+    res.health = session->health.onFrame(res.quarantined ? 0 : penalty);
+    BBA_COUNTER_ADD("health.frames", 1);
+    BBA_HISTOGRAM_OBSERVE("health.penalty", static_cast<double>(penalty));
+    BBA_HISTOGRAM_OBSERVE("health.suspicion",
+                          static_cast<double>(session->health.suspicion()));
+    if (res.health != before) {
+      switch (res.health) {
+        case PeerHealth::Healthy:
+          BBA_COUNTER_ADD("health.to_healthy", 1);
+          break;
+        case PeerHealth::Suspect:
+          BBA_COUNTER_ADD("health.to_suspect", 1);
+          break;
+        case PeerHealth::Quarantined:
+          BBA_COUNTER_ADD("health.to_quarantined", 1);
+          break;
+        case PeerHealth::Probing:
+          BBA_COUNTER_ADD("health.to_probing", 1);
+          break;
+      }
+    }
+    st.health = session->health.state();
+    st.suspicion = session->health.suspicion();
+    st.quarantines = session->health.quarantines();
+    st.healthTransitions = session->health.transitions();
   }
   // Duplicate accounting (serial, input order): the rejection is typed on
   // the result; the tally lands on the peer's session when one exists.

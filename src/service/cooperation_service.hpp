@@ -45,36 +45,21 @@ struct ServiceConfig {
   /// the track.
   bool usePosePriors = true;
 
-  /// Per-peer trust FSM (src/service/peer_health.hpp): integrates decode
-  /// rejects, replay-guard hits, validation/gate demotions and
-  /// cross-peer-consistency votes into healthy/suspect/quarantined/probing,
-  /// and excludes quarantined peers from processing entirely. Cross-peer
-  /// consistency is part of it: with >= 3 freshly locked sessions that
-  /// carried pose-prior claims, each pair's recovered relative pose
-  /// T_a^-1∘T_b is compared against the claimed relative P_a^-1∘P_b; a
-  /// peer whose pairs disagree by majority is flagged (the honest peers
-  /// outvote a single liar). Never mutates honest sessions, so honest
-  /// results stay byte-identical.
-  bool enableHealth = true;
-
   /// Replay guard: reject a cleanly decoded message whose frame index is
   /// non-increasing (or whose capture time runs backwards) relative to the
   /// last accepted message of the same session.
   bool enableReplayGuard = true;
 
-  /// Fleet-scale admission (see service/admission.hpp). Stage 1, spatial
-  /// pre-gate: a message whose claimed pose prior puts the peer's BV
-  /// footprint out of pairing range is not even decoded — the session is
-  /// held on a cheap "tracked-but-not-aligned" rung (TrackerOutcome::Held)
-  /// at zero recover() cost. Claim-less messages always pass. On by
-  /// default: in-range fleets see byte-identical results either way
-  /// (asserted by tests/admission_test.cpp).
-  PreGateConfig pregate;
-  /// Stage 2, per-frame work budget: at most effectiveRecoverBudget()
-  /// admitted sessions get a decode+recover slot per frame; the rest are
-  /// shed onto the same Held rung and move to the front of the line next
-  /// frame (staleness-first, ties by session id — a deterministic,
-  /// starvation-free round-robin). Unlimited by default.
+  /// Fleet-scale admission (see service/admission.hpp). Stage 1, the
+  /// spatial pre-gate, always runs: a message whose gate pose puts the
+  /// peer's BV footprint out of pairing range is not even decoded — the
+  /// session is held on a cheap "tracked-but-not-aligned" rung
+  /// (TrackerOutcome::Held) at zero recover() cost. Stage 2, the per-frame
+  /// work budget: at most effectiveRecoverBudget() admitted sessions get a
+  /// decode+recover slot per frame; the rest are shed onto the same Held
+  /// rung and move to the front of the line next frame (staleness-first,
+  /// ties by session id — a deterministic, starvation-free round-robin).
+  /// Unlimited by default.
   BudgetConfig budget;
 };
 
@@ -241,6 +226,17 @@ struct ServiceReport {
 /// wire decoder (typed DecodeError, counted per cause) and absorbed by the
 /// session's PoseTracker as a coasted frame — the degradation ladder of
 /// src/stream handles the gap exactly like a link drop.
+///
+/// Trust: every session runs the per-peer trust FSM
+/// (src/service/peer_health.hpp), which integrates decode rejects,
+/// replay-guard hits, validation/gate demotions and cross-peer-consistency
+/// votes into healthy/suspect/quarantined/probing and excludes quarantined
+/// peers from processing entirely. The consistency vote: with >= 3 freshly
+/// locked sessions that carried pose-prior claims, each pair's recovered
+/// relative pose T_a^-1∘T_b is compared against the claimed relative
+/// P_a^-1∘P_b; a peer whose pairs disagree by majority is flagged (the
+/// honest peers outvote a single liar). Neither mutates honest sessions,
+/// so honest results stay byte-identical to a liar-free run.
 class CooperationService {
  public:
   explicit CooperationService(ServiceConfig config = {});

@@ -68,13 +68,12 @@ double evictionScore(const EvictionCandidate& c) {
 }
 
 std::optional<std::uint64_t> pickEvictionVictim(
-    const std::vector<EvictionCandidate>& candidates,
-    const LifecycleConfig& cfg) {
+    const std::vector<EvictionCandidate>& candidates) {
   std::optional<std::uint64_t> best;
   double bestScore = 0.0;
   for (const auto& c : candidates) {
     const double s = evictionScore(c);
-    if (s < cfg.minEvictionScore) continue;
+    if (s < kMinEvictionScore) continue;
     // Strict total order: score desc, peerId asc — input order never
     // changes the pick.
     if (!best || s > bestScore || (s == bestScore && c.peerId < *best)) {

@@ -24,8 +24,8 @@ enum class SessionAdmission {
   /// the victim.
   AdmittedEvicting,
   /// The table is full and no absent session scored at or above
-  /// LifecycleConfig::minEvictionScore: the input is dropped for this
-  /// frame (no session, no tracker step) and the peer may retry.
+  /// kMinEvictionScore: the input is dropped for this frame (no session,
+  /// no tracker step) and the peer may retry.
   RejectedFull,
   /// A later occurrence of a peer id that already appeared earlier in the
   /// same processFrame() call: only the first occurrence is processed.
@@ -36,20 +36,14 @@ inline constexpr int kSessionAdmissionCount = 5;
 
 [[nodiscard]] const char* toString(SessionAdmission a);
 
-/// Session-lifecycle tuning: eviction under maxSessions pressure, the
-/// silent-peer reaper, and reconnect warm starts. Every clock in here is a
-/// LOGICAL frame count (service frames processed), never wall time — the
-/// whole lifecycle trajectory is a pure function of the input schedule, so
-/// schedules and reports stay byte-identical at any BBA_THREADS. The
-/// eviction weights are constants (see evictionScore).
+/// Session-lifecycle tuning: the silent-peer reaper. Every clock in the
+/// lifecycle is a LOGICAL frame count (service frames processed), never
+/// wall time — the whole lifecycle trajectory is a pure function of the
+/// input schedule, so schedules and reports stay byte-identical at any
+/// BBA_THREADS. Eviction under maxSessions pressure and reconnect warm
+/// starts run on constants (see evictionScore, kMinEvictionScore and
+/// kWarmStartMaxGapFrames).
 struct LifecycleConfig {
-  /// Only sessions scoring at or above this are evictable: a healthy,
-  /// locked, just-seen session scores below it and is never displaced by
-  /// a newcomer. Raise to favor incumbents, lower (to 0) to always churn;
-  /// +inf never evicts, so a full table rejects every newcomer
-  /// (RejectedFull) until the reaper frees a slot.
-  double minEvictionScore = 1.0;
-
   /// Silent-peer reaper: a session whose peer has not appeared in the
   /// inputs for more than this many consecutive service frames is retired
   /// (its stats are archived, its slot freed). 0 disables the reaper.
@@ -100,13 +94,17 @@ struct EvictionCandidate {
 ///         + kWeightLowConfidence  * (1 - clamp(lastConfidence, 0, 1))
 [[nodiscard]] double evictionScore(const EvictionCandidate& c);
 
+/// Only sessions scoring at or above this are evictable: a healthy,
+/// locked, just-seen session scores below it and is never displaced by a
+/// newcomer.
+inline constexpr double kMinEvictionScore = 1.0;
+
 /// Pick the eviction victim: the candidate with the strictly greatest
 /// (score, then LOWER peerId wins ties) whose score reaches
-/// cfg.minEvictionScore. The (score desc, peerId asc) order is total, so
-/// the choice is deterministic for any input order. Returns nullopt when
-/// no candidate qualifies (the admission becomes RejectedFull).
+/// kMinEvictionScore. The (score desc, peerId asc) order is total, so the
+/// choice is deterministic for any input order. Returns nullopt when no
+/// candidate qualifies (the admission becomes RejectedFull).
 [[nodiscard]] std::optional<std::uint64_t> pickEvictionVictim(
-    const std::vector<EvictionCandidate>& candidates,
-    const LifecycleConfig& cfg);
+    const std::vector<EvictionCandidate>& candidates);
 
 }  // namespace bba::service

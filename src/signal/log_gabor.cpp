@@ -4,7 +4,7 @@
 #include <map>
 #include <mutex>
 #include <numbers>
-#include <tuple>
+#include <utility>
 
 #include "common/assert.hpp"
 #include "common/parallel.hpp"
@@ -13,22 +13,30 @@
 
 namespace bba {
 
-LogGaborBank::LogGaborBank(int width, int height,
-                           const LogGaborParams& params)
-    : w_(width), h_(height), params_(params) {
+namespace {
+
+// Filter-bank shape (Kovesi's log-Gabor parameters for the paper's bank).
+constexpr double kMinWavelength = 3.0;  ///< smallest-scale wavelength, px
+constexpr double kMult = 2.1;  ///< scale multiplier between filters
+/// Ratio sigma_rho / f_0 of the log-normal radial profile bandwidth.
+constexpr double kSigmaOnf = 0.55;
+/// Angular stddev as a fraction of the orientation spacing pi/N_o.
+constexpr double kThetaSigmaRatio = 1.3;
+
+}  // namespace
+
+LogGaborBank::LogGaborBank(int width, int height) : w_(width), h_(height) {
   BBA_SPAN("log-gabor-bank");
   BBA_ASSERT_MSG(isPowerOfTwo(width) && isPowerOfTwo(height),
                  "LogGaborBank requires power-of-two dimensions");
-  BBA_ASSERT(params.numScales >= 1 && params.numOrientations >= 2);
 
-  const int ns = params.numScales;
-  const int no = params.numOrientations;
+  const int ns = kNumScales;
+  const int no = kNumOrientations;
   filters_.assign(static_cast<std::size_t>(ns * no), ImageF());
 
   const double sigmaTheta =
-      params.thetaSigmaRatio * std::numbers::pi / static_cast<double>(no);
-  const double logSigmaOnf2 =
-      2.0 * std::log(params.sigmaOnf) * std::log(params.sigmaOnf);
+      kThetaSigmaRatio * std::numbers::pi / static_cast<double>(no);
+  const double logSigmaOnf2 = 2.0 * std::log(kSigmaOnf) * std::log(kSigmaOnf);
 
   // Each filter is an independent pure function of (s, o); one task per
   // filter, each writing only its own filters_ slot.
@@ -37,7 +45,7 @@ LogGaborBank::LogGaborBank(int width, int height,
       const int s = static_cast<int>(i) / no;
       const int o = static_cast<int>(i) % no;
       const double wavelength =
-          params.minWavelength * std::pow(params.mult, static_cast<double>(s));
+          kMinWavelength * std::pow(kMult, static_cast<double>(s));
       const double f0 = 1.0 / wavelength;  // center frequency (cycles/pixel)
       const double theta0 =
           static_cast<double>(o) * std::numbers::pi / static_cast<double>(no);
@@ -79,9 +87,9 @@ LogGaborBank::LogGaborBank(int width, int height,
 }
 
 const ImageF& LogGaborBank::filter(int s, int o) const {
-  BBA_ASSERT(s >= 0 && s < params_.numScales);
-  BBA_ASSERT(o >= 0 && o < params_.numOrientations);
-  return filters_[static_cast<std::size_t>(s * params_.numOrientations + o)];
+  BBA_ASSERT(s >= 0 && s < kNumScales);
+  BBA_ASSERT(o >= 0 && o < kNumOrientations);
+  return filters_[static_cast<std::size_t>(s * kNumOrientations + o)];
 }
 
 std::vector<ImageF> LogGaborBank::orientationAmplitudes(
@@ -93,8 +101,8 @@ std::vector<ImageF> LogGaborBank::orientationAmplitudes(
   ComplexImage spectrum = ComplexImage::fromReal(img);
   fft2d(spectrum, /*inverse=*/false);  // itself strip-parallel
 
-  const int ns = params_.numScales;
-  const int no = params_.numOrientations;
+  const int ns = kNumScales;
+  const int no = kNumOrientations;
   std::vector<ImageF> amp(static_cast<std::size_t>(no), ImageF(w_, h_, 0.0f));
 
   // One task per orientation: each owns its amp[o] accumulator and sums
@@ -113,23 +121,13 @@ std::vector<ImageF> LogGaborBank::orientationAmplitudes(
   return amp;
 }
 
-namespace {
-
-using BankKey = std::tuple<int, int, int, int, double, double, double, double>;
-
-BankKey bankKey(int w, int h, const LogGaborParams& p) {
-  return {w,      h,      p.numScales, p.numOrientations,
-          p.minWavelength, p.mult,     p.sigmaOnf, p.thetaSigmaRatio};
-}
-
-}  // namespace
-
-std::shared_ptr<const LogGaborBank> sharedLogGaborBank(
-    int width, int height, const LogGaborParams& params) {
+std::shared_ptr<const LogGaborBank> sharedLogGaborBank(int width,
+                                                      int height) {
   static std::mutex mu;
-  static std::map<BankKey, std::shared_ptr<const LogGaborBank>> banks;
+  static std::map<std::pair<int, int>, std::shared_ptr<const LogGaborBank>>
+      banks;
 
-  const BankKey key = bankKey(width, height, params);
+  const std::pair<int, int> key{width, height};
   {
     std::lock_guard<std::mutex> lock(mu);
     auto it = banks.find(key);
@@ -143,7 +141,7 @@ std::shared_ptr<const LogGaborBank> sharedLogGaborBank(
   // not block hits (or misses for other geometries). A same-key race
   // builds redundantly; the loser's bank is discarded below.
   BBA_COUNTER_ADD("cache.bank_miss", 1);
-  auto built = std::make_shared<const LogGaborBank>(width, height, params);
+  auto built = std::make_shared<const LogGaborBank>(width, height);
   std::lock_guard<std::mutex> lock(mu);
   auto [it, inserted] = banks.emplace(key, std::move(built));
   (void)inserted;

@@ -8,34 +8,21 @@
 
 namespace bba {
 
-/// Parameters of the 2-D Log-Gabor filter bank (Eqs. 6–9 of the paper;
-/// radial profile per Kovesi's log-Gabor formulation referenced by the
-/// paper's footnote 2 / ref. [32]).
-struct LogGaborParams {
-  int numScales = 4;        ///< N_s in the paper (default 4)
-  int numOrientations = 12; ///< N_o in the paper (default 12)
-  /// Wavelength (pixels) of the smallest-scale filter.
-  double minWavelength = 3.0;
-  /// Scale multiplier between successive filters (rho_s spacing).
-  double mult = 2.1;
-  /// Ratio sigma_rho / f_0 of the log-normal radial profile bandwidth.
-  double sigmaOnf = 0.55;
-  /// Angular stddev as a fraction of the orientation spacing pi/N_o
-  /// (sigma_theta = thetaSigmaRatio * pi / N_o).
-  double thetaSigmaRatio = 1.3;
-};
-
 /// Precomputed frequency-domain Log-Gabor filter bank for a fixed image
-/// size. Building the bank is O(N_s * N_o * W * H) and done once; applying
-/// it to an image costs one forward FFT plus one inverse FFT per filter.
+/// size (Eqs. 6–9 of the paper; radial profile per Kovesi's log-Gabor
+/// formulation referenced by the paper's footnote 2 / ref. [32]). Building
+/// the bank is O(N_s * N_o * W * H) and done once; applying it to an image
+/// costs one forward FFT plus one inverse FFT per filter.
 class LogGaborBank {
  public:
+  static constexpr int kNumScales = 4;         ///< N_s in the paper
+  static constexpr int kNumOrientations = 12;  ///< N_o in the paper
+
   /// Build the bank for images of the given power-of-two dimensions.
-  LogGaborBank(int width, int height, const LogGaborParams& params = {});
+  LogGaborBank(int width, int height);
 
   [[nodiscard]] int width() const { return w_; }
   [[nodiscard]] int height() const { return h_; }
-  [[nodiscard]] const LogGaborParams& params() const { return params_; }
 
   /// Real-valued frequency response of filter (scale s, orientation o).
   [[nodiscard]] const ImageF& filter(int s, int o) const;
@@ -52,12 +39,10 @@ class LogGaborBank {
  private:
   int w_ = 0;
   int h_ = 0;
-  LogGaborParams params_;
-  std::vector<ImageF> filters_;  // numScales * numOrientations, s-major
+  std::vector<ImageF> filters_;  // kNumScales * kNumOrientations, s-major
 };
 
-/// Process-wide bank cache keyed on (width, height, exact parameter
-/// values). Building a bank costs hundreds of milliseconds (48 filters of
+/// Process-wide bank cache keyed on (width, height). Building a bank costs hundreds of milliseconds (48 filters of
 /// per-pixel transcendentals) and banks are immutable once built, so every
 /// BBAlign / PoseTracker / CooperationService session for the same image
 /// geometry shares one instance. Thread-safe; a bank under construction is
@@ -66,6 +51,6 @@ class LogGaborBank {
 /// first insert wins, which is benign because construction is
 /// deterministic). Emits cache.bank_hit / cache.bank_miss counters.
 [[nodiscard]] std::shared_ptr<const LogGaborBank> sharedLogGaborBank(
-    int width, int height, const LogGaborParams& params = {});
+    int width, int height);
 
 }  // namespace bba

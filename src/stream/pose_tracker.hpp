@@ -94,8 +94,8 @@ struct PoseTrackerConfig {
 /// the trust the lowered thresholds gave up.
 ///
 /// It changes only matching, RANSAC, box-pairing and threshold fields,
-/// never a feature-side one (BEV, Log-Gabor, keypoint detector,
-/// descriptor). That is what lets the relaxed rung reuse the primary's
+/// never a feature-side one (`bev`, `descriptor`, `keypointSurface`).
+/// That is what lets the relaxed rung reuse the primary's
 /// ImageFeatures of both images byte-identically; a change here that
 /// touches a feature-side field breaks
 /// ImageFeatures.RelaxedRungReusesPrimaryFeaturesByteIdentically.

@@ -6,7 +6,6 @@
 
 #include <array>
 #include <cstdint>
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -25,7 +24,7 @@ constexpr double kBvRange = 100.0;  // BevParams default
 
 TEST(PreGate, IdentityClaimFullyOverlaps) {
   EXPECT_DOUBLE_EQ(bvFootprintOverlap(Pose2{}, kBvRange), 1.0);
-  EXPECT_TRUE(preGateAdmits(Pose2{}, kBvRange, PreGateConfig{}));
+  EXPECT_TRUE(preGateAdmits(Pose2{}, kBvRange));
 }
 
 TEST(PreGate, OverlapShrinksWithDistanceAndVanishes) {
@@ -44,33 +43,17 @@ TEST(PreGate, RotationOnlyClaimStillAdmits) {
       bvFootprintOverlap(Pose2{Vec2{0.0, 0.0}, 0.785398}, kBvRange);
   EXPECT_GT(rotated, 0.8);  // 45 deg: octagon intersection, ~0.83
   EXPECT_LT(rotated, 1.0);
-  EXPECT_TRUE(
-      preGateAdmits(Pose2{Vec2{0.0, 0.0}, 0.785398}, kBvRange,
-                    PreGateConfig{}));
+  EXPECT_TRUE(preGateAdmits(Pose2{Vec2{0.0, 0.0}, 0.785398}, kBvRange));
 }
 
 TEST(PreGate, RangeCapRejectsBeforeOverlap) {
   // At 160 m the footprints still overlap substantially (squares of side
-  // 200), but the claim exceeds maxPairingRangeM = 150 — range wins.
+  // 200), but the claim exceeds kMaxPairingRangeM = 150 — range wins.
   const Pose2 claim{Vec2{160.0, 0.0}, 0.0};
-  EXPECT_GT(bvFootprintOverlap(claim, kBvRange), PreGateConfig{}.minOverlapFrac);
-  EXPECT_FALSE(preGateAdmits(claim, kBvRange, PreGateConfig{}));
+  EXPECT_GT(bvFootprintOverlap(claim, kBvRange), kMinOverlapFrac);
+  EXPECT_FALSE(preGateAdmits(claim, kBvRange));
   // Inside the cap the same geometry admits.
-  EXPECT_TRUE(
-      preGateAdmits(Pose2{Vec2{100.0, 0.0}, 0.0}, kBvRange, PreGateConfig{}));
-}
-
-/// A gate with no range cap and no overlap floor: admits every pose.
-PreGateConfig openGate() {
-  PreGateConfig open;
-  open.maxPairingRangeM = std::numeric_limits<double>::infinity();
-  open.minOverlapFrac = 0.0;
-  return open;
-}
-
-TEST(PreGate, DisabledGateAdmitsEverything) {
-  EXPECT_TRUE(
-      preGateAdmits(Pose2{Vec2{1e6, 1e6}, 2.0}, kBvRange, openGate()));
+  EXPECT_TRUE(preGateAdmits(Pose2{Vec2{100.0, 0.0}, 0.0}, kBvRange));
 }
 
 TEST(PreGate, IsPureBitwiseRepeatable) {
@@ -79,8 +62,7 @@ TEST(PreGate, IsPureBitwiseRepeatable) {
   const double a = bvFootprintOverlap(claim, kBvRange);
   const double b = bvFootprintOverlap(claim, kBvRange);
   EXPECT_EQ(a, b);
-  EXPECT_EQ(preGateAdmits(claim, kBvRange, PreGateConfig{}),
-            preGateAdmits(claim, kBvRange, PreGateConfig{}));
+  EXPECT_EQ(preGateAdmits(claim, kBvRange), preGateAdmits(claim, kBvRange));
 }
 
 // ---- RecoverSlots: budget arithmetic + deterministic rotation -------------
@@ -229,22 +211,25 @@ TEST(PreGate, HeldShedAndReplayedInputsReportTheirClaim) {
 }
 
 /// Run F frames of an S-peer tiny-payload fleet and return (report JSON,
-/// per-frame granted peer ids, per-frame shed flags as a string).
+/// per-frame granted peer ids, per-frame shed flags as a string, bytes
+/// received in all). With `claims` every payload carries an in-range
+/// pose-prior claim; without, none does.
 struct FleetRun {
   std::string reportJson;
   std::vector<std::vector<std::uint64_t>> grantedByFrame;
   std::string shedPattern;
+  std::int64_t bytesReceived = 0;
 };
 
+const Pose2 kNearClaim{Vec2{15.0, -3.0}, 0.05};
+
 FleetRun runTinyFleet(int threads, int peers, int budget, int frames,
-                      bool pregate = true) {
+                      bool claims = true) {
   ThreadLimit limit(threads);
   ServiceConfig cfg;
-  if (!pregate) cfg.pregate = openGate();
   cfg.budget = {.frameDeadlineMs = budget * kAssumedRecoverCostMs};
   CooperationService svc(cfg);
   const CarPerceptionData ego;
-  const Pose2 near{Vec2{15.0, -3.0}, 0.05};
 
   FleetRun run;
   for (int f = 0; f < frames; ++f) {
@@ -253,8 +238,8 @@ FleetRun runTinyFleet(int threads, int peers, int budget, int frames,
     std::vector<PeerFrameInput> inputs;
     for (int p = 0; p < peers; ++p) {
       const std::uint64_t id = static_cast<std::uint64_t>(p + 1);
-      payloads.push_back(
-          tinyPayload(id, static_cast<std::uint32_t>(f), &near));
+      payloads.push_back(tinyPayload(id, static_cast<std::uint32_t>(f),
+                                     claims ? &kNearClaim : nullptr));
       inputs.push_back({id, &payloads.back()});
     }
     const std::vector<SessionFrameResult> results =
@@ -268,8 +253,23 @@ FleetRun runTinyFleet(int threads, int peers, int budget, int frames,
     run.shedPattern += '/';
     run.grantedByFrame.push_back(granted);
   }
-  run.reportJson = svc.report().toJson();
+  const ServiceReport rep = svc.report();
+  run.reportJson = rep.toJson();
+  run.bytesReceived = rep.aggregate.bytesReceived;
   return run;
+}
+
+/// `json` with every "bytes_received" value erased.
+std::string withoutByteCounts(std::string json) {
+  const std::string key = "\"bytes_received\":";
+  for (std::size_t at = json.find(key); at != std::string::npos;
+       at = json.find(key, at)) {
+    at += key.size();
+    std::size_t end = at;
+    while (end < json.size() && json[end] >= '0' && json[end] <= '9') ++end;
+    json.erase(at, end - at);
+  }
+  return json;
 }
 
 TEST(ShedDeterminism, ByteIdenticalAt1And8Threads) {
@@ -282,11 +282,20 @@ TEST(ShedDeterminism, ByteIdenticalAt1And8Threads) {
 
 TEST(ShedDeterminism, PreGateIsByteTransparentOnInRangeClaims) {
   // Every claim is in range, budget unlimited: the gate must change
-  // nothing — same report bytes with the default gate or an open one.
-  const FleetRun on = runTinyFleet(1, 6, 0, 4, /*pregate=*/true);
-  const FleetRun off = runTinyFleet(1, 6, 0, 4, /*pregate=*/false);
-  EXPECT_EQ(on.reportJson, off.reportJson);
-  EXPECT_EQ(on.shedPattern, off.shedPattern);
+  // nothing. A claim-less fleet, which the gate always admits, is the
+  // open-gate reference: the reports agree byte for byte except for the
+  // bytes of the claims themselves.
+  const FleetRun gated = runTinyFleet(1, 6, 0, 4, /*claims=*/true);
+  const FleetRun open = runTinyFleet(1, 6, 0, 4, /*claims=*/false);
+  EXPECT_EQ(withoutByteCounts(gated.reportJson),
+            withoutByteCounts(open.reportJson));
+  EXPECT_EQ(gated.shedPattern, open.shedPattern);
+  EXPECT_EQ(gated.grantedByFrame, open.grantedByFrame);
+  const std::int64_t claimBytes =
+      static_cast<std::int64_t>(tinyPayload(1, 0, &kNearClaim).size()) -
+      static_cast<std::int64_t>(tinyPayload(1, 0).size());
+  EXPECT_GT(claimBytes, 0);
+  EXPECT_EQ(gated.bytesReceived - open.bytesReceived, 6 * 4 * claimBytes);
 }
 
 TEST(Starvation, RoundRobinGrantsEverySessionEqually) {

@@ -2,6 +2,11 @@
 // whole pipeline runs on simulated scenes.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+#include <vector>
+
+#include "common/parallel.hpp"
 #include "core/metrics.hpp"
 #include "dataset/generator.hpp"
 #include "fusion/ap.hpp"
@@ -164,6 +169,59 @@ TEST(Integration, SuccessRateInNormalTrafficIsHigh) {
   }
   ASSERT_GE(n, 6);
   EXPECT_GE(success * 2, n);  // at least half flagged successful
+}
+
+TEST(Integration, AblationConfigsAreByteIdenticalAt1And8Threads) {
+  // bench/ablation_design's seven non-default configs on the pinned
+  // seed-4242 pair: the other keypoint detectors, descriptor rotation
+  // modes and stage-2 modes, and stage 1 alone without the polish. Each
+  // must find keypoints and give the same pose and report bytes at 1 and
+  // 8 threads.
+  struct Variant {
+    const char* name;
+    BBAlignConfig cfg;
+  };
+  std::vector<Variant> variants(7);
+  variants[0].name = "per-keypoint rotation";
+  variants[0].cfg.descriptor.rotationMode = RotationMode::PerKeypoint;
+  variants[1].name = "no rotation invariance";
+  variants[1].cfg.descriptor.rotationMode = RotationMode::None;
+  variants[2].name = "amplitude maxima";
+  variants[2].cfg.keypointSurface = BBAlignConfig::KeypointSurface::Amplitude;
+  variants[3].name = "FAST-9 on BV";
+  variants[3].cfg.keypointSurface = BBAlignConfig::KeypointSurface::BvFast;
+  variants[4].name = "stage 2 rigid";
+  variants[4].cfg.stage2Mode = BBAlignConfig::Stage2Mode::Rigid;
+  variants[5].name = "stage 2 translation-only";
+  variants[5].cfg.stage2Mode = BBAlignConfig::Stage2Mode::TranslationOnly;
+  variants[6].name = "stage 1 only, no polish";
+  variants[6].cfg.enableBoxAlignment = false;
+  variants[6].cfg.bvIcpPolish = false;
+
+  DatasetConfig dc;
+  dc.seed = 4242;
+  const auto pair = DatasetGenerator(dc).generatePair(0);
+  ASSERT_TRUE(pair.has_value());
+  for (const Variant& v : variants) {
+    SCOPED_TRACE(v.name);
+    const BBAlign aligner(v.cfg);
+    const CarPerceptionData ego =
+        aligner.makeCarData(pair->egoCloud, pair->egoDets);
+    const CarPerceptionData other =
+        aligner.makeCarData(pair->otherCloud, pair->otherDets);
+    PoseRecoveryReport reports[2];
+    Pose2 poses[2];
+    const int threads[2] = {1, 8};
+    for (int i = 0; i < 2; ++i) {
+      ThreadLimit limit(threads[i]);
+      Rng rng(7);
+      poses[i] = aligner.recover(other, ego, rng, &reports[i]).estimate;
+    }
+    EXPECT_GT(reports[0].keypointsEgo, 0);
+    EXPECT_GT(reports[0].keypointsOther, 0);
+    EXPECT_EQ(std::memcmp(&poses[0], &poses[1], sizeof(Pose2)), 0);
+    EXPECT_EQ(reports[0].toJson(false), reports[1].toJson(false));
+  }
 }
 
 }  // namespace

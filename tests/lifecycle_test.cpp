@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -70,27 +69,25 @@ TEST(EvictionScore, OrdersByHealthSilenceAndLockQuality) {
 }
 
 TEST(EvictionScore, FreshHealthyLockedSessionIsProtected) {
-  const LifecycleConfig cfg;
   const std::vector<EvictionCandidate> only = {
       candidate(9, PeerHealth::Healthy, 0, 0, true, 1.0)};
-  EXPECT_LT(evictionScore(only[0]), cfg.minEvictionScore);
-  EXPECT_FALSE(pickEvictionVictim(only, cfg).has_value());
+  EXPECT_LT(evictionScore(only[0]), kMinEvictionScore);
+  EXPECT_FALSE(pickEvictionVictim(only).has_value());
 }
 
 TEST(EvictionScore, VictimIsHighestScoreLowestIdRegardlessOfOrder) {
-  const LifecycleConfig cfg;
   const EvictionCandidate worse =
       candidate(20, PeerHealth::Quarantined, 5, 50, false, 0.0);
   const EvictionCandidate bad =
       candidate(10, PeerHealth::Healthy, 5, 50, false, 0.0);
   const EvictionCandidate tieOfBad =
       candidate(11, PeerHealth::Healthy, 5, 50, false, 0.0);
-  auto v1 = pickEvictionVictim({bad, tieOfBad, worse}, cfg);
-  auto v2 = pickEvictionVictim({worse, tieOfBad, bad}, cfg);
+  auto v1 = pickEvictionVictim({bad, tieOfBad, worse});
+  auto v2 = pickEvictionVictim({worse, tieOfBad, bad});
   ASSERT_TRUE(v1 && v2);
   EXPECT_EQ(*v1, 20u);  // strictly highest score wins...
   EXPECT_EQ(*v1, *v2);  // ...independent of input order
-  auto tie = pickEvictionVictim({tieOfBad, bad}, cfg);
+  auto tie = pickEvictionVictim({tieOfBad, bad});
   ASSERT_TRUE(tie.has_value());
   EXPECT_EQ(*tie, 10u);  // equal scores: lowest peer id
 }
@@ -311,17 +308,23 @@ TEST(SessionLifecycle, EvictionPrefersWorstAbsentSessionAndArchivesIt) {
 TEST(SessionLifecycle, EvictionDisabledRejectsInsteadOfDisplacing) {
   ServiceConfig cfg;
   cfg.maxSessions = 1;
-  // No session can reach an infinite eviction bar: nothing is evictable.
-  cfg.lifecycle.minEvictionScore = std::numeric_limits<double>::infinity();
   cfg.lifecycle.maxSilentFrames = 1;
   CooperationService svc(cfg);
   const CarPerceptionData ego;
   (void)svc.processFrame(ego, {{1, nullptr}});
-  auto res = svc.processFrame(ego, {{5, nullptr}});
-  EXPECT_EQ(res[0].admission, SessionAdmission::RejectedFull);
+  // The only session's peer is present, so nothing is evictable: the
+  // newcomer is rejected, twice.
+  for (int k = 0; k < 2; ++k) {
+    auto res = svc.processFrame(ego, {{1, nullptr}, {5, nullptr}});
+    EXPECT_EQ(res[0].admission, SessionAdmission::Existing);
+    EXPECT_EQ(res[1].admission, SessionAdmission::RejectedFull);
+  }
   // ...until the reaper frees the slot (1's silent run reaches 2 > 1 at
-  // the end of the next frame), after which the newcomer admits normally.
-  (void)svc.processFrame(ego, {{5, nullptr}});
+  // the end of the second empty frame), after which the newcomer admits
+  // normally instead of displacing anyone.
+  (void)svc.processFrame(ego, {});
+  (void)svc.processFrame(ego, {});
+  EXPECT_EQ(svc.sessionCount(), 0);
   auto after = svc.processFrame(ego, {{5, nullptr}});
   EXPECT_EQ(after[0].admission, SessionAdmission::Admitted);
   EXPECT_EQ(svc.report().rejectedFull, 2);

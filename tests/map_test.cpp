@@ -1,5 +1,4 @@
-// Tests for the keyframe map service (map/keyframe_store.* over
-// spatial/tile_grid.*): tile-bucket candidate gathering, spatial-gap
+// Tests for the keyframe map service (map/keyframe_store.*): spatial-gap
 // dedup, LRU-by-tick eviction with query-touch protection, k-NN query
 // ordering/recall, and byte-identity of the whole build+query sequence at
 // 1 vs 8 threads. Two heavy end-to-end scenarios pin the relocalization
@@ -22,7 +21,6 @@
 #include "dataset/sequence.hpp"
 #include "lidar/conditions.hpp"
 #include "sim/presets.hpp"
-#include "spatial/tile_grid.hpp"
 #include "stream/pose_tracker.hpp"
 
 namespace bba {
@@ -103,109 +101,71 @@ DescriptorSet placeDescriptors(const Vec2& p, int count = 3) {
                        kOrientations);
 }
 
-// ---- TileGrid2 -----------------------------------------------------------
-
-TEST(TileGrid, InsertRemoveAndCounts) {
-  TileGrid2 grid(10.0);
-  grid.insert(1, Vec2{1.0, 1.0});
-  grid.insert(2, Vec2{2.0, 2.0});    // same tile
-  grid.insert(3, Vec2{15.0, 1.0});   // next tile over
-  grid.insert(4, Vec2{-1.0, -1.0});  // negative tile
-  EXPECT_EQ(grid.size(), 4u);
-  EXPECT_EQ(grid.tileCount(), 3u);
-  EXPECT_EQ(grid.tileKey(Vec2{1.0, 1.0}), grid.tileKey(Vec2{9.9, 9.9}));
-  EXPECT_NE(grid.tileKey(Vec2{1.0, 1.0}), grid.tileKey(Vec2{-1.0, 1.0}));
-  grid.remove(2, Vec2{2.0, 2.0});
-  EXPECT_EQ(grid.size(), 3u);
-  EXPECT_EQ(grid.tileCount(), 3u);
-  grid.remove(1, Vec2{1.0, 1.0});
-  EXPECT_EQ(grid.tileCount(), 2u);  // emptied tile is dropped
-}
-
-TEST(TileGrid, CandidatesAreSortedSupersetOfRadius) {
-  TileGrid2 grid(7.0);
-  Rng rng(4242);
-  std::vector<Vec2> pos;
-  for (std::uint64_t id = 0; id < 200; ++id) {
-    const Vec2 p{rng.uniform(-120.0, 120.0), rng.uniform(-120.0, 120.0)};
-    pos.push_back(p);
-    grid.insert(id, p);
-  }
-  const Vec2 q{13.0, -41.0};
-  const double radius = 30.0;
-  const std::vector<std::uint64_t> got = grid.candidatesInRadius(q, radius);
-  EXPECT_TRUE(std::is_sorted(got.begin(), got.end()));
-  EXPECT_TRUE(std::adjacent_find(got.begin(), got.end()) == got.end());
-  const std::set<std::uint64_t> gotSet(got.begin(), got.end());
-  for (std::uint64_t id = 0; id < 200; ++id) {
-    if ((pos[static_cast<std::size_t>(id)] - q).norm() <= radius) {
-      EXPECT_TRUE(gotSet.count(id)) << id;
-    }
-  }
-  // The square over-approximation is bounded: every candidate lies within
-  // radius + one tile diagonal.
-  for (std::uint64_t id : got) {
-    EXPECT_LE((pos[static_cast<std::size_t>(id)] - q).norm(),
-              radius + 7.0 * std::sqrt(2.0) + 1e-9);
-  }
-}
-
-TEST(TileGrid, RemoveRebuildsExactly) {
-  TileGrid2 grid(5.0);
-  Rng rng(7);
-  std::vector<Vec2> pos;
-  for (std::uint64_t id = 0; id < 50; ++id) {
-    pos.push_back(Vec2{rng.uniform(-40.0, 40.0), rng.uniform(-40.0, 40.0)});
-    grid.insert(id, pos.back());
-  }
-  for (std::uint64_t id = 0; id < 50; id += 2)
-    grid.remove(id, pos[static_cast<std::size_t>(id)]);
-  EXPECT_EQ(grid.size(), 25u);
-  const std::vector<std::uint64_t> all =
-      grid.candidatesInRadius(Vec2{0, 0}, 1000.0);
-  ASSERT_EQ(all.size(), 25u);
-  for (std::uint64_t id : all) EXPECT_EQ(id % 2, 1u) << id;
-}
-
 // ---- KeyframeStore: insert / dedup / eviction ----------------------------
 
+/// Where the store tests place their scenes: at the origin, straddling
+/// it, and about 10 km out. Every offset is a whole number of meters, so
+/// the scenes' distances are exact at each.
+const Vec2 kOrigins[] = {Vec2{0.0, 0.0}, Vec2{-7.0, -3.0},
+                         Vec2{10000.0, -10000.0}};
+
 TEST(KeyframeStore, InsertAndDedupBySpatialGap) {
-  map::KeyframeStoreConfig cfg;
-  cfg.keyframeGapM = 4.0;
-  map::KeyframeStore store(cfg);
+  for (const Vec2& o : kOrigins) {
+    SCOPED_TRACE(::testing::Message() << "origin " << o.x << "," << o.y);
+    map::KeyframeStoreConfig cfg;
+    cfg.keyframeGapM = 4.0;
+    map::KeyframeStore store(cfg);
 
-  const CarPerceptionData payloadA = testPayload(1.0f);
-  const map::InsertResult a = store.insert(
-      Pose2{0.0, 0.0, 0.0}, constantDescriptors(0.1f), payloadA);
-  ASSERT_TRUE(a.inserted);
-  EXPECT_FALSE(a.dedupSkipped);
-  EXPECT_EQ(store.size(), 1u);
-  ASSERT_NE(store.keyframe(a.id), nullptr);
-  expectSamePayload(store.keyframe(a.id)->payload, payloadA);
+    const CarPerceptionData payloadA = testPayload(1.0f);
+    const map::InsertResult a = store.insert(
+        Pose2{o.x, o.y, 0.0}, constantDescriptors(0.1f), payloadA);
+    ASSERT_TRUE(a.inserted);
+    EXPECT_FALSE(a.dedupSkipped);
+    EXPECT_EQ(store.size(), 1u);
+    ASSERT_NE(store.keyframe(a.id), nullptr);
+    expectSamePayload(store.keyframe(a.id)->payload, payloadA);
 
-  // Within the gap: skipped, and the result names the blocking neighbor,
-  // whose payload the skipped offer leaves untouched.
-  const map::InsertResult b = store.insert(
-      Pose2{1.0, 1.0, 0.3}, constantDescriptors(0.2f), testPayload(2.0f));
-  EXPECT_FALSE(b.inserted);
-  EXPECT_TRUE(b.dedupSkipped);
-  EXPECT_EQ(b.id, a.id);
-  EXPECT_EQ(store.size(), 1u);
-  expectSamePayload(store.keyframe(a.id)->payload, payloadA);
+    // Within the gap: skipped, and the result names the blocking
+    // neighbor, whose payload the skipped offer leaves untouched.
+    const map::InsertResult b =
+        store.insert(Pose2{o.x + 1.0, o.y + 1.0, 0.3},
+                     constantDescriptors(0.2f), testPayload(2.0f));
+    EXPECT_FALSE(b.inserted);
+    EXPECT_TRUE(b.dedupSkipped);
+    EXPECT_EQ(b.id, a.id);
+    EXPECT_EQ(store.size(), 1u);
+    expectSamePayload(store.keyframe(a.id)->payload, payloadA);
 
-  // Beyond the gap: a new keyframe.
-  const CarPerceptionData payloadC = testPayload(3.0f);
-  const map::InsertResult c = store.insert(
-      Pose2{10.0, 0.0, 0.0}, constantDescriptors(0.3f), payloadC);
-  EXPECT_TRUE(c.inserted);
-  EXPECT_EQ(store.size(), 2u);
-  ASSERT_NE(store.keyframe(c.id), nullptr);
-  EXPECT_DOUBLE_EQ(store.keyframe(c.id)->globalPose.t.x, 10.0);
-  ASSERT_EQ(store.keyframe(c.id)->signature.size(),
-            static_cast<std::size_t>(kDim));
-  EXPECT_NEAR(store.keyframe(c.id)->signature[0], 0.3f, 1e-6f);
-  expectSamePayload(store.keyframe(c.id)->payload, payloadC);
-  expectSamePayload(store.keyframe(a.id)->payload, payloadA);
+    // Beyond the gap: a new keyframe.
+    const CarPerceptionData payloadC = testPayload(3.0f);
+    const map::InsertResult c = store.insert(
+        Pose2{o.x + 10.0, o.y, 0.0}, constantDescriptors(0.3f), payloadC);
+    EXPECT_TRUE(c.inserted);
+    EXPECT_EQ(store.size(), 2u);
+    ASSERT_NE(store.keyframe(c.id), nullptr);
+    EXPECT_DOUBLE_EQ(store.keyframe(c.id)->globalPose.t.x, o.x + 10.0);
+    ASSERT_EQ(store.keyframe(c.id)->signature.size(),
+              static_cast<std::size_t>(kDim));
+    EXPECT_NEAR(store.keyframe(c.id)->signature[0], 0.3f, 1e-6f);
+    expectSamePayload(store.keyframe(c.id)->payload, payloadC);
+    expectSamePayload(store.keyframe(a.id)->payload, payloadA);
+
+    // Exactly keyframeGapM from c: the gap test is strict, so this one
+    // is stored.
+    const map::InsertResult d = store.insert(Pose2{o.x + 14.0, o.y, 0.0},
+                                             constantDescriptors(0.4f));
+    EXPECT_TRUE(d.inserted);
+    EXPECT_FALSE(d.dedupSkipped);
+    EXPECT_EQ(store.size(), 3u);
+
+    // Equidistant (2 m) from c and d: the tie goes to the lower id.
+    const map::InsertResult e = store.insert(Pose2{o.x + 12.0, o.y, 0.0},
+                                             constantDescriptors(0.5f));
+    EXPECT_TRUE(e.dedupSkipped);
+    EXPECT_EQ(e.id, c.id);
+    EXPECT_LT(c.id, d.id);
+    EXPECT_EQ(store.size(), 3u);
+  }
 }
 
 TEST(KeyframeStore, EvictionIsLruWithQueryTouchProtection) {
@@ -239,7 +199,7 @@ TEST(KeyframeStore, EvictionIsLruWithQueryTouchProtection) {
   EXPECT_NE(store.keyframe(k1.id), nullptr);
   EXPECT_NE(store.keyframe(k3.id), nullptr);
 
-  // The evicted keyframe is gone from the spatial index too.
+  // The evicted keyframe is gone from queries too.
   EXPECT_TRUE(store.query(constantDescriptors(0.2f), Vec2{30.0, 0.0})
                   .empty());
 }
@@ -275,33 +235,46 @@ TEST(KeyframeStore, EvictionBoundPurity) {
 // ---- KeyframeStore: queries ----------------------------------------------
 
 TEST(KeyframeStore, QueryOrderingRadiusAndK) {
-  map::KeyframeStoreConfig cfg;
-  cfg.keyframeGapM = 1.0;
-  cfg.maxCandidates = 2;
-  cfg.queryRadiusM = 50.0;
-  map::KeyframeStore store(cfg);
-  const auto k0 = store.insert(Pose2{0.0, 0.0, 0.0},
-                               constantDescriptors(0.10f));
-  const auto k1 = store.insert(Pose2{20.0, 0.0, 0.0},
-                               constantDescriptors(0.45f));
-  const auto k2 = store.insert(Pose2{40.0, 0.0, 0.0},
-                               constantDescriptors(0.21f));
-  // Far outside the radius, and an index-only perfect match that must
-  // never appear because of distance:
-  const auto far = store.insert(Pose2{500.0, 0.0, 0.0},
-                                constantDescriptors(0.20f));
-  ASSERT_TRUE(far.inserted);
+  for (const Vec2& o : kOrigins) {
+    SCOPED_TRACE(::testing::Message() << "origin " << o.x << "," << o.y);
+    map::KeyframeStoreConfig cfg;
+    cfg.keyframeGapM = 1.0;
+    cfg.maxCandidates = 2;
+    cfg.queryRadiusM = 50.0;
+    map::KeyframeStore store(cfg);
+    const auto k0 = store.insert(Pose2{o.x, o.y, 0.0},
+                                 constantDescriptors(0.10f));
+    const auto k1 = store.insert(Pose2{o.x + 20.0, o.y, 0.0},
+                                 constantDescriptors(0.45f));
+    const auto k2 = store.insert(Pose2{o.x + 40.0, o.y, 0.0},
+                                 constantDescriptors(0.21f));
+    // Far outside the radius, and an index-only perfect match that must
+    // never appear because of distance:
+    const auto far = store.insert(Pose2{o.x + 500.0, o.y, 0.0},
+                                  constantDescriptors(0.20f));
+    ASSERT_TRUE(far.inserted);
 
-  const auto m = store.query(constantDescriptors(0.20f), Vec2{10.0, 0.0});
-  ASSERT_EQ(m.size(), 2u);    // k of 2 < the 3 in-radius candidates
-  EXPECT_EQ(m[0].id, k2.id);  // |0.21-0.20| < |0.10-0.20| < |0.45-0.20|
-  EXPECT_EQ(m[1].id, k0.id);
-  EXPECT_LT(m[0].signatureDistance, m[1].signatureDistance);
-  EXPECT_DOUBLE_EQ(m[0].spatialDistance, 30.0);
-  (void)k1;
+    const auto m =
+        store.query(constantDescriptors(0.20f), Vec2{o.x + 10.0, o.y});
+    ASSERT_EQ(m.size(), 2u);    // k of 2 < the 3 in-radius candidates
+    EXPECT_EQ(m[0].id, k2.id);  // |0.21-0.20| < |0.10-0.20| < |0.45-0.20|
+    EXPECT_EQ(m[1].id, k0.id);
+    EXPECT_LT(m[0].signatureDistance, m[1].signatureDistance);
+    EXPECT_DOUBLE_EQ(m[0].spatialDistance, 30.0);
+    (void)k1;
 
-  // Empty query set matches nothing.
-  EXPECT_TRUE(store.query(DescriptorSet{}, Vec2{10.0, 0.0}).empty());
+    // Exactly queryRadiusM from k2 (and farther from the rest): the
+    // radius test is inclusive, so k2 is returned, alone.
+    const auto edge =
+        store.query(constantDescriptors(0.20f), Vec2{o.x + 90.0, o.y});
+    ASSERT_EQ(edge.size(), 1u);
+    EXPECT_EQ(edge[0].id, k2.id);
+    EXPECT_EQ(edge[0].spatialDistance, cfg.queryRadiusM);
+
+    // Empty query set matches nothing.
+    EXPECT_TRUE(
+        store.query(DescriptorSet{}, Vec2{o.x + 10.0, o.y}).empty());
+  }
 }
 
 TEST(KeyframeStore, QueryRecallOnPinnedRevisits) {
@@ -348,9 +321,8 @@ TEST(KeyframeStore, QueryRecallOnPinnedRevisits) {
 
 TEST(KeyframeStore, BuildAndQueryByteIdenticalAt1And8Threads) {
   // The determinism contract of the whole store: an identical
-  // insert/query sequence — including parallel candidate scoring inside
-  // query() — produces bitwise-identical InsertResults and QueryMatches
-  // at 1 and 8 threads.
+  // insert/query sequence produces bitwise-identical InsertResults and
+  // QueryMatches at 1 and 8 threads.
   auto run = [](int threads) {
     ThreadLimit limit(threads);
     map::KeyframeStoreConfig cfg;

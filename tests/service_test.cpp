@@ -348,8 +348,8 @@ TEST(ServiceEgoCache, HitMeansTheKeyframeAndTheFrameSharedFeatures) {
   // Three granted peers whose payloads cannot be aligned (wrong image
   // size), so each frame costs the ego features and nothing else.
   constexpr int kFrames = 3;
+  // Three mismatches (penalty 1 each) leave each peer short of quarantine.
   ServiceConfig cfg;
-  cfg.enableHealth = false;  // mismatches must not quarantine the peers
   const BBAlign aligner(cfg.tracker.aligner);
   const StreamFrame& f = scenarioFrames()[0];
   const CarPerceptionData ego = aligner.makeCarData(f.egoCloud, f.egoDets);

@@ -194,8 +194,8 @@ TEST(Fft2d, BitIdenticalToRowThenColumnReference) {
 
 TEST(LogGabor, FiltersHaveZeroDcAndPeakInBand) {
   const LogGaborBank bank(64, 64);
-  for (int s = 0; s < bank.params().numScales; ++s) {
-    for (int o = 0; o < bank.params().numOrientations; ++o) {
+  for (int s = 0; s < LogGaborBank::kNumScales; ++s) {
+    for (int o = 0; o < LogGaborBank::kNumOrientations; ++o) {
       const ImageF& f = bank.filter(s, o);
       EXPECT_FLOAT_EQ(f(0, 0), 0.0f);  // no DC response
       float mx = 0.0f;
@@ -214,7 +214,7 @@ TEST(LogGabor, OrientedLineExcitesMatchingOrientation) {
   // and rotating the line must rotate the winning orientation.
   const int n = 64;
   const LogGaborBank bank(n, n);
-  const int no = bank.params().numOrientations;
+  const int no = LogGaborBank::kNumOrientations;
 
   ImageF vertical(n, n, 0.0f);
   for (int y = 8; y < n - 8; ++y) vertical(n / 2, y) = 1.0f;

@@ -1,0 +1,119 @@
+#!/usr/bin/env bash
+# Byte-identity check of the working tree against a parent commit: for a
+# change that must keep every output the same (a refactor, a deletion, a
+# same-bytes speedup), run both trees' deterministic surfaces and compare.
+#
+# Usage: tools/same_bytes.sh <parent-ref>
+#
+# Both trees build in Release. The parent's sources come from
+# `git archive <parent-ref>` (no worktree is registered, nothing in .git
+# changes); everything lands under build-same-bytes/ at the repo root. The
+# compared outputs, in order:
+#   smoke-default   `<workload> digest` lines of bench/e2e/run.sh --smoke
+#   smoke-scalar    ... the same at BBA_SIMD=scalar
+#   ablation_design, stream_robustness, bandwidth
+#                   stdout at BBA_BENCH_PAIRS=6
+#   quickstart      stdout of example_quickstart
+#   scenario-mini   the CI scenario mini-matrix JSON (--out)
+# Exits 0 when all are identical; otherwise exits 1 and names the first
+# output that differs, with the head of its diff. Exits 2 on a usage or
+# build error.
+set -euo pipefail
+
+if [ $# -ne 1 ]; then
+  echo "usage: tools/same_bytes.sh <parent-ref>" >&2
+  exit 2
+fi
+
+root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
+parent_commit="$(git -C "$root" rev-parse --verify "$1^{commit}")" || {
+  echo "same_bytes: unknown ref $1" >&2
+  exit 2
+}
+work="$root/build-same-bytes"
+parent_src="$work/parent"
+jobs="$(nproc 2>/dev/null || echo 1)"
+jobs=$(( jobs < 4 ? jobs : 4 ))
+targets="ablation_design stream_robustness bandwidth example_quickstart scenario_matrix"
+
+# Parent sources: re-extracted only when the ref changes, so a second run
+# against the same parent rebuilds nothing.
+mkdir -p "$work"
+if [ "$(cat "$parent_src/.same_bytes_ref" 2>/dev/null)" != "$parent_commit" ]; then
+  rm -rf "$parent_src"
+  mkdir -p "$parent_src"
+  git -C "$root" archive "$parent_commit" | tar -x -C "$parent_src"
+  echo "$parent_commit" >"$parent_src/.same_bytes_ref"
+fi
+
+# build <src> <build-dir>
+build() {
+  local log="$2.log"
+  { cmake -S "$1" -B "$2" -DCMAKE_BUILD_TYPE=Release &&
+    cmake --build "$2" -j "$jobs" --target $targets; } >"$log" 2>&1 || {
+    tail -n 30 "$log" >&2
+    echo "same_bytes: build of $1 failed (log: $log)" >&2
+    exit 2
+  }
+}
+
+# collect <src> <build-dir> <out-dir>: every compared output of one tree.
+collect() {
+  local src="$1" bin="$2" out="$3"
+  rm -rf "$out"
+  mkdir -p "$out"
+  "$src/bench/e2e/run.sh" --smoke >"$out/smoke-default.log" 2>&1 || true
+  BBA_SIMD=scalar "$src/bench/e2e/run.sh" --smoke >"$out/smoke-scalar.log" 2>&1 || true
+  awk '$2 == "digest"' "$out/smoke-default.log" >"$out/smoke-default"
+  awk '$2 == "digest"' "$out/smoke-scalar.log" >"$out/smoke-scalar"
+  # A non-zero exit status is appended to the output it belongs to, so it
+  # is compared like the rest.
+  local b
+  for b in ablation_design stream_robustness bandwidth; do
+    BBA_BENCH_PAIRS=6 "$bin/bench/$b" >"$out/$b" 2>/dev/null ||
+      echo "exit $?" >>"$out/$b"
+  done
+  "$bin/examples/example_quickstart" >"$out/quickstart" 2>/dev/null ||
+    echo "exit $?" >>"$out/quickstart"
+  "$bin/bench/scenario_matrix" --presets=suburban,tunnel \
+    --faults=clean,sector --profiles=clear-32 --frames=12 --seed=7 \
+    --out="$out/scenario-mini" >/dev/null 2>&1 ||
+    echo "exit $?" >>"$out/scenario-mini"
+}
+
+echo "same_bytes: building parent $parent_commit and the working tree"
+build "$parent_src" "$work/parent-build"
+build "$root" "$work/head-build"
+# The parent's outputs are a pure function of its commit: collected once.
+if [ "$(cat "$work/out-parent/.same_bytes_ref" 2>/dev/null)" != "$parent_commit" ]; then
+  echo "same_bytes: running the parent's outputs"
+  collect "$parent_src" "$work/parent-build" "$work/out-parent"
+  echo "$parent_commit" >"$work/out-parent/.same_bytes_ref"
+fi
+echo "same_bytes: running the working tree's outputs"
+collect "$root" "$work/head-build" "$work/out-head"
+
+for name in smoke-default smoke-scalar ablation_design stream_robustness \
+  bandwidth quickstart scenario-mini; do
+  a="$work/out-parent/$name"
+  b="$work/out-head/$name"
+  if [ ! -s "$a" ] || [ ! -s "$b" ]; then
+    echo "same_bytes: FAIL $name: empty output (see $work/out-*/)" >&2
+    exit 1
+  fi
+  if ! cmp -s "$a" "$b"; then
+    echo "same_bytes: FAIL first difference in $name" >&2
+    diff "$a" "$b" | head -n 20 >&2 || true
+    exit 1
+  fi
+done
+for log in smoke-default smoke-scalar; do
+  if ! grep -q '^smoke OK$' "$work/out-head/$log.log"; then
+    echo "same_bytes: FAIL $log: the working tree's smoke did not pass" >&2
+    tail -n 20 "$work/out-head/$log.log" >&2
+    exit 1
+  fi
+done
+cat "$work/out-head/smoke-default"
+grep -h 'quality.wrong_pose_frac' "$work/out-head/smoke-default.log" | grep '^reloc' || true
+echo "same_bytes: OK, every output matches $parent_commit"
