@@ -91,7 +91,7 @@ CellResult runCell(WorldPreset preset, const FaultPreset& fault,
   sc.faults.seed = 3;
   // The profile under test rides on the remote car; the ego keeps the
   // default clear 32-beam sensor, so every cell degrades exactly one side.
-  sc.peerProfiles = {profile};
+  sc.remoteProfile = profile;
   const SequenceGenerator gen(sc);
 
   CellResult out;

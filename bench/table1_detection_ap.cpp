@@ -22,7 +22,6 @@ int main() {
   const double sigmaT = 2.0;          // meters
   const double sigmaTheta = 2.0;      // degrees
   const BBAlign aligner;
-  const FusionConfig fusionCfg;
   const DatasetGenerator generator(bench::standardConfig(10001));
   Rng rng(21);
 
@@ -59,13 +58,13 @@ int main() {
       const auto method = static_cast<FusionMethod>(m);
       noisy[m].push_back(
           EvalFrame{cooperativeDetect(method, pair->egoCloud,
-                                      pair->otherCloud, noisyPose, fusionCfg,
-                                      egoMotion, otherMotion),
+                                      pair->otherCloud, noisyPose, egoMotion,
+                                      otherMotion),
                     pair->gtBoxesEgoFrame});
       recovered[m].push_back(
           EvalFrame{cooperativeDetect(method, pair->egoCloud,
-                                      pair->otherCloud, usedPose, fusionCfg,
-                                      egoMotion, otherMotion),
+                                      pair->otherCloud, usedPose, egoMotion,
+                                      otherMotion),
                     pair->gtBoxesEgoFrame});
     }
     std::cerr << "\r  [" << (i + 1) << "/" << n << " scenes]" << std::flush;

@@ -28,7 +28,6 @@ int main(int argc, char** argv) {
   dataCfg.seed = 4242;
   const DatasetGenerator generator(dataCfg);
   const BBAlign aligner;
-  const FusionConfig fusionCfg;
   Rng rng(1);
 
   std::vector<EvalFrame> gtFrames, noisyFrames, recoveredFrames;
@@ -56,7 +55,7 @@ int main(int argc, char** argv) {
     const EgoMotion om{pair->otherSpeed, pair->otherYawRate};
     const auto detect = [&](const Pose2& pose) {
       return cooperativeDetect(FusionMethod::Early, pair->egoCloud,
-                               pair->otherCloud, pose, fusionCfg, em, om);
+                               pair->otherCloud, pose, em, om);
     };
     gtFrames.push_back({detect(pair->gtOtherToEgo), pair->gtBoxesEgoFrame});
     noisyFrames.push_back({detect(noisy), pair->gtBoxesEgoFrame});

@@ -10,8 +10,23 @@
 
 namespace bba {
 
-VipsResult vipsEstimate(const Detections& other, const Detections& ego,
-                        const VipsParams& prm) {
+namespace {
+
+/// Affinity kernel bandwidth (meters) on pairwise-distance disagreement.
+constexpr double kSigma = 1.0;
+/// Assignment pairs with |d_ij - d_ab| above this contribute zero
+/// affinity (sparsifies the matrix).
+constexpr double kMaxPairDistanceDiff = 4.0;
+/// Candidate assignments must have compatible box footprints (meters).
+constexpr double kMaxSizeDiff = 1.2;
+constexpr int kPowerIterations = 60;
+/// Minimum matched objects for a pose fit (2 fixes a rigid transform but
+/// is fragile; VIPS effectively needs richer context).
+constexpr int kMinMatches = 2;
+
+}  // namespace
+
+VipsResult vipsEstimate(const Detections& other, const Detections& ego) {
   VipsResult result;
   if (other.empty() || ego.empty()) return result;
 
@@ -26,8 +41,8 @@ VipsResult vipsEstimate(const Detections& other, const Detections& ego,
     for (int a = 0; a < static_cast<int>(ego.size()); ++a) {
       const auto& bi = other[static_cast<std::size_t>(i)].box;
       const auto& ba = ego[static_cast<std::size_t>(a)].box;
-      if (std::abs(bi.size.x - ba.size.x) > prm.maxSizeDiff) continue;
-      if (std::abs(bi.size.y - ba.size.y) > prm.maxSizeDiff) continue;
+      if (std::abs(bi.size.x - ba.size.x) > kMaxSizeDiff) continue;
+      if (std::abs(bi.size.y - ba.size.y) > kMaxSizeDiff) continue;
       cands.push_back(Cand{i, a, bi.center.xy(), ba.center.xy()});
     }
   }
@@ -47,8 +62,8 @@ VipsResult vipsEstimate(const Detections& other, const Detections& ego,
       const double dOther = (cp.pOther - cq.pOther).norm();
       const double dEgo = (cp.pEgo - cq.pEgo).norm();
       const double diff = std::abs(dOther - dEgo);
-      if (diff > prm.maxPairDistanceDiff) continue;
-      const double w = std::exp(-(diff * diff) / (2.0 * prm.sigma * prm.sigma));
+      if (diff > kMaxPairDistanceDiff) continue;
+      const double w = std::exp(-(diff * diff) / (2.0 * kSigma * kSigma));
       M[static_cast<std::size_t>(p) * static_cast<std::size_t>(n) +
         static_cast<std::size_t>(q)] = w;
       M[static_cast<std::size_t>(q) * static_cast<std::size_t>(n) +
@@ -60,7 +75,7 @@ VipsResult vipsEstimate(const Detections& other, const Detections& ego,
   std::vector<double> v(static_cast<std::size_t>(n),
                         1.0 / std::sqrt(static_cast<double>(n)));
   std::vector<double> next(static_cast<std::size_t>(n), 0.0);
-  for (int it = 0; it < prm.powerIterations; ++it) {
+  for (int it = 0; it < kPowerIterations; ++it) {
     double norm = 0.0;
     for (int r = 0; r < n; ++r) {
       double s = 0.0;
@@ -104,7 +119,7 @@ VipsResult vipsEstimate(const Detections& other, const Detections& ego,
   }
 
   result.matchedObjects = static_cast<int>(src.size());
-  if (result.matchedObjects < prm.minMatches) return result;
+  if (result.matchedObjects < kMinMatches) return result;
 
   // Verification: the spectral relaxation happily matches symmetric or
   // sparse configurations wrongly; fit the pose robustly over the matched
@@ -113,7 +128,7 @@ VipsResult vipsEstimate(const Detections& other, const Detections& ego,
   RansacParams rp;
   rp.iterations = 400;
   rp.inlierThreshold = 1.2;
-  rp.minInliers = std::max(prm.minMatches, 3);
+  rp.minInliers = std::max(kMinMatches, 3);
   rp.minPairSeparation = 2.0;
   const RansacResult fit = ransacRigid2D(src, dst, rp, rng);
   if (!fit.ok) return result;

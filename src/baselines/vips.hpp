@@ -5,24 +5,6 @@
 
 namespace bba {
 
-/// Parameters of the VIPS-style spectral graph-matching baseline (ref. [28]
-/// of the paper). Nodes are detected-object centers; edges carry pairwise
-/// distances; spectral relaxation of the pairwise-consistency matching is
-/// solved by power iteration and greedily discretized.
-struct VipsParams {
-  /// Affinity kernel bandwidth (meters) on pairwise-distance disagreement.
-  double sigma = 1.0;
-  /// Assignment pairs with |d_ij - d_ab| above this contribute zero
-  /// affinity (sparsifies the matrix).
-  double maxPairDistanceDiff = 4.0;
-  /// Candidate assignments must have compatible box footprints (meters).
-  double maxSizeDiff = 1.2;
-  int powerIterations = 60;
-  /// Minimum matched objects for a pose fit (2 fixes a rigid transform but
-  /// is fragile; VIPS effectively needs richer context).
-  int minMatches = 2;
-};
-
 struct VipsResult {
   Pose2 transform;  ///< other -> ego
   int matchedObjects = 0;
@@ -30,9 +12,12 @@ struct VipsResult {
 };
 
 /// Estimate the relative pose from the other car's detections to the ego
-/// car's detections by spectral graph matching over object centers.
+/// car's detections by spectral graph matching over object centers: the
+/// VIPS-style baseline (ref. [28] of the paper). Nodes are detected-object
+/// centers; edges carry pairwise distances; spectral relaxation of the
+/// pairwise-consistency matching is solved by power iteration and greedily
+/// discretized.
 [[nodiscard]] VipsResult vipsEstimate(const Detections& other,
-                                      const Detections& ego,
-                                      const VipsParams& params = {});
+                                      const Detections& ego);
 
 }  // namespace bba

@@ -3,8 +3,7 @@
 namespace bba {
 
 PairEvaluation evaluatePair(const BBAlign& aligner, const FramePair& pair,
-                            Rng& rng, bool runVips,
-                            const VipsParams& vipsParams) {
+                            Rng& rng, bool runVips) {
   PairEvaluation ev;
   ev.distance = pair.interVehicleDistance;
   ev.commonCars = pair.commonCars;
@@ -20,7 +19,7 @@ PairEvaluation evaluatePair(const BBAlign& aligner, const FramePair& pair,
 
   if (runVips) {
     ev.vipsRan = true;
-    ev.vips = vipsEstimate(pair.otherDets, pair.egoDets, vipsParams);
+    ev.vips = vipsEstimate(pair.otherDets, pair.egoDets);
     if (ev.vips.ok) {
       ev.vipsError = poseError(ev.vips.transform, pair.gtOtherToEgo);
     }

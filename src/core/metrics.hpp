@@ -24,7 +24,6 @@ struct PairEvaluation {
 /// Run BB-Align (and VIPS when requested) on one pair.
 [[nodiscard]] PairEvaluation evaluatePair(const BBAlign& aligner,
                                           const FramePair& pair, Rng& rng,
-                                          bool runVips = false,
-                                          const VipsParams& vipsParams = {});
+                                          bool runVips = false);
 
 }  // namespace bba

@@ -23,9 +23,7 @@ Rng frameRng(std::uint64_t seed, int frameIndex, std::uint64_t channel) {
 constexpr std::uint64_t kChannelLink = 1;
 constexpr std::uint64_t kChannelSector = 2;
 constexpr std::uint64_t kChannelBoxes = 3;
-constexpr std::uint64_t kChannelPayload = 4;
 constexpr std::uint64_t kChannelAdvPose = 5;
-constexpr std::uint64_t kChannelAdvReplay = 6;
 constexpr std::uint64_t kChannelAdvBoxes = 7;
 constexpr std::uint64_t kChannelChurn = 8;
 constexpr std::uint64_t kChannelChurnSilence = 9;
@@ -77,37 +75,24 @@ ChurnState churnState(const FaultConfig& cfg, int frameIndex,
   return ChurnState::Present;
 }
 
-bool FaultConfig::any() const {
-  return frameDropProb > 0.0 || latencyProb > 0.0 || clockSkewSigma > 0.0 ||
-         boxDropProb > 0.0 || maxBoxes >= 0 || boxCenterNoiseSigma > 0.0 ||
-         boxYawNoiseSigmaDeg > 0.0 || sectorDropProb > 0.0 ||
-         payloadBitFlipProb > 0.0 || payloadTruncateProb > 0.0 ||
-         poseSpoofProb > 0.0 || replayProb > 0.0 ||
-         boxFabricateProb > 0.0 || boxTeleportProb > 0.0;
-}
-
 FaultInjector::FaultInjector(FaultConfig config) : cfg_(config) {
   BBA_ASSERT(cfg_.maxLatencyFrames >= 1);
   BBA_ASSERT(cfg_.sectorWidthDeg > 0.0);
-  BBA_ASSERT(cfg_.maxReplayLag >= 1);
-  BBA_ASSERT(cfg_.boxFabricateCount >= 0);
 }
 
 FrameFaults FaultInjector::frameFaults(int frameIndex) const {
   FrameFaults f;
-  // Link-level faults: drop, latency, clock skew. The draws happen in a
-  // fixed order regardless of which probabilities are zero, so enabling
-  // one channel never re-randomizes another.
+  // Link-level faults: drop, latency. The draws happen in a fixed order
+  // regardless of which probabilities are zero, so enabling one channel
+  // never re-randomizes another.
   Rng link = frameRng(cfg_.seed, frameIndex, kChannelLink);
   const double dropDraw = link.uniform(0.0, 1.0);
   const double latencyDraw = link.uniform(0.0, 1.0);
   const int lagDraw = link.uniformInt(1, cfg_.maxLatencyFrames);
-  const double skewDraw = link.normal(0.0, 1.0);
   f.dropped = dropDraw < cfg_.frameDropProb;
   if (latencyDraw < cfg_.latencyProb) {
     f.lagFrames = std::min(lagDraw, frameIndex);  // frame 0 has no past
   }
-  f.clockSkew = skewDraw * cfg_.clockSkewSigma;
 
   Rng sector = frameRng(cfg_.seed, frameIndex, kChannelSector);
   const double sectorDraw = sector.uniform(0.0, 1.0);
@@ -135,28 +120,10 @@ void FaultInjector::applyCloudFaults(PointCloud& cloud,
 }
 
 void FaultInjector::applyBoxFaults(Detections& dets, int frameIndex) const {
-  Rng rng = frameRng(cfg_.seed, frameIndex, kChannelBoxes);
-  // Truncation: independent per-box drops first, then the hard cap on the
-  // strongest-score survivors (stable order, so the cap is deterministic).
-  if (cfg_.boxDropProb > 0.0) {
-    Detections kept;
-    kept.reserve(dets.size());
-    for (const Detection& d : dets) {
-      if (rng.uniform(0.0, 1.0) >= cfg_.boxDropProb) kept.push_back(d);
-    }
-    dets = std::move(kept);
-  }
-  if (cfg_.maxBoxes >= 0 &&
-      dets.size() > static_cast<std::size_t>(cfg_.maxBoxes)) {
-    std::stable_sort(dets.begin(), dets.end(),
-                     [](const Detection& a, const Detection& b) {
-                       return a.score > b.score;
-                     });
-    dets.resize(static_cast<std::size_t>(cfg_.maxBoxes));
-  }
   // Corner noise: perturb center and yaw (which moves every corner of the
   // oriented box) on top of the detector's own error model.
   if (cfg_.boxCenterNoiseSigma > 0.0 || cfg_.boxYawNoiseSigmaDeg > 0.0) {
+    Rng rng = frameRng(cfg_.seed, frameIndex, kChannelBoxes);
     for (Detection& d : dets) {
       d.box.center.x += rng.normal(0.0, cfg_.boxCenterNoiseSigma);
       d.box.center.y += rng.normal(0.0, cfg_.boxCenterNoiseSigma);
@@ -182,70 +149,21 @@ AdversarialFaults FaultInjector::adversarialFaults(int frameIndex) const {
     f.spoofDelta.theta = (signDraw < 0.5 ? -1.0 : 1.0) *
                          cfg_.poseSpoofYawDeg * kDegToRad;
   }
-
-  Rng replay = frameRng(cfg_.seed, frameIndex, kChannelAdvReplay);
-  const double replayDraw = replay.uniform(0.0, 1.0);
-  const int lagDraw = replay.uniformInt(1, cfg_.maxReplayLag);
-  if (replayDraw < cfg_.replayProb) {
-    // Frame 0 has no past to replay.
-    f.replayLagFrames = std::min(lagDraw, frameIndex);
-    f.replayed = f.replayLagFrames > 0;
-  }
   return f;
 }
 
 void FaultInjector::applyAdversarialBoxFaults(
     std::vector<OrientedBox2>& boxes, int frameIndex) const {
+  // Fixed draw order (gate, direction), so the realization of frame k is
+  // independent of the probability.
   Rng rng = frameRng(cfg_.seed, frameIndex, kChannelAdvBoxes);
-  // Fixed draw order: teleport gate + direction first, then the
-  // fabrication gate and its per-box draws — enabling fabrication never
-  // re-randomizes the teleport realization.
   const double teleDraw = rng.uniform(0.0, 1.0);
   const double teleDir = rng.uniform(-3.14159265358979323846,
                                      3.14159265358979323846);
-  const double fabDraw = rng.uniform(0.0, 1.0);
   if (teleDraw < cfg_.boxTeleportProb) {
     const Vec2 offset =
-        Vec2{std::cos(teleDir), std::sin(teleDir)} * cfg_.boxTeleportOffset;
+        Vec2{std::cos(teleDir), std::sin(teleDir)} * kBoxTeleportOffsetM;
     for (OrientedBox2& b : boxes) b.center += offset;
-  }
-  if (fabDraw < cfg_.boxFabricateProb) {
-    for (int i = 0; i < cfg_.boxFabricateCount; ++i) {
-      OrientedBox2 ghost;
-      ghost.center.x = rng.uniform(-cfg_.boxFabricateRange,
-                                   cfg_.boxFabricateRange);
-      ghost.center.y = rng.uniform(-cfg_.boxFabricateRange,
-                                   cfg_.boxFabricateRange);
-      ghost.yaw = rng.uniform(-3.14159265358979323846,
-                              3.14159265358979323846);
-      boxes.push_back(ghost);
-    }
-  }
-}
-
-void FaultInjector::applyPayloadFaults(std::vector<std::uint8_t>& bytes,
-                                       int frameIndex) const {
-  if (bytes.empty()) return;
-  Rng rng = frameRng(cfg_.seed, frameIndex, kChannelPayload);
-  // Fixed draw order (flip gate, truncate gate, truncate fraction) so
-  // enabling one sub-channel never re-randomizes the other.
-  const double flipDraw = rng.uniform(0.0, 1.0);
-  const double truncDraw = rng.uniform(0.0, 1.0);
-  const double truncFrac = rng.uniform(0.0, 1.0);
-  if (flipDraw < cfg_.payloadBitFlipProb) {
-    for (int i = 0; i < cfg_.payloadBitFlips; ++i) {
-      const int bit =
-          rng.uniformInt(0, static_cast<int>(bytes.size()) * 8 - 1);
-      bytes[static_cast<std::size_t>(bit / 8)] ^=
-          static_cast<std::uint8_t>(1u << (bit % 8));
-    }
-  }
-  if (truncDraw < cfg_.payloadTruncateProb) {
-    // Cut anywhere in [0, size): even losing a single trailing byte must
-    // be caught (by frame length / CRC), and an empty payload is the
-    // degenerate extreme.
-    bytes.resize(static_cast<std::size_t>(
-        truncFrac * static_cast<double>(bytes.size())));
   }
 }
 

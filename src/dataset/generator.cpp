@@ -7,15 +7,20 @@
 
 namespace bba {
 
+namespace {
+
+/// Resampling budget per pair when the common-car filter rejects a scene.
+constexpr int kMaxAttemptsPerPair = 8;
+
+}  // namespace
+
 DatasetGenerator::DatasetGenerator(DatasetConfig config)
     : cfg_(std::move(config)) {
   BBA_ASSERT(cfg_.minSeparation > 0.0 &&
              cfg_.maxSeparation >= cfg_.minSeparation);
-  BBA_ASSERT(cfg_.maxAttemptsPerPair >= 1);
 }
 
-FramePair DatasetGenerator::buildPair(int index, int attempt,
-                                      Rng& rng) const {
+FramePair DatasetGenerator::buildPair(int index, Rng& rng) const {
   // Randomize the scenario.
   ScenarioConfig sc;
   sc.separation = rng.uniform(cfg_.minSeparation, cfg_.maxSeparation);
@@ -43,7 +48,6 @@ FramePair DatasetGenerator::buildPair(int index, int attempt,
 
   FramePair pair;
   pair.pairIndex = index;
-  (void)attempt;
   pair.egoCloud = scanVehicle(world, world.egoVehicleId, cfg_.egoLidar, t,
                               rng, scanOpt);
   pair.otherCloud = scanVehicle(world, world.otherVehicleId, cfg_.otherLidar,
@@ -89,12 +93,12 @@ FramePair DatasetGenerator::buildPair(int index, int attempt,
 }
 
 std::optional<FramePair> DatasetGenerator::generatePair(int index) const {
-  for (int attempt = 0; attempt < cfg_.maxAttemptsPerPair; ++attempt) {
+  for (int attempt = 0; attempt < kMaxAttemptsPerPair; ++attempt) {
     // Decorrelated deterministic stream per (config seed, index, attempt).
     Rng rng(cfg_.seed ^
             (static_cast<std::uint64_t>(index) * 0x9E3779B97F4A7C15ULL) ^
             (static_cast<std::uint64_t>(attempt) * 0xC2B2AE3D27D4EB4FULL));
-    FramePair pair = buildPair(index, attempt, rng);
+    FramePair pair = buildPair(index, rng);
     if (pair.commonCars >= cfg_.minCommonCars) return pair;
   }
   return std::nullopt;

@@ -43,8 +43,6 @@ struct DatasetConfig {
   /// Keep only pairs where both cars commonly observe at least this many
   /// cars (the paper's 12K/20K frame selection). 0 disables filtering.
   int minCommonCars = 2;
-  /// Resampling budget per pair when the filter rejects a scene.
-  int maxAttemptsPerPair = 8;
 };
 
 /// Deterministic generator: pair `i` of a given config is always the same
@@ -55,16 +53,16 @@ class DatasetGenerator {
 
   [[nodiscard]] const DatasetConfig& config() const { return cfg_; }
 
-  /// Generate pair #index. Returns nullopt if no attempt within the budget
-  /// passed the common-car filter (rare; callers typically skip).
+  /// Generate pair #index. Returns nullopt if none of the resampling
+  /// attempts passed the common-car filter (rare; callers typically skip).
   [[nodiscard]] std::optional<FramePair> generatePair(int index) const;
 
   /// Generate the first `count` pairs, skipping filtered-out indices.
   [[nodiscard]] std::vector<FramePair> generate(int count) const;
 
  private:
-  /// Single attempt at building pair (index, attempt).
-  [[nodiscard]] FramePair buildPair(int index, int attempt, Rng& rng) const;
+  /// One attempt at building pair `index` from the attempt's stream.
+  [[nodiscard]] FramePair buildPair(int index, Rng& rng) const;
 
   DatasetConfig cfg_;
 };

@@ -67,7 +67,7 @@ Detections simulateDetections(const World& world, int vehicleId,
   const Pose2 selfPose2 = self.trajectory.pose(t);
   const Pose3 selfPose =
       Pose3::planar(selfPose2.t.x, selfPose2.t.y, selfPose2.theta);
-  const Vec3 sensor = selfPose.apply(lidar.mountOffset);
+  const Vec3 sensor = selfPose.apply(kLidarMountOffset);
 
   Detections out;
   for (const auto& target : world.vehicles) {

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/assert.hpp"
+#include "detect/cluster_detector.hpp"
 #include "fusion/nms.hpp"
 #include "geom/pose3.hpp"
 #include "obs/metrics.hpp"
@@ -27,6 +28,16 @@ const char* toString(FusionMethod m) {
 }
 
 namespace {
+
+/// The clustering detector every pipeline's detection head runs.
+constexpr ClusterDetectorParams kDetector{};
+constexpr double kLateNmsIou = 0.25;
+/// Intermediate-fusion grid resolutions (meters per cell; PointPillar-class
+/// models use ~0.4 m pillars).
+constexpr double kFCooperCellM = 0.4;
+constexpr double kCoBevtCellM = 0.4;
+/// Occupancy threshold for the grid detection head.
+constexpr double kGridThreshold = 0.3;
 
 /// BEV feature grid: the emulated "intermediate feature map" one car
 /// would transmit. Besides car-band occupancy and a tall-structure mask,
@@ -185,7 +196,6 @@ Detections detectOnGrid(const FeatureGrid& grid, double threshold,
 Detections cooperativeDetect(FusionMethod method, const PointCloud& rawEgo,
                              const PointCloud& rawOther,
                              const Pose2& otherToEgo,
-                             const FusionConfig& cfg,
                              const EgoMotion& egoMotion,
                              const EgoMotion& otherMotion) {
   BBA_SPAN("fusion");
@@ -198,51 +208,47 @@ Detections cooperativeDetect(FusionMethod method, const PointCloud& rawEgo,
   const PointCloud otherCloud =
       deskewed(rawOther, otherMotion.speed, otherMotion.yawRate);
 
-  // The other car's detector runs in the other car's frame: its anchor
-  // point (sensor origin) in the ego frame is the believed translation.
-  ClusterDetectorParams otherDetector = cfg.detector;
-  otherDetector.sensorOrigin = Vec2{};
-
   switch (method) {
     case FusionMethod::Early: {
       // NMS collapses the duplicate boxes that arise when the two views of
       // one object fail to merge into a single cluster (misalignment or
       // per-view smear).
       const PointCloud fused = merged(egoCloud, transformed(otherCloud, T));
-      return nonMaximumSuppression(detectByClustering(fused, cfg.detector),
-                                   cfg.lateNmsIou);
+      return nonMaximumSuppression(detectByClustering(fused, kDetector),
+                                   kLateNmsIou);
     }
     case FusionMethod::Late: {
-      Detections ego = detectByClustering(egoCloud, cfg.detector);
-      const Detections other = detectByClustering(otherCloud, otherDetector);
+      // Each car's detector runs in its own frame, sensor at the origin.
+      Detections ego = detectByClustering(egoCloud, kDetector);
+      const Detections other = detectByClustering(otherCloud, kDetector);
       for (const Detection& d : other) {
         Detection moved = d;
         moved.box = d.box.transformed(T);
         ego.push_back(moved);
       }
-      return nonMaximumSuppression(std::move(ego), cfg.lateNmsIou);
+      return nonMaximumSuppression(std::move(ego), kLateNmsIou);
     }
     case FusionMethod::FCooper: {
       // Maxout feature fusion over a pillar grid (ref. [12]).
-      const FeatureGrid egoGrid = makeGrid(
-          egoCloud, cfg.fCooperCell, cfg.detector.range, cfg.detector);
-      const FeatureGrid otherGrid = makeGrid(
-          otherCloud, cfg.fCooperCell, cfg.detector.range, cfg.detector);
+      const FeatureGrid egoGrid =
+          makeGrid(egoCloud, kFCooperCellM, kDetector.range, kDetector);
+      const FeatureGrid otherGrid =
+          makeGrid(otherCloud, kFCooperCellM, kDetector.range, kDetector);
       const FeatureGrid fused =
           fuseGrids(egoGrid, otherGrid, otherToEgo, FuseOp::Maxout, 0.8);
-      return detectOnGrid(fused, cfg.gridThreshold, cfg.detector);
+      return detectOnGrid(fused, kGridThreshold, kDetector);
     }
     case FusionMethod::CoBEVT: {
       // Confidence-weighted (attention-like) blending (ref. [1]): each
       // cell trusts whichever view is more confident, which degrades more
       // gracefully under misalignment than maxout.
-      const FeatureGrid egoGrid = makeGrid(
-          egoCloud, cfg.coBevtCell, cfg.detector.range, cfg.detector);
-      const FeatureGrid otherGrid = makeGrid(
-          otherCloud, cfg.coBevtCell, cfg.detector.range, cfg.detector);
+      const FeatureGrid egoGrid =
+          makeGrid(egoCloud, kCoBevtCellM, kDetector.range, kDetector);
+      const FeatureGrid otherGrid =
+          makeGrid(otherCloud, kCoBevtCellM, kDetector.range, kDetector);
       const FeatureGrid fused =
           fuseGrids(egoGrid, otherGrid, otherToEgo, FuseOp::Weighted, 0.6);
-      return detectOnGrid(fused, cfg.gridThreshold, cfg.detector);
+      return detectOnGrid(fused, kGridThreshold, kDetector);
     }
   }
   throw ComputationError("cooperativeDetect: unknown fusion method");

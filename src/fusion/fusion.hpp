@@ -1,6 +1,5 @@
 #pragma once
 
-#include "detect/cluster_detector.hpp"
 #include "detect/detection.hpp"
 #include "geom/pose2.hpp"
 #include "pointcloud/point_cloud.hpp"
@@ -17,17 +16,6 @@ enum class FusionMethod { Early, Late, FCooper, CoBEVT };
 
 [[nodiscard]] const char* toString(FusionMethod m);
 
-struct FusionConfig {
-  ClusterDetectorParams detector;
-  double lateNmsIou = 0.25;
-  /// Intermediate-fusion grid resolutions (meters per cell; PointPillar-
-  /// class models use ~0.4 m pillars).
-  double fCooperCell = 0.4;
-  double coBevtCell = 0.4;
-  /// Occupancy threshold for the grid detection head.
-  double gridThreshold = 0.3;
-};
-
 /// Per-car constant-twist odometry, used to deskew each car's own cloud
 /// before fusion (standard single-car preprocessing; independent of the
 /// inter-vehicle pose problem).
@@ -43,7 +31,6 @@ struct EgoMotion {
                                            const PointCloud& egoCloud,
                                            const PointCloud& otherCloud,
                                            const Pose2& otherToEgo,
-                                           const FusionConfig& config = {},
                                            const EgoMotion& egoMotion = {},
                                            const EgoMotion& otherMotion = {});
 

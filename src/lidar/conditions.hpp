@@ -69,8 +69,8 @@ inline constexpr int kWeatherCount = 3;
 
 /// One car's sensing condition: a beam-count preset (16/32/64 channels,
 /// the heterogeneous-resolution axis of paper Figs. 11–12) combined with a
-/// weather archetype. Profiles are per-car, so a fleet can mix a 64-beam
-/// ego with 16-beam peers in fog (SequenceConfig::peerProfiles).
+/// weather archetype. Profiles are per-car, so a 64-beam ego can pair with
+/// a 16-beam remote car in fog (SequenceConfig::remoteProfile).
 struct LidarProfile {
   std::string name = "clear-32";
   LidarConfig sensor = LidarConfig::hdl32();

@@ -4,6 +4,9 @@
 
 namespace bba {
 
+/// Sensor position in the vehicle frame, the same on every car.
+inline constexpr Vec3 kLidarMountOffset{0.0, 0.0, 1.9};
+
 /// Spinning-lidar sensor model. The defaults approximate a 32-channel
 /// mid-range unit; the factory presets give the heterogeneous sensor
 /// configurations (different vendors on each car) that the paper calls out
@@ -16,8 +19,6 @@ struct LidarConfig {
   double sweepDuration = 0.1;        ///< seconds per full revolution
   int azimuthSteps = 1100;           ///< horizontal firings per revolution
   double rangeNoiseSigma = 0.02;     ///< meters, Gaussian per return
-  double dropProbability = 0.0;      ///< per-ray missed-return probability
-  Vec3 mountOffset{0.0, 0.0, 1.9};   ///< sensor position in the vehicle frame
 
   /// 16-channel compact unit (sparser vertical sampling).
   static LidarConfig vlp16() {

@@ -37,7 +37,7 @@ PointCloud scanVehicle(const World& world, int vehicleId,
                           : endTime;
     const Pose2 vp2 = vehicle.trajectory.pose(tk);
     const Pose3 vehiclePose = Pose3::planar(vp2.t.x, vp2.t.y, vp2.theta);
-    const Vec3 sensorOrigin = vehiclePose.apply(cfg.mountOffset);
+    const Vec3 sensorOrigin = vehiclePose.apply(kLidarMountOffset);
 
     // Azimuth in the vehicle frame sweeps one full turn per revolution.
     const double az = 2.0 * std::numbers::pi * frac;
@@ -45,8 +45,6 @@ PointCloud scanVehicle(const World& world, int vehicleId,
     const double cosAz = std::cos(azWorld), sinAz = std::sin(azWorld);
 
     for (int c = 0; c < cfg.channels; ++c) {
-      if (cfg.dropProbability > 0.0 && rng.bernoulli(cfg.dropProbability))
-        continue;
       const double el =
           cfg.channels == 1
               ? (vFovLo + vFovHi) / 2.0

@@ -10,6 +10,9 @@ namespace {
 
 constexpr double kPi = 3.14159265358979323846;
 
+/// Pitch of the parking structure's pillar grid (meters).
+constexpr double kPillarSpacingM = 8.0;
+
 Vec3 randomCarSize(Rng& rng) {
   return {rng.uniform(4.2, 5.2), rng.uniform(1.8, 2.1),
           rng.uniform(1.4, 1.9)};
@@ -82,8 +85,6 @@ World makeScenario(const ScenarioConfig& cfg, Rng& rng) {
   world.egoVehicleId = 0;
   world.otherVehicleId = 1;
 
-  const Vec2 egoStart = ego.trajectory.pose(0.0).t;
-  const Vec2 otherStart = other.trajectory.pose(0.0).t;
   const double midStation = 0.0;  // instrumented pair straddles station 0
 
   // --- Cross street -------------------------------------------------------
@@ -264,38 +265,11 @@ World makeScenario(const ScenarioConfig& cfg, Rng& rng) {
     world.vehicles.push_back(v);
   }
 
-  // --- Extra cooperative peers -----------------------------------------------
-  // Drawn strictly LAST so every world with cooperativePeers <= 1 (the
-  // default) is byte-identical to what this function produced before the
-  // knob existed. Peers alternate ahead/behind the instrumented pair at
-  // peerSpacing increments, in the ego lane with small lateral/heading
-  // jitter, so a large fleet naturally spans in-range and out-of-range
-  // claimed poses for the service admission stage.
-  world.peerVehicleIds.push_back(world.otherVehicleId);
-  if (cfg.cooperativePeers > 1) {
-    for (int i = 1; i < cfg.cooperativePeers; ++i) {
-      const int k = (i + 1) / 2;
-      const double sign = (i % 2 == 1) ? 1.0 : -1.0;
-      const double station =
-          midStation + sign * cfg.peerSpacing * static_cast<double>(k) +
-          rng.uniform(-1.5, 1.5);
-      SimVehicle peer;
-      peer.id = nextId++;
-      peer.size = randomCarSize(rng);
-      const double lat = laneY + rng.uniform(-0.4, 0.4);
-      const double speed = cfg.egoSpeed + rng.uniform(-1.0, 1.0);
-      const double heading = rng.uniform(-2.0, 2.0) * kDegToRad;
-      peer.trajectory = roadTrajectory(station, lat, speed, heading, curv);
-      world.vehicles.push_back(peer);
-      world.peerVehicleIds.push_back(peer.id);
-    }
-  }
-
   // --- Preset extras ---------------------------------------------------------
-  // Wall runs, guardrails and pillar grids (sim/presets.hpp). Like the
-  // cooperative peers above, every draw here comes strictly after all
-  // pre-existing draws, so a config with the extras disabled produces a
-  // world bitwise identical to the pre-registry generator.
+  // Wall runs, guardrails and pillar grids (sim/presets.hpp). Every draw
+  // here comes strictly after all pre-existing draws, so a config with the
+  // extras disabled produces a world bitwise identical to the pre-registry
+  // generator.
 
   // Tunnel / urban canyon: continuous runs of repeated IDENTICAL wall
   // segments on both sides. The segments are deliberately clones (fixed
@@ -330,7 +304,7 @@ World makeScenario(const ScenarioConfig& cfg, Rng& rng) {
         seg.footprint.center = pose.t;
         seg.footprint.yaw = pose.theta;
         seg.footprint.halfExtent = {segLength / 2.0, 0.3};
-        seg.height = cfg.wallHeight;
+        seg.height = kTunnelWallHeightM;
         world.buildings.push_back(seg);
       }
     }
@@ -375,16 +349,17 @@ World makeScenario(const ScenarioConfig& cfg, Rng& rng) {
   if (cfg.pillarRows > 0 && cfg.pillarCols > 0) {
     const double aisleEdge = cfg.laneWidth * 2.0 + 2.0;
     const double gridHalf =
-        (static_cast<double>(cfg.pillarCols) - 1.0) * cfg.pillarSpacing / 2.0;
+        (static_cast<double>(cfg.pillarCols) - 1.0) * kPillarSpacingM / 2.0;
     for (int side = -1; side <= 1; side += 2) {
       for (int r = 0; r < cfg.pillarRows; ++r) {
         for (int c = 0; c < cfg.pillarCols; ++c) {
           Building pillar;
-          const double s = -gridHalf + static_cast<double>(c) * cfg.pillarSpacing +
+          const double s = -gridHalf +
+                           static_cast<double>(c) * kPillarSpacingM +
                            rng.uniform(-0.05, 0.05);
           const double lateral =
               static_cast<double>(side) *
-              (aisleEdge + static_cast<double>(r) * cfg.pillarSpacing) +
+              (aisleEdge + static_cast<double>(r) * kPillarSpacingM) +
               rng.uniform(-0.05, 0.05);
           const Pose2 pose = roadPose(s, lateral, 0.0, curv);
           pillar.footprint.center = pose.t;
@@ -398,18 +373,16 @@ World makeScenario(const ScenarioConfig& cfg, Rng& rng) {
       Building back;
       const double backLat =
           static_cast<double>(side) *
-          (aisleEdge + static_cast<double>(cfg.pillarRows) * cfg.pillarSpacing);
+          (aisleEdge + static_cast<double>(cfg.pillarRows) * kPillarSpacingM);
       const Pose2 pose = roadPose(0.0, backLat, 0.0, curv);
       back.footprint.center = pose.t;
       back.footprint.yaw = pose.theta;
-      back.footprint.halfExtent = {gridHalf + cfg.pillarSpacing / 2.0, 0.25};
+      back.footprint.halfExtent = {gridHalf + kPillarSpacingM / 2.0, 0.25};
       back.height = 3.0;
       world.buildings.push_back(back);
     }
   }
 
-  (void)egoStart;
-  (void)otherStart;
   return world;
 }
 

@@ -54,33 +54,20 @@ struct ScenarioConfig {
   /// preset's high-closing-speed geometry.
   bool oppositeDirection = false;
 
-  /// Cooperative fleet size (vehicles that transmit V2V payloads). 1 keeps
-  /// the classic instrumented pair; larger values append extra transmitting
-  /// vehicles strung out along the road (spacing `peerSpacing` meters,
-  /// alternating ahead/behind the pair) so a fleet's claimed poses span
-  /// in-range and out-of-range peers for the admission stage to gate. The
-  /// extra peers consume RNG draws strictly AFTER everything else, so
-  /// worlds with cooperativePeers <= 1 are byte-identical to before the
-  /// knob existed.
-  int cooperativePeers = 1;
-  double peerSpacing = 10.0;
-
   // ---- preset extras ----------------------------------------------------
   // Geometry the non-suburban presets are made of. All default-off, and
-  // every draw they consume comes strictly AFTER all draws above
-  // (including the cooperative peers), so any world with the extras
-  // disabled is bitwise identical to what makeScenario produced before
-  // they existed — the same discipline as `cooperativePeers`
-  // (tests/scenario_test.cpp pins it).
+  // every draw they consume comes strictly AFTER all draws above, so any
+  // world with the extras disabled is bitwise identical to what
+  // makeScenario produced before they existed (tests/scenario_test.cpp
+  // pins it).
 
   /// Tunnel / urban canyon: fraction of the road length lined, on both
   /// sides, with continuous runs of repeated *identical* tall wall
-  /// segments — deliberately repetitive, translationally near-symmetric
-  /// geometry (the yaw-degenerate regime). 0 disables; 1.0 walls the full
-  /// length at lateral offset `wallSetback`.
+  /// segments (`kTunnelWallHeightM` tall) — deliberately repetitive,
+  /// translationally near-symmetric geometry (the yaw-degenerate regime).
+  /// 0 disables; 1.0 walls the full length at lateral offset `wallSetback`.
   double wallRunFraction = 0.0;
   double wallSetback = 6.5;
-  double wallHeight = 6.0;
 
   /// Highway: low continuous guardrail segments per side at the road
   /// shoulder, plus one tall gantry pole pair every ~120 m (the sparse
@@ -91,8 +78,10 @@ struct ScenarioConfig {
   /// sides of the aisle plus a perimeter wall. 0 x 0 disables.
   int pillarRows = 0;
   int pillarCols = 0;
-  double pillarSpacing = 8.0;
 };
+
+/// Height of every tunnel wall segment (meters).
+inline constexpr double kTunnelWallHeightM = 6.0;
 
 /// Build a world from the config, consuming randomness from `rng`.
 /// Vehicle ids: 0 = ego, 1 = other, 2+ = traffic.

@@ -55,11 +55,6 @@ struct World {
   std::vector<SimVehicle> vehicles;
   int egoVehicleId = -1;    ///< id of the instrumented ego car
   int otherVehicleId = -1;  ///< id of the instrumented cooperating car
-  /// Every cooperating (V2V-transmitting) vehicle, in peer order: entry 0
-  /// is always `otherVehicleId`; ScenarioConfig::cooperativePeers > 1
-  /// appends more. The fleet-scale service benchmarks and tests draw their
-  /// per-peer pose claims from these.
-  std::vector<int> peerVehicleIds;
 
   [[nodiscard]] const SimVehicle& vehicleById(int id) const;
 

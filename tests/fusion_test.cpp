@@ -120,14 +120,14 @@ TEST_P(FusionMethods, ProducesDetectionsAndPrefersTruePose) {
 
   const Detections atGt =
       cooperativeDetect(method, pair->egoCloud, pair->otherCloud,
-                        pair->gtOtherToEgo, {}, em, om);
+                        pair->gtOtherToEgo, em, om);
   EXPECT_GT(atGt.size(), 2u);
 
   // A wildly wrong pose must not *improve* AP.
   Pose2 wrong = pair->gtOtherToEgo;
   wrong.t.x += 15.0;
   const Detections atWrong = cooperativeDetect(
-      method, pair->egoCloud, pair->otherCloud, wrong, {}, em, om);
+      method, pair->egoCloud, pair->otherCloud, wrong, em, om);
   const std::vector<EvalFrame> fGt{{atGt, pair->gtBoxesEgoFrame}};
   const std::vector<EvalFrame> fWrong{{atWrong, pair->gtBoxesEgoFrame}};
   EXPECT_GE(averagePrecision(fGt, 0.5) + 1e-9,

@@ -97,11 +97,11 @@ TEST(Integration, RecoveryBeatsNoisyPoseForDetection) {
     const EgoMotion om{pair->otherSpeed, pair->otherYawRate};
     noisyF.push_back(
         {cooperativeDetect(FusionMethod::Early, pair->egoCloud,
-                           pair->otherCloud, noisy, {}, em, om),
+                           pair->otherCloud, noisy, em, om),
          pair->gtBoxesEgoFrame});
     recF.push_back(
         {cooperativeDetect(FusionMethod::Early, pair->egoCloud,
-                           pair->otherCloud, used, {}, em, om),
+                           pair->otherCloud, used, em, om),
          pair->gtBoxesEgoFrame});
   }
   ASSERT_GE(noisyF.size(), 3u);

@@ -2,7 +2,7 @@
 // (sim/presets.*), the preset-extra geometry discipline (extras consume
 // RNG strictly last, so default worlds stay bitwise identical), the lidar
 // condition profiles (lidar/conditions.*: weather purity, channel
-// decorrelation, range dependence) and the per-peer profile plumbing
+// decorrelation, range dependence) and the remote-profile plumbing
 // through SequenceGenerator. One heavy cross-preset tracker scenario pins
 // that the tunnel + sector-dropout cell exercises the degradation ladder
 // beyond its primary rung, and every preset's sensing is asserted
@@ -122,7 +122,7 @@ TEST(WorldPresets, SuburbanIsTheDefaultConfig) {
 TEST(WorldPresets, ExtrasLeaveDefaultWorldUntouched) {
   // The preset-extra knobs consume RNG draws strictly AFTER every other
   // draw, so enabling them appends geometry without re-randomizing
-  // anything that existed before — the cooperativePeers discipline.
+  // anything that existed before.
   const ScenarioConfig base;
   ScenarioConfig extras = base;
   extras.wallRunFraction = 0.5;
@@ -143,7 +143,7 @@ TEST(WorldPresets, PresetShapesMatchIntent) {
   const World tunnel = makeWorld(tunnelCfg);
   int wallSegments = 0;
   for (const Building& b : tunnel.buildings) {
-    if (b.height == tunnelCfg.wallHeight) ++wallSegments;
+    if (b.height == kTunnelWallHeightM) ++wallSegments;
   }
   // ~13 m pitch over 300 m, both sides: the corridor must actually be
   // lined, not sprinkled.
@@ -268,7 +268,7 @@ TEST(LidarProfiles, RegistryParsesAllNames) {
   EXPECT_FALSE(lidarProfileFromString("clear32").has_value());
 }
 
-// ---- per-peer profile plumbing -------------------------------------------
+// ---- remote profile plumbing ---------------------------------------------
 
 TEST(SequencePeerProfiles, DefaultProfileIsByteIdentical) {
   // An explicit clear-16 profile equals the built-in default remote sensor
@@ -278,7 +278,7 @@ TEST(SequencePeerProfiles, DefaultProfileIsByteIdentical) {
   plain.frames = 2;
   plain.scenario.separation = 30.0;
   SequenceConfig profiled = plain;
-  profiled.peerProfiles = {*lidarProfileFromString("clear-16")};
+  profiled.remoteProfile = *lidarProfileFromString("clear-16");
   const SequenceGenerator a(plain), b(profiled);
   const StreamFrame fa = a.frame(1), fb = b.frame(1);
   EXPECT_TRUE(sameCloud(fa.egoCloud, fb.egoCloud));
@@ -292,7 +292,7 @@ TEST(SequencePeerProfiles, Peer0ProfileGovernsRemoteSide) {
   sc.frames = 2;
   sc.scenario.separation = 30.0;
   SequenceConfig foggy = sc;
-  foggy.peerProfiles = {*lidarProfileFromString("fog-16")};
+  foggy.remoteProfile = *lidarProfileFromString("fog-16");
   const SequenceGenerator plain(sc), gen(foggy);
   const StreamFrame f = gen.frame(1);
   // The profile thins the remote sweep but never touches the ego side.
@@ -311,7 +311,7 @@ TEST(SequencePeerProfiles, StaleFoggyPayloadMatchesItsSourceFrame) {
   clean.seed = 11;
   clean.frames = 4;
   clean.scenario.separation = 30.0;
-  clean.peerProfiles = {*lidarProfileFromString("fog-32")};
+  clean.remoteProfile = *lidarProfileFromString("fog-32");
   SequenceConfig lagged = clean;
   lagged.faults.seed = 1;
   lagged.faults.latencyProb = 1.0;
@@ -340,7 +340,7 @@ TEST(ScenarioMatrixTracker, TunnelSectorDropoutStaysDegenerateNoFalseLock) {
   sc.faults.seed = 3;
   sc.faults.sectorDropProb = 0.5;
   sc.faults.sectorWidthDeg = 120.0;
-  sc.peerProfiles = {*lidarProfileFromString("clear-16")};
+  sc.remoteProfile = *lidarProfileFromString("clear-16");
   const SequenceGenerator gen(sc);
   PoseTracker tracker;
   Rng rng(11);
@@ -364,7 +364,7 @@ TEST(ScenarioMatrixTracker, SuburbanSectorFogEngagesRelaxedRung) {
   sc.faults.seed = 3;
   sc.faults.sectorDropProb = 0.5;
   sc.faults.sectorWidthDeg = 120.0;
-  sc.peerProfiles = {*lidarProfileFromString("fog-16")};
+  sc.remoteProfile = *lidarProfileFromString("fog-16");
   const SequenceGenerator gen(sc);
   PoseTracker tracker;
   Rng rng(11);
@@ -395,7 +395,7 @@ TEST(ScenarioMatrixTracker, PresetSensingByteIdenticalAcrossThreadCounts) {
     sc.seed = 7;
     sc.frames = 1;
     sc.scenario = scenarioPreset(p);
-    sc.peerProfiles = {*lidarProfileFromString("fog-32")};
+    sc.remoteProfile = *lidarProfileFromString("fog-32");
     const SequenceGenerator gen(sc);
     StreamFrame serial, threaded;
     {

@@ -9,7 +9,6 @@
 
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
-#include "dataset/fault.hpp"
 #include "dataset/sequence.hpp"
 #include "map/keyframe_store.hpp"
 #include "obs/metrics.hpp"
@@ -178,8 +177,8 @@ struct ServiceRun {
 };
 
 /// The pinned 3-session scenario: peer 1 receives clean traffic, peer 2's
-/// payloads are corrupted by the payload fault channel every frame, peer 3
-/// suffers link drops on frames 1 and 2.
+/// payloads have one byte flipped every frame, peer 3 suffers link drops
+/// on frames 1 and 2.
 ServiceRun runService(int threads) {
   ThreadLimit limit(threads);
   const std::vector<StreamFrame>& frames = scenarioFrames();
@@ -188,11 +187,6 @@ ServiceRun runService(int threads) {
   cfg.seed = 42;
   CooperationService svc(cfg);
   const BBAlign aligner(cfg.tracker.aligner);
-
-  FaultConfig fc;
-  fc.seed = 3;
-  fc.payloadBitFlipProb = 1.0;
-  const FaultInjector corruptor(fc);
 
   ServiceRun run;
   for (std::size_t k = 0; k < frames.size(); ++k) {
@@ -203,8 +197,9 @@ ServiceRun runService(int threads) {
         aligner.makeCarData(f.otherCloud, f.otherDets);
     const std::vector<std::uint8_t> clean = svc.sendFrame(
         other, /*senderId=*/1, static_cast<std::uint32_t>(k));
+    // A different byte each frame; the CRC catches every one.
     std::vector<std::uint8_t> corrupted = clean;
-    corruptor.applyPayloadFaults(corrupted, static_cast<int>(k));
+    corrupted[(k + 1) * corrupted.size() / 4] ^= 0x10;
 
     std::vector<PeerFrameInput> inputs;
     inputs.push_back({1, &clean});

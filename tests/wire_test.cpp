@@ -9,7 +9,6 @@
 
 #include "common/rng.hpp"
 #include "core/bb_align.hpp"
-#include "dataset/fault.hpp"
 #include "dataset/generator.hpp"
 #include "geom/pose2.hpp"
 #include "service/cooperation_service.hpp"
@@ -431,63 +430,6 @@ TEST(WireFuzz, TenThousandMutationsNeverCrash) {
   EXPECT_GT(byCause[static_cast<int>(DecodeError::MalformedPayload)] +
                 byCause[static_cast<int>(DecodeError::ValueOutOfRange)],
             100);
-}
-
-// ---- payload fault channel ------------------------------------------------
-
-TEST(PayloadFaults, DeterministicPerFrameAndRejectedTyped) {
-  Rng rng(21);
-  const std::vector<std::uint8_t> clean =
-      encode(randomMessage(rng), WireConfig{});
-
-  FaultConfig fc;
-  fc.seed = 99;
-  fc.payloadBitFlipProb = 1.0;
-  EXPECT_TRUE(fc.any());
-  const FaultInjector injector(fc);
-  const FaultInjector twin(fc);
-  for (int frame = 0; frame < 16; ++frame) {
-    std::vector<std::uint8_t> a = clean;
-    std::vector<std::uint8_t> b = clean;
-    injector.applyPayloadFaults(a, frame);
-    twin.applyPayloadFaults(b, frame);
-    EXPECT_EQ(a, b);  // pure function of (seed, frame, size)
-    EXPECT_NE(a, clean);
-    const DecodeResult res = decode(a);
-    EXPECT_NE(res.error, DecodeError::None);
-  }
-}
-
-TEST(PayloadFaults, TruncationChannelShortensTheBuffer) {
-  Rng rng(22);
-  const std::vector<std::uint8_t> clean =
-      encode(randomMessage(rng), WireConfig{});
-  FaultConfig fc;
-  fc.seed = 5;
-  fc.payloadTruncateProb = 1.0;
-  const FaultInjector injector(fc);
-  int shorter = 0;
-  for (int frame = 0; frame < 16; ++frame) {
-    std::vector<std::uint8_t> bytes = clean;
-    injector.applyPayloadFaults(bytes, frame);
-    ASSERT_LE(bytes.size(), clean.size());
-    if (bytes.size() < clean.size()) {
-      ++shorter;
-      EXPECT_NE(decode(bytes).error, DecodeError::None);
-    }
-  }
-  EXPECT_GT(shorter, 8);
-
-  // Enabling the payload channel must not re-randomize the others.
-  FaultConfig base;
-  base.seed = 5;
-  base.frameDropProb = 0.3;
-  FaultConfig withPayload = base;
-  withPayload.payloadTruncateProb = 1.0;
-  const FaultInjector a(base), b(withPayload);
-  for (int frame = 0; frame < 32; ++frame) {
-    EXPECT_EQ(a.frameFaults(frame).dropped, b.frameFaults(frame).dropped);
-  }
 }
 
 // ---- end-to-end acceptance ------------------------------------------------

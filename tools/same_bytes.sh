@@ -11,8 +11,11 @@
 # compared outputs, in order:
 #   smoke-default   `<workload> digest` lines of bench/e2e/run.sh --smoke
 #   smoke-scalar    ... the same at BBA_SIMD=scalar
-#   ablation_design, stream_robustness, bandwidth
-#                   stdout at BBA_BENCH_PAIRS=6
+#   ablation_design, stream_robustness, bandwidth, adversarial
+#                   stdout at BBA_BENCH_PAIRS=6; adversarial's sweep B
+#                   prints the validation scores of teleported-box
+#                   recoveries, whose BV term is scaled by the stage-1
+#                   overlap floor, so it reacts to a drift of that floor
 #   quickstart      stdout of example_quickstart
 #   scenario-mini   the CI scenario mini-matrix JSON (--out)
 # Exits 0 when all are identical; otherwise exits 1 and names the first
@@ -34,7 +37,7 @@ work="$root/build-same-bytes"
 parent_src="$work/parent"
 jobs="$(nproc 2>/dev/null || echo 1)"
 jobs=$(( jobs < 4 ? jobs : 4 ))
-targets="ablation_design stream_robustness bandwidth example_quickstart scenario_matrix"
+targets="ablation_design stream_robustness bandwidth adversarial example_quickstart scenario_matrix"
 
 # Parent sources: re-extracted only when the ref changes, so a second run
 # against the same parent rebuilds nothing.
@@ -69,7 +72,7 @@ collect() {
   # A non-zero exit status is appended to the output it belongs to, so it
   # is compared like the rest.
   local b
-  for b in ablation_design stream_robustness bandwidth; do
+  for b in ablation_design stream_robustness bandwidth adversarial; do
     BBA_BENCH_PAIRS=6 "$bin/bench/$b" >"$out/$b" 2>/dev/null ||
       echo "exit $?" >>"$out/$b"
   done
@@ -94,7 +97,7 @@ echo "same_bytes: running the working tree's outputs"
 collect "$root" "$work/head-build" "$work/out-head"
 
 for name in smoke-default smoke-scalar ablation_design stream_robustness \
-  bandwidth quickstart scenario-mini; do
+  bandwidth adversarial quickstart scenario-mini; do
   a="$work/out-parent/$name"
   b="$work/out-head/$name"
   if [ ! -s "$a" ] || [ ! -s "$b" ]; then
