@@ -23,15 +23,3 @@ foreach(bench_src ${BBA_FIG_BENCHES})
   set_target_properties(${bench_name} PROPERTIES
     RUNTIME_OUTPUT_DIRECTORY "${CMAKE_BINARY_DIR}/bench")
 endforeach()
-
-# Runtime microbenchmarks (google-benchmark). perf_micro defines its own
-# main (observability setup), so it links benchmark, not benchmark_main.
-add_executable(perf_micro ${BBA_BENCH_DIR}/perf_micro.cpp)
-target_link_libraries(perf_micro PRIVATE bba benchmark::benchmark)
-# The bba library's own build type, published into the benchmark JSON
-# context as "bba_build_type" (the system libbenchmark hardcodes ITS build
-# type as "library_build_type", which is useless for gating our numbers).
-target_compile_definitions(perf_micro PRIVATE
-  BBA_BUILD_TYPE="$<LOWER_CASE:$<CONFIG>>")
-set_target_properties(perf_micro PROPERTIES
-  RUNTIME_OUTPUT_DIRECTORY "${CMAKE_BINARY_DIR}/bench")

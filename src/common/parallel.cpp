@@ -11,9 +11,7 @@
 
 #include "common/assert.hpp"
 
-#if defined(BBA_OBSERVABILITY_ENABLED)
 #include "obs/trace.hpp"
-#endif
 
 namespace bba {
 
@@ -53,11 +51,9 @@ struct Job {
   std::atomic<bool> failed{false};
   std::mutex errorMutex;
   std::exception_ptr error;
-#if defined(BBA_OBSERVABILITY_ENABLED)
   /// Span context of the launching thread; workers adopt it so spans
   /// opened inside chunks nest under the parallel region in the trace.
   obs::ParallelContext obsCtx;
-#endif
 
   void process() {
     tlsInParallelRegion = true;
@@ -131,14 +127,10 @@ class Pool {
       }
       job->running.fetch_add(1, std::memory_order_relaxed);
       lk.unlock();
-#if defined(BBA_OBSERVABILITY_ENABLED)
       {
         obs::WorkerScope obsScope(job->obsCtx);
         job->process();
       }
-#else
-      job->process();
-#endif
       lk.lock();
       if (job->running.fetch_sub(1, std::memory_order_relaxed) == 1) {
         done_.notify_all();
@@ -216,9 +208,7 @@ void parallelFor(std::int64_t begin, std::int64_t end, std::int64_t grain,
   job.grain = grain;
   job.numChunks = chunks;
   job.fn = &fn;
-#if defined(BBA_OBSERVABILITY_ENABLED)
   job.obsCtx = obs::captureParallelContext();
-#endif
   const int extra =
       static_cast<int>(std::min<std::int64_t>(threads - 1, chunks - 1));
   Pool::instance().run(job, extra);

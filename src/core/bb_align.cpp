@@ -109,9 +109,8 @@ DescriptorSet BBAlign::extractFeatures(const ImageF& bvImage,
     if (times) times->msKeypoints += lap.lap();
   }
   if (!fixedAngle) return {};
-  DescriptorParams dp = cfg_.descriptor;
-  dp.fixedAngle = *fixedAngle;
-  DescriptorSet pass = computeDescriptors(features.mim, features.keypoints, dp);
+  DescriptorSet pass = computeDescriptors(features.mim, features.keypoints,
+                                          *fixedAngle, cfg_.descriptor);
   if (times) times->msDescriptors += lap.lap();
   return pass;
 }
@@ -404,7 +403,6 @@ PoseValidation validatePose(const Pose2& estimate, const OverlapScorer& scorer,
 /// Registry-side account of one finished recover() call. Counter names
 /// are static so the failure taxonomy stays greppable.
 void recordRecoveryMetrics(const PoseRecoveryReport& rep) {
-#if defined(BBA_OBSERVABILITY_ENABLED)
   obs::MetricsRegistry* reg = obs::metricsRegistry();
   if (!reg) return;
   reg->counter("recover.calls").increment();
@@ -448,9 +446,6 @@ void recordRecoveryMetrics(const PoseRecoveryReport& rep) {
         .observe(rep.validation.meanCornerResidual);
     reg->histogram("validate.box_iou").observe(rep.validation.meanBoxIou);
   }
-#else
-  (void)rep;
-#endif
 }
 
 }  // namespace

@@ -220,7 +220,8 @@ class BBAlign {
 
   /// Stage-1-internal product: keypoints + descriptors of one BV image.
   /// `fixedAngle` applies when descriptor.rotationMode == FixedAngle.
-  /// Exposed for tests, benches and the stage-wise experiments.
+  /// Only tests call it: they pin the descriptor pass across thread
+  /// counts and SIMD levels.
   [[nodiscard]] DescriptorSet describe(const ImageF& bvImage,
                                        double fixedAngle = 0.0) const;
 

@@ -149,6 +149,7 @@ void patchCoords(const double* a1, const double* a2, int n, double sdy,
 
 DescriptorSet computeDescriptors(const MimResult& mim,
                                  std::vector<Keypoint> keypoints,
+                                 double fixedAngle,
                                  const DescriptorParams& prm) {
   BBA_SPAN("descriptor");
   BBA_ASSERT(prm.patchSize >= prm.grid && prm.grid >= 1);
@@ -217,7 +218,7 @@ DescriptorSet computeDescriptors(const MimResult& mim,
         theta = domOrient;
         break;
       case RotationMode::FixedAngle:
-        theta = prm.fixedAngle;
+        theta = fixedAngle;
         break;
     }
     const double binShiftF =

@@ -30,8 +30,6 @@ struct DescriptorParams {
   int patchSize = 48;  ///< J: square patch side, pixels
   int grid = 4;        ///< l: histogram grid per side
   RotationMode rotationMode = RotationMode::FixedAngle;
-  /// Patch rotation angle used when rotationMode == FixedAngle (radians).
-  double fixedAngle = 0.0;
   /// Pixels vote only when their peak amplitude exceeds this fraction of
   /// the image's maximum — the MIM is argmax noise where there is no
   /// structure, and such pixels must not vote.
@@ -77,10 +75,12 @@ class DescriptorSet {
 };
 
 /// Compute BVFT descriptors for the given keypoints over a MIM.
-/// Keypoints whose patch would leave the image are dropped.
+/// Keypoints whose patch would leave the image are dropped. `fixedAngle`
+/// is the patch rotation (radians) when params.rotationMode ==
+/// FixedAngle; the other modes ignore it.
 [[nodiscard]] DescriptorSet computeDescriptors(
     const MimResult& mim, std::vector<Keypoint> keypoints,
-    const DescriptorParams& params = {});
+    double fixedAngle = 0.0, const DescriptorParams& params = {});
 
 /// Squared Euclidean distance between two descriptors of equal length.
 [[nodiscard]] float descriptorDistance2(const std::vector<float>& a,

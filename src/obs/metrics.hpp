@@ -14,10 +14,9 @@ namespace bba::obs {
 /// Named counters / gauges / histograms with JSON export.
 ///
 /// Same cost model as tracing (see trace.hpp): the BBA_COUNTER_ADD /
-/// BBA_GAUGE_SET / BBA_HISTOGRAM_OBSERVE macros compile to nothing with
-/// `-DBBA_OBSERVABILITY=OFF`, and to a relaxed atomic load plus branch
-/// when no registry is installed. Metric arguments are NOT evaluated when
-/// the layer is compiled out — never put side effects in them.
+/// BBA_GAUGE_SET / BBA_HISTOGRAM_OBSERVE macros cost a relaxed atomic load
+/// plus branch when no registry is installed, and metric arguments are
+/// evaluated only when one is — never put side effects in them.
 ///
 /// Determinism: counters are integer atomics, so their final value is
 /// independent of thread interleaving. Histograms guard their state with a
@@ -112,7 +111,6 @@ void installMetricsRegistry(MetricsRegistry* r);
 
 }  // namespace bba::obs
 
-#if defined(BBA_OBSERVABILITY_ENABLED)
 #define BBA_COUNTER_ADD(name, n)                                    \
   do {                                                              \
     if (::bba::obs::MetricsRegistry* bbaReg =                       \
@@ -131,8 +129,3 @@ void installMetricsRegistry(MetricsRegistry* r);
             ::bba::obs::metricsRegistry())                          \
       bbaReg->histogram(name).observe(v);                           \
   } while (false)
-#else
-#define BBA_COUNTER_ADD(name, n) ((void)0)
-#define BBA_GAUGE_SET(name, v) ((void)0)
-#define BBA_HISTOGRAM_OBSERVE(name, v) ((void)0)
-#endif

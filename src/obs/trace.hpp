@@ -11,16 +11,14 @@ namespace bba::obs {
 /// JSON (load the file via the chrome://tracing "Load" button or
 /// https://ui.perfetto.dev).
 ///
-/// Cost model (the zero-overhead-when-off contract, see DESIGN.md):
-///  - `-DBBA_OBSERVABILITY=OFF` compiles `BBA_SPAN` to nothing;
-///  - compiled in but no recorder installed: one relaxed atomic load and a
-///    branch per span;
+/// Cost model (see DESIGN.md):
+///  - no recorder installed: one relaxed atomic load and a branch per span;
 ///  - recorder installed: a steady_clock read on entry/exit plus an append
 ///    to a per-thread buffer (no locking on the hot path after the first
 ///    span a thread records).
 /// Recording is strictly read-only with respect to the computation: no Rng
 /// draws, no data dependence — recovered poses are byte-identical with
-/// tracing on, off, or compiled out.
+/// tracing on or off.
 
 /// One completed span, as exported. `tid` is a small dense index (0 is the
 /// first thread that recorded into this recorder). `workerAdopted` marks
@@ -130,13 +128,9 @@ class WorkerScope {
 
 }  // namespace bba::obs
 
-#if defined(BBA_OBSERVABILITY_ENABLED)
 #define BBA_OBS_CONCAT2(a, b) a##b
 #define BBA_OBS_CONCAT(a, b) BBA_OBS_CONCAT2(a, b)
 /// Open a trace span for the rest of the enclosing scope. `name` must be a
 /// string literal (or otherwise have static storage duration).
 #define BBA_SPAN(name) \
   ::bba::obs::Span BBA_OBS_CONCAT(bbaSpan_, __LINE__)(name)
-#else
-#define BBA_SPAN(name) ((void)0)
-#endif

@@ -421,8 +421,8 @@ std::vector<SessionFrameResult> CooperationService::processFrame(
         continue;
       }
       const wire::CooperativeMessage& msg = decoded.message;
-      if (cfg_.enableReplayGuard && session.haveLastMeta) {
-        // Monotonicity guard: a replayed payload carries its ORIGINAL
+      if (session.haveLastMeta) {
+        // Replay guard: a replayed payload carries its ORIGINAL
         // frame index / capture time, which cannot advance past the last
         // accepted message. Capture times of 0 mean "not stamped" and are
         // exempt (frame indices alone still guard those senders).

@@ -45,11 +45,6 @@ struct ServiceConfig {
   /// the track.
   bool usePosePriors = true;
 
-  /// Replay guard: reject a cleanly decoded message whose frame index is
-  /// non-increasing (or whose capture time runs backwards) relative to the
-  /// last accepted message of the same session.
-  bool enableReplayGuard = true;
-
   /// Fleet-scale admission (see service/admission.hpp). Stage 1, the
   /// spatial pre-gate, always runs: a message whose gate pose puts the
   /// peer's BV footprint out of pairing range is not even decoded — the

@@ -141,7 +141,6 @@ constexpr double kRelocalizationMaxPriorDeviationM = 2.5;
 /// RecoveryFailure values).
 void finishStep(const TrackerReport& rep, TrackerReport* report) {
   if (report) *report = rep;
-#if defined(BBA_OBSERVABILITY_ENABLED)
   obs::MetricsRegistry* reg = obs::metricsRegistry();
   if (!reg) return;
   reg->counter("stream.frames").increment();
@@ -189,7 +188,6 @@ void finishStep(const TrackerReport& rep, TrackerReport* report) {
     reg->histogram("stream.innovation_rotation_deg")
         .observe(rep.innovationRotationDeg);
   }
-#endif
 }
 
 }  // namespace

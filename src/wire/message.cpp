@@ -30,7 +30,6 @@ constexpr double kMaxAbsPosition = 1.0e5;            // meters
 constexpr double kMaxHalfExtent = 1.0e3;             // meters
 constexpr double kMaxAbsYaw = 16.0;                  // radians (unwrapped)
 
-#if defined(BBA_OBSERVABILITY_ENABLED)
 const char* rejectCounterName(DecodeError e) {
   switch (e) {
     case DecodeError::None:
@@ -52,7 +51,6 @@ const char* rejectCounterName(DecodeError e) {
   }
   return nullptr;
 }
-#endif
 
 }  // namespace
 
@@ -304,12 +302,10 @@ DecodeResult decode(const std::uint8_t* data, std::size_t size) {
     res.message = CooperativeMessage{};
     res.bytesConsumed = 0;
     BBA_COUNTER_ADD("wire.messages_rejected", 1);
-#if defined(BBA_OBSERVABILITY_ENABLED)
     if (obs::MetricsRegistry* reg = obs::metricsRegistry()) {
       if (const char* name = rejectCounterName(res.error))
         reg->counter(name).increment();
     }
-#endif
     return res;
   }
   res.bytesConsumed = view.frameSize;

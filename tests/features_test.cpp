@@ -270,13 +270,8 @@ TEST(Descriptor, FixedAngleMatchesRotatedContent) {
   }
   // B's content = A's rotated by +q, so the B->A rotation is -q and B's
   // patches must be sampled with fixedAngle = -(-q) = +q.
-  DescriptorParams dpA;
-  dpA.rotationMode = RotationMode::FixedAngle;
-  dpA.fixedAngle = 0.0;
-  DescriptorParams dpB = dpA;
-  dpB.fixedAngle = q;
-  const DescriptorSet setA = computeDescriptors(mimA, kpsA, dpA);
-  const DescriptorSet setB = computeDescriptors(mimB, kpsB, dpB);
+  const DescriptorSet setA = computeDescriptors(mimA, kpsA, 0.0);
+  const DescriptorSet setB = computeDescriptors(mimB, kpsB, q);
   ASSERT_GT(setA.size(), 5u);
 
   // Corresponding descriptors must be systematically closer than

@@ -198,18 +198,6 @@ TEST(ReplayGuard, RejectsBackwardCaptureTimeButExemptsUnstamped) {
   EXPECT_FALSE(r[0].replayRejected);
 }
 
-TEST(ReplayGuard, CanBeDisabled) {
-  ServiceConfig cfg;
-  cfg.enableReplayGuard = false;
-  CooperationService svc(cfg);
-  const CarPerceptionData ego;
-  const auto f0 = metaPayload(0, 0);
-  (void)svc.processFrame(ego, {{7, &f0}});
-  const auto r = svc.processFrame(ego, {{7, &f0}});
-  EXPECT_FALSE(r[0].replayRejected);
-  EXPECT_TRUE(r[0].payloadMismatch);
-}
-
 TEST(ServiceHealth, PersistentReplayQuarantinesAndBacksOff) {
   ServiceConfig cfg;  // defaults: replay penalty 2, quarantine at 4
   CooperationService svc(cfg);
@@ -247,14 +235,12 @@ TEST(ServiceHealth, PersistentReplayQuarantinesAndBacksOff) {
   EXPECT_EQ(st.healthTransitions[static_cast<int>(PeerHealth::Probing)]
                                 [static_cast<int>(PeerHealth::Quarantined)],
             1);
-#if defined(BBA_OBSERVABILITY_ENABLED)
   EXPECT_EQ(reg.counter("health.replay_rejected").value(), 3);
   EXPECT_EQ(reg.counter("health.quarantined_frames").value(), 4);
   EXPECT_EQ(reg.counter("health.to_suspect").value(), 1);
   EXPECT_EQ(reg.counter("health.to_quarantined").value(), 2);
   EXPECT_EQ(reg.counter("health.to_probing").value(), 1);
   EXPECT_EQ(reg.counter("health.frames").value(), 8);
-#endif
 }
 
 TEST(ServiceHealth, QuarantinedPeerIsNotEvenDecoded) {

@@ -310,7 +310,6 @@ TEST(SessionLifecycle, EvictionDisabledRejectsInsteadOfDisplacing) {
   EXPECT_EQ(svc.report().rejectedFull, 2);
 }
 
-#if defined(BBA_OBSERVABILITY_ENABLED)
 struct ScopedMetrics {
   explicit ScopedMetrics(obs::MetricsRegistry& r) {
     obs::installMetricsRegistry(&r);
@@ -390,7 +389,6 @@ TEST(SessionLifecycle, CountersMirrorTheReport) {
   }
   EXPECT_GT(agg.duplicateRejects, 0);
 }
-#endif  // BBA_OBSERVABILITY_ENABLED
 
 // ---- property test: random schedules conserve stats, thread-invariant ----
 

@@ -258,7 +258,6 @@ TEST(Trace, EmptyRecorderStillExportsValidJson) {
   EXPECT_TRUE(JsonChecker(json).valid()) << json;
 }
 
-#if defined(BBA_OBSERVABILITY_ENABLED)
 TEST(Trace, ChunkSpansNestUnderParallelRegionOnEveryThread) {
   obs::TraceRecorder rec;
   {
@@ -297,7 +296,6 @@ TEST(Trace, ChunkSpansNestUnderParallelRegionOnEveryThread) {
   }
   EXPECT_EQ(chunkCountSeen, 64);
 }
-#endif  // BBA_OBSERVABILITY_ENABLED
 
 // ---- metrics --------------------------------------------------------------
 
@@ -314,12 +312,8 @@ TEST(Metrics, CounterAggregationIsThreadCountInvariant) {
         }
       });
     }
-#if defined(BBA_OBSERVABILITY_ENABLED)
     EXPECT_EQ(reg.counter("test.increments").value(), kN)
         << "at " << threads << " threads";
-#else
-    EXPECT_EQ(reg.counter("test.increments").value(), 0);
-#endif
   }
 }
 
@@ -355,7 +349,6 @@ TEST(Metrics, JsonIsSyntacticallyValidAndSorted) {
 
 // ---- environment-driven sinks ---------------------------------------------
 
-#if defined(BBA_OBSERVABILITY_ENABLED)
 /// Sets (or, with nullptr, unsets) one environment variable for a scope and
 /// restores its previous value afterwards.
 class ScopedEnv {
@@ -444,7 +437,6 @@ TEST(EnvObservability, IsInertWithBothVariablesUnset) {
   EXPECT_FALSE(std::filesystem::exists(tracePath));
   EXPECT_FALSE(std::filesystem::exists(metricsPath));
 }
-#endif  // BBA_OBSERVABILITY_ENABLED
 
 // ---- report ---------------------------------------------------------------
 
@@ -510,7 +502,6 @@ TEST(ObservabilityContract, PosesByteIdenticalWithAndWithoutObservers) {
   }
 }
 
-#if defined(BBA_OBSERVABILITY_ENABLED)
 TEST(ObservabilityContract, RecoverEmitsStageSpansAndInlierMetrics) {
   const FramePair& pair = fixturePair();
   const BBAlign aligner;
@@ -525,7 +516,7 @@ TEST(ObservabilityContract, RecoverEmitsStageSpansAndInlierMetrics) {
         aligner.makeCarData(pair.otherCloud, pair.otherDets);
     Rng rng(3);
     const PoseRecoveryResult r = aligner.recover(other, ego, rng);
-    ASSERT_TRUE(r.success);  // the perf_micro fixture pair recovers
+    ASSERT_TRUE(r.success);  // the seed-4242 fixture pair recovers
   }
 
   const std::vector<obs::ExportedEvent> events = rec.events();
@@ -622,7 +613,6 @@ TEST(ObservabilityContract, TrackerStepComputesEachImageMimOnce) {
       [](const obs::ExportedEvent& e) { return e.name == "mim"; });
   EXPECT_EQ(mimSpans, 2);  // ego + peer; the relaxed rung reuses both
 }
-#endif  // BBA_OBSERVABILITY_ENABLED
 
 }  // namespace
 }  // namespace bba

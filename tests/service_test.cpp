@@ -331,7 +331,6 @@ TEST(ServiceLonePeer, ByteIdenticalAt1And8Threads) {
   expectRunsByteIdentical(one, runLonePeerService(8));
 }
 
-#if defined(BBA_OBSERVABILITY_ENABLED)
 struct ScopedMetrics {
   explicit ScopedMetrics(obs::MetricsRegistry& r) {
     obs::installMetricsRegistry(&r);
@@ -376,7 +375,6 @@ TEST(ServiceEgoCache, HitMeansTheKeyframeAndTheFrameSharedFeatures) {
   EXPECT_EQ(run(true),
             std::make_pair(std::int64_t{kFrames}, std::int64_t{kFrames}));
 }
-#endif  // BBA_OBSERVABILITY_ENABLED
 
 }  // namespace
 }  // namespace bba::service

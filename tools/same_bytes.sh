@@ -6,17 +6,23 @@
 # Usage: tools/same_bytes.sh <parent-ref>
 #
 # Both trees build in Release. The parent's sources come from
-# `git archive <parent-ref>` (no worktree is registered, nothing in .git
-# changes); everything lands under build-same-bytes/ at the repo root. The
-# compared outputs, in order:
+# `git archive <parent-ref>` (tools/parent_tree.sh); everything lands under
+# build-same-bytes/ at the repo root. The compared outputs, in order:
 #   smoke-default   `<workload> digest` lines of bench/e2e/run.sh --smoke
 #   smoke-scalar    ... the same at BBA_SIMD=scalar
-#   ablation_design, stream_robustness, bandwidth, adversarial
+#   ablation_design, stream_robustness, bandwidth, adversarial,
+#   fig07_comparison, table1_detection_ap
 #                   stdout at BBA_BENCH_PAIRS=6; adversarial's sweep B
 #                   prints the validation scores of teleported-box
 #                   recoveries, whose BV term is scaled by the stage-1
-#                   overlap floor, so it reacts to a drift of that floor
+#                   overlap floor, so it reacts to a drift of that floor;
+#                   fig07_comparison runs the VIPS baseline on every pair
+#                   and table1_detection_ap the four fusion pipelines
 #   quickstart      stdout of example_quickstart
+#   cooperative-detection
+#                   stdout of example_cooperative_detection over 3 scenes
+#                   (fusion and AP through the public API), with the wall
+#                   times on its scene lines masked
 #   scenario-mini   the CI scenario mini-matrix JSON (--out)
 # Exits 0 when all are identical; otherwise exits 1 and names the first
 # output that differs, with the head of its diff. Exits 2 on a usage or
@@ -29,25 +35,17 @@ if [ $# -ne 1 ]; then
 fi
 
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
-parent_commit="$(git -C "$root" rev-parse --verify "$1^{commit}")" || {
-  echo "same_bytes: unknown ref $1" >&2
-  exit 2
-}
 work="$root/build-same-bytes"
 parent_src="$work/parent"
 jobs="$(nproc 2>/dev/null || echo 1)"
 jobs=$(( jobs < 4 ? jobs : 4 ))
-targets="ablation_design stream_robustness bandwidth adversarial example_quickstart scenario_matrix"
+benches="ablation_design stream_robustness bandwidth adversarial fig07_comparison table1_detection_ap"
+targets="$benches example_quickstart example_cooperative_detection scenario_matrix"
 
-# Parent sources: re-extracted only when the ref changes, so a second run
-# against the same parent rebuilds nothing.
-mkdir -p "$work"
-if [ "$(cat "$parent_src/.same_bytes_ref" 2>/dev/null)" != "$parent_commit" ]; then
-  rm -rf "$parent_src"
-  mkdir -p "$parent_src"
-  git -C "$root" archive "$parent_commit" | tar -x -C "$parent_src"
-  echo "$parent_commit" >"$parent_src/.same_bytes_ref"
-fi
+# A second run against the same parent rebuilds nothing.
+# shellcheck source=tools/parent_tree.sh
+source "$root/tools/parent_tree.sh"
+extract_parent "$1" "$parent_src"
 
 # build <src> <build-dir>
 build() {
@@ -72,12 +70,16 @@ collect() {
   # A non-zero exit status is appended to the output it belongs to, so it
   # is compared like the rest.
   local b
-  for b in ablation_design stream_robustness bandwidth adversarial; do
+  for b in $benches; do
     BBA_BENCH_PAIRS=6 "$bin/bench/$b" >"$out/$b" 2>/dev/null ||
       echo "exit $?" >>"$out/$b"
   done
   "$bin/examples/example_quickstart" >"$out/quickstart" 2>/dev/null ||
     echo "exit $?" >>"$out/quickstart"
+  "$bin/examples/example_cooperative_detection" 3 2>/dev/null |
+    sed -E 's/[0-9.e+-]+ ms: mim [0-9.e+-]+, ransac-bv [0-9.e+-]+/<times>/' \
+      >"$out/cooperative-detection" ||
+    echo "exit $?" >>"$out/cooperative-detection"
   "$bin/bench/scenario_matrix" --presets=suburban,tunnel \
     --faults=clean,sector --profiles=clear-32 --frames=12 --seed=7 \
     --out="$out/scenario-mini" >/dev/null 2>&1 ||
@@ -87,17 +89,19 @@ collect() {
 echo "same_bytes: building parent $parent_commit and the working tree"
 build "$parent_src" "$work/parent-build"
 build "$root" "$work/head-build"
-# The parent's outputs are a pure function of its commit: collected once.
-if [ "$(cat "$work/out-parent/.same_bytes_ref" 2>/dev/null)" != "$parent_commit" ]; then
+# The parent's outputs are a pure function of its commit and of this
+# script: collected once per pair of them.
+stamp="$parent_commit $(cksum <"${BASH_SOURCE[0]}")"
+if [ "$(cat "$work/out-parent/.same_bytes_ref" 2>/dev/null)" != "$stamp" ]; then
   echo "same_bytes: running the parent's outputs"
   collect "$parent_src" "$work/parent-build" "$work/out-parent"
-  echo "$parent_commit" >"$work/out-parent/.same_bytes_ref"
+  echo "$stamp" >"$work/out-parent/.same_bytes_ref"
 fi
 echo "same_bytes: running the working tree's outputs"
 collect "$root" "$work/head-build" "$work/out-head"
 
-for name in smoke-default smoke-scalar ablation_design stream_robustness \
-  bandwidth adversarial quickstart scenario-mini; do
+for name in smoke-default smoke-scalar $benches quickstart \
+  cooperative-detection scenario-mini; do
   a="$work/out-parent/$name"
   b="$work/out-head/$name"
   if [ ! -s "$a" ] || [ ! -s "$b" ]; then
