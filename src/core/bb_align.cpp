@@ -107,6 +107,10 @@ DescriptorSet BBAlign::extractFeatures(const ImageF& bvImage,
     if (times) times->msMim += lap.lap();
     features.keypoints = detectKeypoints(cfg_, bvImage, features.mim);
     if (times) times->msKeypoints += lap.lap();
+    // Every pass reads the keypoints' orientation; it does not depend on
+    // the pass's angle, so it is computed here, once per image.
+    orientKeypoints(features.mim, features.keypoints, cfg_.descriptor);
+    if (times) times->msDescriptors += lap.lap();
   }
   if (!fixedAngle) return {};
   DescriptorSet pass = computeDescriptors(features.mim, features.keypoints,
@@ -467,7 +471,11 @@ PoseRecoveryResult BBAlign::recover(const CarPerceptionData& other,
   // Each side's features come from the caller when it holds them (the
   // frame's shared ego features; the tracker step's peer memo) and are
   // computed here otherwise, so the report's stage times cover exactly the
-  // work this call did.
+  // work this call did. A pass's ranked match lists depend on the ego
+  // value as well, so the peer memo keeps them only when the caller holds
+  // both values, and then only for the one ego value it first ranked
+  // against.
+  const bool keepRanked = egoFeatures != nullptr && otherFeatures != nullptr;
   ImageFeatures egoLocal;
   if (egoFeatures == nullptr) {
     egoLocal.descriptors = extractFeatures(ego.bvImage, egoLocal, 0.0, times);
@@ -479,6 +487,12 @@ PoseRecoveryResult BBAlign::recover(const CarPerceptionData& other,
   }
   ImageFeatures otherLocal;
   if (otherFeatures == nullptr) otherFeatures = &otherLocal;
+  if (keepRanked) {
+    if (otherFeatures->rankedAgainst == nullptr)
+      otherFeatures->rankedAgainst = egoFeatures;
+    BBA_ASSERT_MSG(otherFeatures->rankedAgainst == egoFeatures,
+                   "peer features ranked against another ego value");
+  }
   // MIM and keypoints only: the peer's passes are per yaw candidate.
   extractFeatures(other.bvImage, *otherFeatures, std::nullopt, times);
   const DescriptorSet& descEgo = egoFeatures->descriptors;
@@ -542,8 +556,20 @@ PoseRecoveryResult BBAlign::recover(const CarPerceptionData& other,
     }
     const DescriptorSet& descOther = pass->second;
     lap.lap();
-    const std::vector<Match> matches =
-        matchDescriptors(descOther, descEgo, cfg_.matching);
+    std::vector<Match> matches;
+    if (keepRanked) {
+      // Ranked once per yaw at the memo's depth; every call reads its own
+      // topK prefix of each row.
+      ImageFeatures::RankedMatches& ranked = otherFeatures->ranked[yaw];
+      if (ranked.depth < cfg_.matching.topK) {
+        ranked.depth = std::max(cfg_.matching.topK, otherFeatures->rankDepth);
+        ranked.matches = matchDescriptors(descOther, descEgo,
+                                          MatchParams{.topK = ranked.depth});
+      }
+      matches = firstMatchesPerRow(ranked.matches, cfg_.matching.topK);
+    } else {
+      matches = matchDescriptors(descOther, descEgo, cfg_.matching);
+    }
     rep.msMatching += lap.lap();
 
     std::vector<Vec2> src, dst;

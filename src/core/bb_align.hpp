@@ -142,15 +142,23 @@ struct PoseRecoveryResult {
 };
 
 /// One BV image's stage-1 features (Algorithm 1 lines 5–11): its MIM
-/// (through the aligner's Log-Gabor bank), its keypoints and its descriptor
-/// passes. Every product is an RNG-free function of the image and the
-/// feature-side config, whichever car the image belongs to, so a value
-/// computed once is byte-identical to a recomputed one and can serve every
-/// recover() on that image: CooperationService hands the frame's ego value
-/// to all its sessions, and a tracker step's peer value carries over from
-/// the primary rung to the relaxed one. Bind one value to one image, and
-/// share it only between aligners whose configs agree on every
-/// feature-side field (see relaxedRecoveryConfig).
+/// (through the aligner's Log-Gabor bank), its keypoints with their
+/// orientation (computed once per image, see orientKeypoints) and its
+/// descriptor passes. Every such product is an RNG-free function of the
+/// image and the feature-side config, whichever car the image belongs to,
+/// so a value computed once is byte-identical to a recomputed one and can
+/// serve every recover() on that image: CooperationService hands the
+/// frame's ego value to all its sessions, and a tracker step's peer value
+/// carries over from the primary rung to the relaxed one. Bind one value
+/// to one image, and share it only between aligners whose configs agree
+/// on every feature-side field (see relaxedRecoveryConfig).
+///
+/// The peer value of a step also keeps each yaw pass's ranked match lists,
+/// which depend on the ego value too: recover() binds them to the first
+/// caller-held ego value it ranks against (`rankedAgainst`) and asserts
+/// that every later call brings the same one. The tracker keeps its peer
+/// value for one step only, so the lists, like the rest of it, die with
+/// the step.
 struct ImageFeatures {
   MimResult mim;  ///< empty until the features are computed
   std::vector<Keypoint> keypoints;
@@ -160,6 +168,23 @@ struct ImageFeatures {
   /// The passes the peer side adds on demand, one per relative-yaw
   /// candidate (sampled at -yaw), keyed by that yaw.
   std::map<double, DescriptorSet> passes;
+
+  /// One pass's matches against the ego pass, as matchDescriptors()
+  /// returns them at topK = depth.
+  struct RankedMatches {
+    int depth = 0;
+    std::vector<Match> matches;
+  };
+  /// Ranked lists of the passes, keyed like `passes`; a call whose topK
+  /// is at most a list's depth reads each row's first topK entries
+  /// (firstMatchesPerRow) and matches nothing.
+  std::map<double, RankedMatches> ranked;
+  /// The ego value every list in `ranked` was ranked against.
+  const ImageFeatures* rankedAgainst = nullptr;
+  /// How deep a list is ranked when first computed, when that exceeds the
+  /// calling aligner's topK: the deepest topK among the aligners that will
+  /// read the value (PoseTracker sets it from its two rungs).
+  int rankDepth = 0;
 };
 
 /// The BB-Align two-stage pose recovery framework (Algorithm 1).
@@ -204,7 +229,8 @@ class BBAlign {
   /// where it does not. Either must come from a config whose feature-side
   /// fields equal this aligner's — then the result is byte-identical to
   /// computing them inline. Without either argument, recover() computes
-  /// that side's features itself.
+  /// that side's features itself. With both, the memo also keeps each
+  /// yaw's ranked match lists, bound to `egoFeatures` (see ImageFeatures).
   [[nodiscard]] PoseRecoveryResult recover(
       const CarPerceptionData& other, const CarPerceptionData& ego, Rng& rng,
       PoseRecoveryReport* report = nullptr,

@@ -1,6 +1,7 @@
 #include "features/descriptor.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <numbers>
 
@@ -18,30 +19,34 @@
 namespace bba {
 
 DescriptorSet::DescriptorSet(std::vector<Keypoint> keypoints,
-                             std::vector<std::vector<float>> descriptors,
-                             int grid, int numOrientations)
+                             std::vector<float> descriptors, int grid,
+                             int numOrientations)
     : keypoints_(std::move(keypoints)),
-      descriptors_(std::move(descriptors)),
+      data_(std::move(descriptors)),
       grid_(grid),
       numOrientations_(numOrientations) {
-  BBA_ASSERT(keypoints_.size() == descriptors_.size());
+  BBA_ASSERT(data_.size() ==
+             keypoints_.size() * static_cast<std::size_t>(dimension()));
 }
 
-std::vector<float> DescriptorSet::flipped(std::size_t i) const {
+std::vector<float> DescriptorSet::flippedBlock() const {
   // A 180-degree patch rotation sends grid cell (gx, gy) to
   // (l-1-gx, l-1-gy); the MIM orientation index is unchanged because the
   // MIM is pi-periodic (a pi shift is the identity on orientation bins).
-  const std::vector<float>& src = descriptors_[i];
-  std::vector<float> out(src.size());
+  std::vector<float> out(data_.size());
   const int l = grid_;
-  const int no = numOrientations_;
-  for (int gy = 0; gy < l; ++gy) {
-    for (int gx = 0; gx < l; ++gx) {
-      const std::size_t from = static_cast<std::size_t>((gy * l + gx) * no);
-      const std::size_t to = static_cast<std::size_t>(
-          (((l - 1 - gy) * l) + (l - 1 - gx)) * no);
-      std::copy_n(src.begin() + static_cast<std::ptrdiff_t>(from), no,
-                  out.begin() + static_cast<std::ptrdiff_t>(to));
+  const auto no = static_cast<std::size_t>(numOrientations_);
+  const auto dim = static_cast<std::size_t>(dimension());
+  for (std::size_t row = 0; row < data_.size(); row += dim) {
+    for (int gy = 0; gy < l; ++gy) {
+      for (int gx = 0; gx < l; ++gx) {
+        const auto from = static_cast<std::size_t>(gy * l + gx) * no;
+        const auto to =
+            static_cast<std::size_t>((l - 1 - gy) * l + (l - 1 - gx)) * no;
+        std::copy_n(data_.begin() + static_cast<std::ptrdiff_t>(row + from),
+                    no,
+                    out.begin() + static_cast<std::ptrdiff_t>(row + to));
+      }
     }
   }
   return out;
@@ -145,7 +150,33 @@ void patchCoords(const double* a1, const double* a2, int n, double sdy,
   patchCoordsScalar(a1, a2, n, sdy, cdy, ix, iy);
 }
 
+/// Whether the patch around `kp`, rotated by any angle, stays inside a
+/// w x h image: rotated patches need a sqrt(2) margin around the
+/// keypoint.
+bool patchFits(const Keypoint& kp, int half, int w, int h) {
+  const int margin = static_cast<int>(std::ceil(half * 1.4142135)) + 1;
+  const int cx = static_cast<int>(kp.px.x);
+  const int cy = static_cast<int>(kp.px.y);
+  return cx >= margin && cy >= margin && cx < w - margin && cy < h - margin;
+}
+
 }  // namespace
+
+void orientKeypoints(const MimResult& mim, std::vector<Keypoint>& keypoints,
+                     const DescriptorParams& prm) {
+  const int half = prm.patchSize / 2;
+  const int w = mim.mim.width();
+  const int h = mim.mim.height();
+  parallelFor(0, static_cast<std::int64_t>(keypoints.size()), 8,
+              [&](std::int64_t i0, std::int64_t i1) {
+                for (std::int64_t i = i0; i < i1; ++i) {
+                  Keypoint& kp = keypoints[static_cast<std::size_t>(i)];
+                  if (!patchFits(kp, half, w, h)) continue;
+                  kp.orientation = static_cast<float>(
+                      dominantOrientation(mim, kp.px, half));
+                }
+              });
+}
 
 DescriptorSet computeDescriptors(const MimResult& mim,
                                  std::vector<Keypoint> keypoints,
@@ -160,18 +191,17 @@ DescriptorSet computeDescriptors(const MimResult& mim,
       static_cast<double>(prm.patchSize) / static_cast<double>(l);
   const int w = mim.mim.width();
   const int h = mim.mim.height();
-
-  // Rotated patches need sqrt(2) margin around the keypoint.
-  const int margin = static_cast<int>(std::ceil(half * 1.4142135)) + 1;
+  const auto dim = static_cast<std::size_t>(l * l * no);
 
   const float ampMask = static_cast<float>(
       prm.amplitudeMaskFraction *
       (mim.peakAmplitude.empty() ? 0.0 : mim.peakAmplitude.maxValue()));
 
-  // The grid-cell position of a sample depends only on its patch offset,
-  // not the keypoint: hoist floor((dx+half)/cellSize - 0.5) and its
-  // fractional part into per-offset tables (identical values, computed
-  // once instead of per sample).
+  // Trilinear soft binning (x, y, orientation): a sample votes into the up
+  // to 4 grid cells around its patch position, weighted by float(wy * wx).
+  // Cells and weights depend only on the sample's patch offset, not on the
+  // keypoint, so they are tabled once per pass: offset (kx, ky) keeps its
+  // cells' base indices and weights in (by, bx) order.
   const int patch = 2 * half;  // offsets in [-half, half)
   std::vector<int> gTab(static_cast<std::size_t>(patch));
   std::vector<double> fTab(static_cast<std::size_t>(patch));
@@ -181,41 +211,70 @@ DescriptorSet computeDescriptors(const MimResult& mim,
     gTab[static_cast<std::size_t>(k)] = g0;
     fTab[static_cast<std::size_t>(k)] = gf - g0;
   }
+  struct CellVote {
+    int cell;  ///< index of the cell's first orientation bin
+    float weight;
+  };
+  struct OffsetVotes {
+    std::array<CellVote, 4> votes;
+    int count = 0;
+  };
+  std::vector<OffsetVotes> voteTab(static_cast<std::size_t>(patch * patch));
+  for (int ky = 0; ky < patch; ++ky) {
+    for (int kx = 0; kx < patch; ++kx) {
+      OffsetVotes& o = voteTab[static_cast<std::size_t>(ky * patch + kx)];
+      for (int by = 0; by < 2; ++by) {
+        const int gy = gTab[static_cast<std::size_t>(ky)] + by;
+        if (gy < 0 || gy >= l) continue;
+        const double fy = fTab[static_cast<std::size_t>(ky)];
+        const double wy = by == 0 ? 1.0 - fy : fy;
+        for (int bx = 0; bx < 2; ++bx) {
+          const int gx = gTab[static_cast<std::size_t>(kx)] + bx;
+          if (gx < 0 || gx >= l) continue;
+          const double fx = fTab[static_cast<std::size_t>(kx)];
+          const double wx = bx == 0 ? 1.0 - fx : fx;
+          o.votes[static_cast<std::size_t>(o.count++)] =
+              CellVote{(gy * l + gx) * no, static_cast<float>(wy * wx)};
+        }
+      }
+    }
+  }
   const SimdLevel level = simdLevel();
 
-  // Keypoints are independent: extract in parallel into per-index slots
-  // (an empty descriptor marks a rejected keypoint), then compact in index
+  // Keypoints are independent: extract in parallel, each into its own row
+  // of one block (a flag marks a rejected keypoint), then compact in index
   // order so the output ordering matches a serial pass at any thread
   // count.
-  struct Extracted {
-    Keypoint kp;
-    std::vector<float> desc;  // empty == rejected
-  };
-  std::vector<Extracted> slots(keypoints.size());
+  std::vector<float> rows(keypoints.size() * dim, 0.0f);
+  std::vector<char> kept(keypoints.size(), 0);
 
-  // Per-task scratch for the rotated sample bases / coordinates.
+  // The two orientation bins a sample votes into, with their weights.
+  struct BinVote {
+    int lo, hi;
+    float loWeight, hiWeight;
+  };
+  // Per-task scratch: the rotated sample bases / coordinates, and one
+  // BinVote per MIM index.
   struct Scratch {
     std::vector<double> a1, a2;
     std::vector<int> ix, iy;
+    std::vector<BinVote> bins;
   };
 
-  auto extractOne = [&](const Keypoint& kp, Extracted& slot,
+  auto extractOne = [&](const Keypoint& kp, float* desc, char& keep,
                         Scratch& scratch) {
-    const int cx = static_cast<int>(kp.px.x);
-    const int cy = static_cast<int>(kp.px.y);
-    if (cx < margin || cy < margin || cx >= w - margin || cy >= h - margin)
-      return;
+    if (!patchFits(kp, half, w, h)) return;
 
-    const double domOrient = dominantOrientation(mim, kp.px, half);
-    // The dominant orientation is always recorded on the keypoint (RANSAC
-    // gates inliers on orientation consistency); whether it also rotates
-    // the patch depends on the rotation mode.
+    // The keypoint's orientation (orientKeypoints) always rides along
+    // (RANSAC gates inliers on orientation consistency); whether it also
+    // rotates the patch depends on the rotation mode. The PerKeypoint
+    // ablation rotates by the unrounded angle, so it re-derives it.
     double theta = 0.0;
     switch (prm.rotationMode) {
       case RotationMode::None:
         break;
       case RotationMode::PerKeypoint:
-        theta = domOrient;
+        theta = dominantOrientation(mim, kp.px, half);
         break;
       case RotationMode::FixedAngle:
         theta = fixedAngle;
@@ -225,14 +284,40 @@ DescriptorSet computeDescriptors(const MimResult& mim,
         theta * static_cast<double>(no) / std::numbers::pi;
     const double c = std::cos(theta), s = std::sin(theta);
 
+    // Soft binning over orientation: a sample's two bins and their weights
+    // depend only on its MIM index, one of `no` values, so they are tabled
+    // once per keypoint. |theta| < pi in every pipeline path, so the shift
+    // distance lies in (-no, 2*no) and one conditional +-no reproduces the
+    // fmod the code used to call exactly (the subtraction is
+    // Sterbenz-exact); the libcall survives only for out-of-range
+    // fixedAngle values. The shift then lies in [0, no] (no itself by
+    // rounding), so one compare each wraps the two bins.
+    const double dno = static_cast<double>(no);
+    scratch.bins.resize(static_cast<std::size_t>(no));
+    for (int m = 0; m < no; ++m) {
+      double shifted = static_cast<double>(m) - binShiftF;
+      if (shifted >= dno) {
+        shifted =
+            shifted < 2.0 * dno ? shifted - dno : std::fmod(shifted, dno);
+      } else if (shifted < -dno) {
+        shifted = std::fmod(shifted, dno);
+      }
+      if (shifted < 0.0) shifted += dno;
+      int lo = static_cast<int>(shifted);
+      if (lo >= no) lo -= no;
+      const float fo = static_cast<float>(shifted - std::floor(shifted));
+      scratch.bins[static_cast<std::size_t>(m)] =
+          BinVote{lo, lo + 1 < no ? lo + 1 : 0, 1.0f - fo, fo};
+    }
+
     // Rotated sample coordinate for offset (dx, dy):
     //   sx = (px.x + c*dx) - s*dy,  sy = (px.y + s*dx) + c*dy
     // (normalizing the patch's dominant structure to orientation 0). The
     // per-dx bases are keypoint constants; each row then costs one
-    // SIMD-dispatched sub/add + round per sample. The margin check above
-    // keeps every rotated sample strictly inside the image (the rotated
-    // offset never exceeds half*sqrt(2) < margin - 1), so there is no
-    // per-sample bounds test.
+    // SIMD-dispatched sub/add + round per sample. patchFits() keeps every
+    // rotated sample strictly inside the image (the rotated offset never
+    // exceeds half*sqrt(2) < margin - 1), so there is no per-sample bounds
+    // test.
     scratch.a1.resize(static_cast<std::size_t>(patch));
     scratch.a2.resize(static_cast<std::size_t>(patch));
     scratch.ix.resize(static_cast<std::size_t>(patch));
@@ -243,13 +328,11 @@ DescriptorSet computeDescriptors(const MimResult& mim,
       scratch.a2[static_cast<std::size_t>(k)] = kp.px.y + s * dx;
     }
 
-    std::vector<float> desc(static_cast<std::size_t>(l * l * no), 0.0f);
     for (int dy = -half; dy < half; ++dy) {
       patchCoords(scratch.a1.data(), scratch.a2.data(), patch, s * dy,
                   c * dy, scratch.ix.data(), scratch.iy.data(), level);
-      const int ky = dy + half;
-      const int gy0 = gTab[static_cast<std::size_t>(ky)];
-      const double fy = fTab[static_cast<std::size_t>(ky)];
+      const OffsetVotes* rowVotes =
+          &voteTab[static_cast<std::size_t>((dy + half) * patch)];
       for (int kx = 0; kx < patch; ++kx) {
         const int ix = scratch.ix[static_cast<std::size_t>(kx)];
         const int iy = scratch.iy[static_cast<std::size_t>(kx)];
@@ -259,45 +342,17 @@ DescriptorSet computeDescriptors(const MimResult& mim,
         // Every unmasked pixel casts one vote, whatever its amplitude:
         // counting is steadier than amplitude weighting across sensors
         // whose differing densities and vertical FOVs skew amplitudes.
-        //
-        // Trilinear soft binning (x, y, orientation): visibility and
-        // sub-pixel differences between two views then move vote mass
-        // between adjacent bins instead of teleporting it, which keeps
-        // descriptor distances small for true correspondences across
-        // heterogeneous sensors.
-        const int gx0 = gTab[static_cast<std::size_t>(kx)];
-        const double fx = fTab[static_cast<std::size_t>(kx)];
-
-        // |theta| < pi in every pipeline path, so the shift distance lies
-        // in (-no, 2*no) and one conditional +-no reproduces the fmod the
-        // code used to call exactly (the subtraction is Sterbenz-exact);
-        // the libcall survives only for out-of-range fixedAngle values.
-        const double dno = static_cast<double>(no);
-        double shifted = static_cast<double>(mim.mim(ix, iy)) - binShiftF;
-        if (shifted >= dno) {
-          shifted = shifted < 2.0 * dno ? shifted - dno
-                                        : std::fmod(shifted, dno);
-        } else if (shifted < -dno) {
-          shifted = std::fmod(shifted, dno);
-        }
-        if (shifted < 0.0) shifted += dno;
-        const int i0 = static_cast<int>(shifted) % no;
-        const int i1 = (i0 + 1) % no;
-        const float fo = static_cast<float>(shifted - std::floor(shifted));
-
-        for (int by = 0; by < 2; ++by) {
-          const int gy2 = gy0 + by;
-          if (gy2 < 0 || gy2 >= l) continue;
-          const double wy = by == 0 ? 1.0 - fy : fy;
-          for (int bx = 0; bx < 2; ++bx) {
-            const int gx2 = gx0 + bx;
-            if (gx2 < 0 || gx2 >= l) continue;
-            const double wx = bx == 0 ? 1.0 - fx : fx;
-            float* cell = &desc[static_cast<std::size_t>((gy2 * l + gx2) * no)];
-            const float ws = static_cast<float>(wy * wx);
-            cell[i0] += ws * (1.0f - fo);
-            cell[i1] += ws * fo;
-          }
+        // Soft binning moves vote mass between adjacent bins under
+        // visibility and sub-pixel differences between two views instead
+        // of teleporting it, which keeps descriptor distances small for
+        // true correspondences across heterogeneous sensors.
+        const BinVote& bin = scratch.bins[mim.mim(ix, iy)];
+        const OffsetVotes& o = rowVotes[kx];
+        for (int v = 0; v < o.count; ++v) {
+          const CellVote& vote = o.votes[static_cast<std::size_t>(v)];
+          float* cell = desc + vote.cell;
+          cell[bin.lo] += vote.weight * bin.loWeight;
+          cell[bin.hi] += vote.weight * bin.hiWeight;
         }
       }
     }
@@ -305,43 +360,44 @@ DescriptorSet computeDescriptors(const MimResult& mim,
     // Hellinger kernel: sqrt-compress then L2-normalize. Dampens the
     // influence of dense structure one sensor happens to sample heavily.
     double norm2 = 0.0;
-    for (float& v : desc) {
-      v = std::sqrt(v);
-      norm2 += static_cast<double>(v) * v;
+    for (std::size_t k = 0; k < dim; ++k) {
+      desc[k] = std::sqrt(desc[k]);
+      norm2 += static_cast<double>(desc[k]) * desc[k];
     }
     if (norm2 <= 0.0) return;  // structure-free patch
     const float inv = static_cast<float>(1.0 / std::sqrt(norm2));
-    for (float& v : desc) v *= inv;
-
-    slot.kp = kp;
-    slot.kp.orientation = static_cast<float>(domOrient);
-    slot.desc = std::move(desc);
+    for (std::size_t k = 0; k < dim; ++k) desc[k] *= inv;
+    keep = 1;
   };
 
   parallelFor(0, static_cast<std::int64_t>(keypoints.size()), 8,
               [&](std::int64_t i0, std::int64_t i1) {
                 Scratch scratch;
                 for (std::int64_t i = i0; i < i1; ++i) {
-                  extractOne(keypoints[static_cast<std::size_t>(i)],
-                             slots[static_cast<std::size_t>(i)], scratch);
+                  const auto k = static_cast<std::size_t>(i);
+                  extractOne(keypoints[k], rows.data() + k * dim, kept[k],
+                             scratch);
                 }
               });
 
-  std::vector<Keypoint> kept;
-  std::vector<std::vector<float>> descs;
-  kept.reserve(keypoints.size());
-  descs.reserve(keypoints.size());
-  for (Extracted& slot : slots) {
-    if (slot.desc.empty()) continue;
-    kept.push_back(slot.kp);
-    descs.push_back(std::move(slot.desc));
+  std::size_t n = 0;
+  for (const char k : kept) n += static_cast<std::size_t>(k);
+  std::vector<Keypoint> keptKeypoints;
+  keptKeypoints.reserve(n);
+  std::vector<float> block(n * dim);
+  for (std::size_t k = 0; k < keypoints.size(); ++k) {
+    if (!kept[k]) continue;
+    std::copy_n(rows.begin() + static_cast<std::ptrdiff_t>(k * dim), dim,
+                block.begin() +
+                    static_cast<std::ptrdiff_t>(keptKeypoints.size() * dim));
+    keptKeypoints.push_back(keypoints[k]);
   }
-  BBA_COUNTER_ADD("descriptor.computed",
-                  static_cast<std::int64_t>(kept.size()));
+  // Rejected: a patch that would leave the image or holds no structure.
+  BBA_COUNTER_ADD("descriptor.computed", static_cast<std::int64_t>(n));
   BBA_COUNTER_ADD("descriptor.rejected",
-                  static_cast<std::int64_t>(keypoints.size() - kept.size()));
+                  static_cast<std::int64_t>(keypoints.size() - n));
 
-  return DescriptorSet(std::move(kept), std::move(descs), l, no);
+  return DescriptorSet(std::move(keptKeypoints), std::move(block), l, no);
 }
 
 namespace {
@@ -351,7 +407,11 @@ namespace {
 // i % 8 == l, and both paths collapse the 8 partials with the same
 // pairwise tree — so scalar (8 scalar accumulators) and AVX2 (1x8 lanes)
 // are bit-identical. Descriptors are grid*grid*no floats (192 by default),
-// a multiple of 8; other sizes take the sequential fallback.
+// a multiple of 8; other sizes take the sequential fallback. The 4-row
+// kernels give each of their 8 pairs its own accumulator with exactly
+// this order and tree, so a pair's distance is the same whichever kernel
+// computes it. No kernel fuses the multiply into the add: an FMA rounds
+// once where the reference rounds twice.
 
 float hsum8(const float* acc) {
   const float s01 = acc[0] + acc[1];
@@ -359,6 +419,15 @@ float hsum8(const float* acc) {
   const float s45 = acc[4] + acc[5];
   const float s67 = acc[6] + acc[7];
   return (s01 + s23) + (s45 + s67);
+}
+
+float distance2Sequential(const float* a, const float* b, std::size_t n) {
+  float s = 0.0f;
+  for (std::size_t i = 0; i < n; ++i) {
+    const float d = a[i] - b[i];
+    s += d * d;
+  }
+  return s;
 }
 
 float distance2Blocked8Scalar(const float* a, const float* b, std::size_t n) {
@@ -371,6 +440,23 @@ float distance2Blocked8Scalar(const float* a, const float* b, std::size_t n) {
     }
   }
   return hsum8(acc);
+}
+
+void distance2Rows4Scalar(const float* a, const float* f, const float* b,
+                          std::size_t n, float* out) {
+  float acc[8][8] = {};
+  for (std::size_t i = 0; i < n; i += 8) {
+    for (std::size_t r = 0; r < 4; ++r) {
+      const float* row = b + r * n + i;
+      for (std::size_t l = 0; l < 8; ++l) {
+        const float da = a[i + l] - row[l];
+        const float df = f[i + l] - row[l];
+        acc[r][l] += da * da;
+        acc[4 + r][l] += df * df;
+      }
+    }
+  }
+  for (int k = 0; k < 8; ++k) out[k] = hsum8(acc[k]);
 }
 
 #if defined(BBA_DESC_X86)
@@ -389,12 +475,36 @@ __attribute__((target("avx2"))) float distance2Blocked8Avx2(const float* a,
   return hsum8(lanes);
 }
 
+__attribute__((target("avx2"))) void distance2Rows4Avx2(const float* a,
+                                                        const float* f,
+                                                        const float* b,
+                                                        std::size_t n,
+                                                        float* out) {
+  __m256 acc[8];
+  for (__m256& v : acc) v = _mm256_setzero_ps();
+  for (std::size_t i = 0; i < n; i += 8) {
+    const __m256 va = _mm256_loadu_ps(a + i);
+    const __m256 vf = _mm256_loadu_ps(f + i);
+    for (std::size_t r = 0; r < 4; ++r) {
+      const __m256 row = _mm256_loadu_ps(b + r * n + i);
+      const __m256 da = _mm256_sub_ps(va, row);
+      const __m256 df = _mm256_sub_ps(vf, row);
+      acc[r] = _mm256_add_ps(acc[r], _mm256_mul_ps(da, da));
+      acc[4 + r] = _mm256_add_ps(acc[4 + r], _mm256_mul_ps(df, df));
+    }
+  }
+  float lanes[8];
+  for (int k = 0; k < 8; ++k) {
+    _mm256_storeu_ps(lanes, acc[k]);
+    out[k] = hsum8(lanes);
+  }
+}
+
 #endif  // BBA_DESC_X86
 
 }  // namespace
 
-float descriptorDistance2(const std::vector<float>& a,
-                          const std::vector<float>& b) {
+float descriptorDistance2(std::span<const float> a, std::span<const float> b) {
   BBA_ASSERT(a.size() == b.size());
   const std::size_t n = a.size();
   if (n % 8 == 0 && n > 0) {
@@ -405,12 +515,25 @@ float descriptorDistance2(const std::vector<float>& a,
 #endif
     return distance2Blocked8Scalar(a.data(), b.data(), n);
   }
-  float s = 0.0f;
-  for (std::size_t i = 0; i < n; ++i) {
-    const float d = a[i] - b[i];
-    s += d * d;
+  return distance2Sequential(a.data(), b.data(), n);
+}
+
+void descriptorDistance2x4(const float* a, const float* aFlipped,
+                           const float* b, std::size_t n, float out[8]) {
+  if (n % 8 == 0 && n > 0) {
+#if defined(BBA_DESC_X86)
+    if (simdLevel() == SimdLevel::Avx2) {
+      distance2Rows4Avx2(a, aFlipped, b, n, out);
+      return;
+    }
+#endif
+    distance2Rows4Scalar(a, aFlipped, b, n, out);
+    return;
   }
-  return s;
+  for (std::size_t r = 0; r < 4; ++r) {
+    out[r] = distance2Sequential(a, b + r * n, n);
+    out[4 + r] = distance2Sequential(aFlipped, b + r * n, n);
+  }
 }
 
 }  // namespace bba

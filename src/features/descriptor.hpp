@@ -1,5 +1,6 @@
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "features/fast.hpp"
@@ -36,17 +37,21 @@ struct DescriptorParams {
   double amplitudeMaskFraction = 0.05;
 };
 
-/// A set of keypoints with their descriptors.
+/// A set of keypoints with their descriptors, stored as one row-major
+/// block of size() x dimension() floats.
 ///
 /// Because the MIM is pi-periodic, the dominant-orientation normalization
-/// leaves a 180-degree ambiguity. `flipped(i)` returns the descriptor of
-/// the same patch rotated an extra 180 degrees (a cheap deterministic
-/// permutation of the primary); matchers take the min distance over both.
+/// leaves a 180-degree ambiguity. `flippedBlock()` returns every
+/// descriptor of the set rotated an extra 180 degrees (a cheap
+/// deterministic permutation of the primary); matchers take the min
+/// distance over both.
 class DescriptorSet {
  public:
   DescriptorSet() = default;
+  /// `descriptors` holds keypoints.size() rows of grid * grid *
+  /// numOrientations floats, row i describing keypoint i.
   DescriptorSet(std::vector<Keypoint> keypoints,
-                std::vector<std::vector<float>> descriptors, int grid,
+                std::vector<float> descriptors, int grid,
                 int numOrientations);
 
   [[nodiscard]] std::size_t size() const { return keypoints_.size(); }
@@ -57,11 +62,13 @@ class DescriptorSet {
   [[nodiscard]] const std::vector<Keypoint>& keypoints() const {
     return keypoints_;
   }
-  [[nodiscard]] const std::vector<float>& descriptor(std::size_t i) const {
-    return descriptors_[i];
+  [[nodiscard]] std::span<const float> descriptor(std::size_t i) const {
+    const auto dim = static_cast<std::size_t>(dimension());
+    return {data_.data() + i * dim, dim};
   }
-  /// 180-degree-rotated variant of descriptor i (see class comment).
-  [[nodiscard]] std::vector<float> flipped(std::size_t i) const;
+  /// Every descriptor rotated 180 degrees (see class comment), one block
+  /// laid out like the set's own.
+  [[nodiscard]] std::vector<float> flippedBlock() const;
 
   [[nodiscard]] int dimension() const {
     return grid_ * grid_ * numOrientations_;
@@ -69,21 +76,41 @@ class DescriptorSet {
 
  private:
   std::vector<Keypoint> keypoints_;
-  std::vector<std::vector<float>> descriptors_;
+  std::vector<float> data_;
   int grid_ = 0;
   int numOrientations_ = 0;
 };
 
+/// Record on each keypoint its dominant MIM orientation, an angle in
+/// [0, pi): the amplitude-weighted mode of the MIM indices in a disc of
+/// half a patch around it, refined to sub-bin precision. Only keypoints
+/// whose rotated patch fits in the image (the only ones computeDescriptors
+/// can keep) are oriented; the others keep their value. The orientation does
+/// not depend on a pass's angle, so the feature recipe runs this once per
+/// image, before any pass.
+void orientKeypoints(const MimResult& mim, std::vector<Keypoint>& keypoints,
+                     const DescriptorParams& params = {});
+
 /// Compute BVFT descriptors for the given keypoints over a MIM.
-/// Keypoints whose patch would leave the image are dropped. `fixedAngle`
-/// is the patch rotation (radians) when params.rotationMode ==
-/// FixedAngle; the other modes ignore it.
+/// Keypoints whose patch would leave the image are dropped, and so are
+/// those whose patch holds no structure. Each kept keypoint carries the
+/// orientation orientKeypoints() gave it; `fixedAngle` is the patch
+/// rotation (radians) when params.rotationMode == FixedAngle, and the
+/// other modes ignore it.
 [[nodiscard]] DescriptorSet computeDescriptors(
     const MimResult& mim, std::vector<Keypoint> keypoints,
     double fixedAngle = 0.0, const DescriptorParams& params = {});
 
 /// Squared Euclidean distance between two descriptors of equal length.
-[[nodiscard]] float descriptorDistance2(const std::vector<float>& a,
-                                        const std::vector<float>& b);
+[[nodiscard]] float descriptorDistance2(std::span<const float> a,
+                                        std::span<const float> b);
+
+/// Squared distances of one source row `a` and of its flipped copy
+/// `aFlipped` to the 4 destination rows at `b`, `b + n`, `b + 2n` and
+/// `b + 3n` (all rows n floats): out[k] and out[4 + k] equal
+/// descriptorDistance2 of `a` and of `aFlipped` with row k, bit for bit.
+/// One sweep over the elements feeds the 8 pairs' accumulators.
+void descriptorDistance2x4(const float* a, const float* aFlipped,
+                           const float* b, std::size_t n, float out[8]);
 
 }  // namespace bba

@@ -30,7 +30,7 @@ std::vector<float> KeyframeStore::signatureOf(
   const auto dim = static_cast<std::size_t>(descriptors.dimension());
   std::vector<double> acc(dim, 0.0);
   for (std::size_t i = 0; i < descriptors.size(); ++i) {
-    const std::vector<float>& d = descriptors.descriptor(i);
+    const std::span<const float> d = descriptors.descriptor(i);
     BBA_ASSERT(d.size() == dim);
     for (std::size_t j = 0; j < dim; ++j) acc[j] += d[j];
   }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <span>
 
 #include "common/assert.hpp"
 #include "common/parallel.hpp"
@@ -46,20 +47,38 @@ std::vector<Match> matchDescriptors(const DescriptorSet& src,
   BBA_ASSERT(prm.topK >= 1);
   std::vector<Match> out;
   if (src.empty() || dst.empty()) return out;
+  BBA_ASSERT(src.dimension() == dst.dimension());
 
   std::vector<TopK> forward(src.size(), TopK(prm.topK));
   const auto rows = static_cast<std::int64_t>(src.size());
+  const auto dim = static_cast<std::size_t>(src.dimension());
+  const std::size_t cols = dst.size();
+  // Every source row's flipped copy, built once per call.
+  const std::vector<float> flipped = src.flippedBlock();
+  const float* dstRows = dst.descriptor(0).data();
 
-  // Row-parallel: a source row writes only its own TopK slot.
+  // Row-parallel: a source row writes only its own TopK slot. Destinations
+  // go 4 rows per kernel call, then one by one; either way TopK sees them
+  // in index order.
   parallelFor(0, rows, kRowGrain, [&](std::int64_t i0, std::int64_t i1) {
     for (std::int64_t r = i0; r < i1; ++r) {
       const auto i = static_cast<std::size_t>(r);
-      const std::vector<float> srcFlipped = src.flipped(i);
-      for (std::size_t j = 0; j < dst.size(); ++j) {
-        const float d = std::min(
-            descriptorDistance2(src.descriptor(i), dst.descriptor(j)),
-            descriptorDistance2(srcFlipped, dst.descriptor(j)));
-        forward[i].consider(static_cast<int>(j), d);
+      const float* a = src.descriptor(i).data();
+      const float* f = flipped.data() + i * dim;
+      TopK& top = forward[i];
+      std::size_t j = 0;
+      for (; j + 4 <= cols; j += 4) {
+        float d[8];
+        descriptorDistance2x4(a, f, dstRows + j * dim, dim, d);
+        for (std::size_t k = 0; k < 4; ++k) {
+          top.consider(static_cast<int>(j + k), std::min(d[k], d[4 + k]));
+        }
+      }
+      for (; j < cols; ++j) {
+        const std::span<const float> b = dst.descriptor(j);
+        top.consider(static_cast<int>(j),
+                     std::min(descriptorDistance2({a, dim}, b),
+                              descriptorDistance2({f, dim}, b)));
       }
     }
   });
@@ -71,6 +90,23 @@ std::vector<Match> matchDescriptors(const DescriptorSet& src,
     }
   }
   BBA_COUNTER_ADD("match.matches", static_cast<std::int64_t>(out.size()));
+  return out;
+}
+
+std::vector<Match> firstMatchesPerRow(const std::vector<Match>& ranked,
+                                      int k) {
+  BBA_ASSERT(k >= 1);
+  std::vector<Match> out;
+  out.reserve(ranked.size());
+  int row = -1;
+  int taken = 0;
+  for (const Match& m : ranked) {
+    if (m.srcIndex != row) {
+      row = m.srcIndex;
+      taken = 0;
+    }
+    if (taken++ < k) out.push_back(m);
+  }
   return out;
 }
 

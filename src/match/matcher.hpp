@@ -31,4 +31,11 @@ struct MatchParams {
                                                   const DescriptorSet& dst,
                                                   const MatchParams& params = {});
 
+/// The first `k` matches of each source row of `ranked`, a
+/// matchDescriptors() output at some topK >= k: exactly what
+/// matchDescriptors() returns at topK = k on the same two sets, so one
+/// ranked list serves every shallower depth.
+[[nodiscard]] std::vector<Match> firstMatchesPerRow(
+    const std::vector<Match>& ranked, int k);
+
 }  // namespace bba

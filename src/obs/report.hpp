@@ -59,8 +59,8 @@ struct PoseRecoveryReport {
   // ---- stage wall-clock, milliseconds (0 between untimed stages) -------
   double msMim = 0.0;          ///< both BV images through the Log-Gabor bank
   double msKeypoints = 0.0;    ///< keypoint detection, both images
-  double msDescriptors = 0.0;  ///< all descriptor passes (every yaw cand.)
-  double msMatching = 0.0;     ///< descriptor matching, all yaw candidates
+  double msDescriptors = 0.0;  ///< keypoint orientation + descriptor passes
+  double msMatching = 0.0;     ///< descriptor matching this call did
   double msRansacBv = 0.0;     ///< stage-1 verified RANSAC, all candidates
   double msIcpPolish = 0.0;    ///< dense BV-ICP polish
   double msStage2 = 0.0;       ///< box pairing + box-corner RANSAC

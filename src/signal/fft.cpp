@@ -116,6 +116,13 @@ constexpr std::size_t kFloatsPerPosition = 2 * kLanes;
 
 using StripBuffer = ComplexImage::Storage;
 
+/// Frees what CacheLineAllocator<Complexf>::allocate returned.
+struct CacheLineDelete {
+  void operator()(Complexf* p) const {
+    CacheLineAllocator<Complexf>().deallocate(p, 0);
+  }
+};
+
 /// Row strip: lane l is row l of the `count` rows starting at `src`, each
 /// pass.n wide; position rev[k] of lane l gets column k, times `gain`'s
 /// matching value when `gain` is given (the std::complex * float product).
@@ -542,7 +549,13 @@ void accumulateFilteredModuli(const ComplexImage& spectrum,
   const LinePass colPass(static_cast<std::size_t>(h), /*inverse=*/true);
   const SimdLevel level = simdLevel();
 
-  ComplexImage rows(w, h);  // one filter's row-pass output
+  // One filter's row-pass output. Left unconstructed, since Complexf's
+  // constructor zero-fills and the row pass writes every pixel before the
+  // column pass reads one; Complexf is an implicit-lifetime type, so the
+  // allocation itself provides the objects.
+  const std::unique_ptr<Complexf[], CacheLineDelete> rows(
+      CacheLineAllocator<Complexf>().allocate(
+          stride * static_cast<std::size_t>(h)));
   StripBuffer rowBuf(rowPass.n * kLanes);
   StripBuffer colBuf(colPass.n * kLanes);
   for (const ImageF* filter : filters) {
@@ -553,11 +566,12 @@ void accumulateFilteredModuli(const ComplexImage& spectrum,
       gatherRows(&spectrum(0, y0), &(*filter)(0, y0), rowPass, count,
                  rowBuf.data(), level);
       butterflies(rowBuf.data(), rowPass, level);
-      scatterRows(rowBuf.data(), rowPass, count, &rows(0, y0), level);
+      scatterRows(rowBuf.data(), rowPass, count,
+                  rows.get() + static_cast<std::size_t>(y0) * stride, level);
     }
     for (int x0 = 0; x0 < w; x0 += kLanes) {
       const int count = std::min(kLanes, w - x0);
-      gatherColumns(&rows(x0, 0), stride, colPass, count, colBuf.data());
+      gatherColumns(rows.get() + x0, stride, colPass, count, colBuf.data());
       butterflies(colBuf.data(), colPass, level);
       accumulateModuli(colBuf.data(), colPass, count, &acc(x0, 0), stride,
                        level);

@@ -421,14 +421,19 @@ TrackerResult PoseTracker::update(const CarPerceptionData& other,
   // rung instead of each recover() recomputing them: the ego side here (or
   // supplied by the caller, e.g. CooperationService's per-frame features
   // shared across peers), the peer side by the first recover() into a memo
-  // the later rungs read. The relaxed aligner runs the identical feature
-  // pipeline (relaxedRecoveryConfig), so it reads both.
+  // the later rungs read, ranked match lists included. The relaxed aligner
+  // runs the identical feature pipeline (relaxedRecoveryConfig), so it
+  // reads both.
   std::shared_ptr<const ImageFeatures> ownedFeatures;
   if (egoFeatures == nullptr) {
     ownedFeatures = primary_.computeEgoFeatures(ego);
     egoFeatures = ownedFeatures.get();
   }
   ImageFeatures otherFeatures;
+  // The primary rung ranks each yaw's matches deep enough for the relaxed
+  // rung too, which then reads them instead of matching again.
+  otherFeatures.rankDepth = std::max(primary_.config().matching.topK,
+                                     relaxed_.config().matching.topK);
 
   // Rungs 0 and 1 lock through here: a measurement that passed the gate
   // and validation becomes the track.

@@ -217,13 +217,16 @@ TEST(Descriptor, FlippedIsNormPreservingPermutation) {
   const auto kps = detectBlockMaxima(img, BlockMaxParams{.threshold = 0.1f});
   const DescriptorSet set = computeDescriptors(mim, kps);
   ASSERT_FALSE(set.empty());
-  const auto flip = set.flipped(0);
+  const auto dim = static_cast<std::size_t>(set.dimension());
+  const std::vector<float> flipBlock = set.flippedBlock();
+  ASSERT_EQ(flipBlock.size(), set.size() * dim);
+  const std::vector<float> flip(flipBlock.begin(), flipBlock.begin() + dim);
   float n1 = 0, n2 = 0;
   for (float v : set.descriptor(0)) n1 += v * v;
   for (float v : flip) n2 += v * v;
   EXPECT_NEAR(n1, n2, 1e-6f);
   // Double flip = identity: check via sorted-values equality.
-  auto a = set.descriptor(0);
+  std::vector<float> a(set.descriptor(0).begin(), set.descriptor(0).end());
   auto b = flip;
   std::sort(a.begin(), a.end());
   std::sort(b.begin(), b.end());
@@ -308,7 +311,8 @@ TEST(Descriptor, OrientationRecordedOnKeypoints) {
   const LogGaborBank bank(n, n);
   const ImageF img = lineImage(n, 0.5);
   const MimResult mim = computeMim(img, bank);
-  const auto kps = detectBlockMaxima(img, BlockMaxParams{.threshold = 0.1f});
+  auto kps = detectBlockMaxima(img, BlockMaxParams{.threshold = 0.1f});
+  orientKeypoints(mim, kps);
   const DescriptorSet set = computeDescriptors(mim, kps);
   ASSERT_FALSE(set.empty());
   for (std::size_t i = 0; i < set.size(); ++i) {

@@ -33,9 +33,7 @@ constexpr int kDim = kGrid * kGrid * kOrientations;  // 96
 /// (keypoint positions are irrelevant to the store).
 DescriptorSet constantDescriptors(float fill, int count = 3) {
   std::vector<Keypoint> kps(static_cast<std::size_t>(count));
-  std::vector<std::vector<float>> descs(
-      static_cast<std::size_t>(count),
-      std::vector<float>(static_cast<std::size_t>(kDim), fill));
+  std::vector<float> descs(static_cast<std::size_t>(count * kDim), fill);
   return DescriptorSet(std::move(kps), std::move(descs), kGrid,
                        kOrientations);
 }
@@ -73,11 +71,8 @@ void expectSamePayload(const CarPerceptionData& a,
 /// far apart, so these act as distractors.
 DescriptorSet randomDescriptors(Rng& rng, int count = 3) {
   std::vector<Keypoint> kps(static_cast<std::size_t>(count));
-  std::vector<std::vector<float>> descs(static_cast<std::size_t>(count));
-  for (auto& d : descs) {
-    d.resize(static_cast<std::size_t>(kDim));
-    for (float& v : d) v = static_cast<float>(rng.uniform(0.0, 1.0));
-  }
+  std::vector<float> descs(static_cast<std::size_t>(count * kDim));
+  for (float& v : descs) v = static_cast<float>(rng.uniform(0.0, 1.0));
   return DescriptorSet(std::move(kps), std::move(descs), kGrid,
                        kOrientations);
 }
@@ -87,14 +82,12 @@ DescriptorSet randomDescriptors(Rng& rng, int count = 3) {
 /// ground truth.
 DescriptorSet placeDescriptors(const Vec2& p, int count = 3) {
   std::vector<Keypoint> kps(static_cast<std::size_t>(count));
-  std::vector<std::vector<float>> descs(static_cast<std::size_t>(count));
-  for (auto& d : descs) {
-    d.resize(static_cast<std::size_t>(kDim));
-    for (int j = 0; j < kDim; ++j) {
-      const double fx = 0.011 * (j % 7 + 1), fy = 0.013 * (j % 5 + 1);
-      d[static_cast<std::size_t>(j)] = static_cast<float>(
-          0.5 + 0.5 * std::sin(fx * p.x + fy * p.y + 0.1 * j));
-    }
+  std::vector<float> descs(static_cast<std::size_t>(count * kDim));
+  for (std::size_t k = 0; k < descs.size(); ++k) {
+    const int j = static_cast<int>(k % kDim);
+    const double fx = 0.011 * (j % 7 + 1), fy = 0.013 * (j % 5 + 1);
+    descs[k] = static_cast<float>(
+        0.5 + 0.5 * std::sin(fx * p.x + fy * p.y + 0.1 * j));
   }
   return DescriptorSet(std::move(kps), std::move(descs), kGrid,
                        kOrientations);

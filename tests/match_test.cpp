@@ -1,27 +1,40 @@
 // match module: descriptor matching and all RANSAC variants.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
+#include "common/simd.hpp"
 #include "match/matcher.hpp"
 #include "match/ransac.hpp"
 
 namespace bba {
 namespace {
 
-DescriptorSet makeSet(const std::vector<std::vector<float>>& descs) {
+/// A set whose rows are `descs`, on a grid of `grid` x `grid` cells of
+/// `orientations` bins each.
+DescriptorSet setOfRows(const std::vector<std::vector<float>>& descs,
+                        int grid, int orientations) {
   std::vector<Keypoint> kps(descs.size());
+  std::vector<float> block;
   for (std::size_t i = 0; i < kps.size(); ++i) {
     kps[i].px = {static_cast<double>(i), 0.0};
+    block.insert(block.end(), descs[i].begin(), descs[i].end());
   }
+  return DescriptorSet(kps, std::move(block), grid, orientations);
+}
+
+DescriptorSet makeSet(const std::vector<std::vector<float>>& descs) {
   // grid=1, numOrientations = descriptor length (flip becomes identity).
-  return DescriptorSet(kps, descs, 1,
-                       static_cast<int>(descs.empty() ? 0 : descs[0].size()));
+  return setOfRows(descs, 1,
+                   static_cast<int>(descs.empty() ? 0 : descs[0].size()));
 }
 
 TEST(Matcher, FindsExactCorrespondences) {
@@ -78,10 +91,7 @@ DescriptorSet tiedGridSet(int n, std::uint64_t seed) {
     for (float& v : d) v = 0.5f * static_cast<float>(rng.uniformInt(0, 2));
     descs.push_back(std::move(d));
   }
-  std::vector<Keypoint> kps(descs.size());
-  for (std::size_t i = 0; i < kps.size(); ++i)
-    kps[i].px = {static_cast<double>(i), 0.0};
-  return DescriptorSet(kps, descs, kGrid, kOrientations);
+  return setOfRows(descs, kGrid, kOrientations);
 }
 
 std::vector<Match> matchAt(int threads, const DescriptorSet& src,
@@ -151,8 +161,117 @@ TEST(Matcher, TopKRowIsPrefixOfTopKPlusOne) {
       // The property is only tested where the k-th and (k+1)-th
       // candidates tie.
       EXPECT_GT(boundaryTies, 0);
+      // The helper the shallower rung reads a deeper list through.
+      expectSameMatches(matchAt(threads, src, dst, shorter),
+                        firstMatchesPerRow(
+                            matchAt(threads, src, dst, longer), k));
     }
   }
+}
+
+/// `rows` descriptors on a `grid` x `grid` x `orientations` layout, each
+/// entry uniform in [0, 1): products round, so a fused multiply-add in a
+/// distance kernel changes the bits.
+DescriptorSet randomSet(int rows, int grid, int orientations,
+                        std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::vector<float>> descs(static_cast<std::size_t>(rows));
+  for (auto& d : descs) {
+    d.resize(static_cast<std::size_t>(grid * grid * orientations));
+    for (float& v : d) v = static_cast<float>(rng.uniform(0.0, 1.0));
+  }
+  return setOfRows(descs, grid, orientations);
+}
+
+/// What matchDescriptors promises, one pair at a time: each source row and
+/// its 180-degree flip (cell (gx, gy) moved to (l-1-gx, l-1-gy)) scored by
+/// descriptorDistance2 against every destination row, the smaller
+/// distance kept, and the k smallest by (distance, destination index).
+std::vector<Match> pairwiseReference(const DescriptorSet& src,
+                                     const DescriptorSet& dst, int grid,
+                                     int orientations, int k) {
+  std::vector<Match> out;
+  const auto no = static_cast<std::size_t>(orientations);
+  for (std::size_t i = 0; i < src.size(); ++i) {
+    const std::span<const float> a = src.descriptor(i);
+    std::vector<float> flip(a.size());
+    for (int gy = 0; gy < grid; ++gy) {
+      for (int gx = 0; gx < grid; ++gx) {
+        const auto from = static_cast<std::size_t>(gy * grid + gx) * no;
+        const auto to = static_cast<std::size_t>((grid - 1 - gy) * grid +
+                                                 (grid - 1 - gx)) *
+                        no;
+        for (std::size_t o = 0; o < no; ++o) flip[to + o] = a[from + o];
+      }
+    }
+    std::vector<std::pair<float, int>> row;
+    for (std::size_t j = 0; j < dst.size(); ++j) {
+      row.emplace_back(std::min(descriptorDistance2(a, dst.descriptor(j)),
+                                descriptorDistance2(flip, dst.descriptor(j))),
+                       static_cast<int>(j));
+    }
+    std::stable_sort(row.begin(), row.end(),
+                     [](const auto& x, const auto& y) {
+                       return x.first < y.first;
+                     });
+    for (std::size_t r = 0; r < row.size() && r < static_cast<std::size_t>(k);
+         ++r) {
+      out.push_back(Match{static_cast<int>(i), row[r].second,
+                          std::sqrt(row[r].first)});
+    }
+  }
+  return out;
+}
+
+TEST(Matcher, BlockedKernelEqualsPairwiseReference) {
+  // The matcher scores destinations 4 rows per kernel call plus a
+  // pair-by-pair remainder. Every row count from 0 to 9 hits each block
+  // remainder; 192 floats (4 x 4 x 12) take the 8-lane kernels and 45
+  // (3 x 3 x 5) the sequential fallback. Every level and thread count
+  // must reproduce the scalar pairwise reference bit for bit.
+  struct Layout {
+    int grid;
+    int orientations;
+  };
+  static_assert(sizeof(Match) == 2 * sizeof(int) + sizeof(float),
+                "Match must have no padding for the memcmp below");
+  const SimdLevel saved = simdLevel();
+  std::vector<SimdLevel> levels{SimdLevel::Scalar};
+  if (maxSupportedSimdLevel() == SimdLevel::Avx2)
+    levels.push_back(SimdLevel::Avx2);
+  for (const Layout layout : {Layout{4, 12}, Layout{3, 5}}) {
+    for (int srcRows = 0; srcRows <= 9; ++srcRows) {
+      for (int dstRows = 0; dstRows <= 9; ++dstRows) {
+        const DescriptorSet src = randomSet(srcRows, layout.grid,
+                                            layout.orientations, 101);
+        const DescriptorSet dst = randomSet(dstRows, layout.grid,
+                                            layout.orientations, 202);
+        for (int k = 1; k <= 3; ++k) {
+          setSimdLevel(SimdLevel::Scalar);
+          const std::vector<Match> ref = pairwiseReference(
+              src, dst, layout.grid, layout.orientations, k);
+          for (const SimdLevel level : levels) {
+            setSimdLevel(level);
+            for (const int threads : {1, 4}) {
+              MatchParams prm;
+              prm.topK = k;
+              const std::vector<Match> got = matchAt(threads, src, dst, prm);
+              ASSERT_EQ(got.size(), ref.size());
+              EXPECT_TRUE(got.empty() ||
+                          std::memcmp(got.data(), ref.data(),
+                                      got.size() * sizeof(Match)) == 0)
+                  << "dimension "
+                  << layout.grid * layout.grid * layout.orientations << ", "
+                  << srcRows << " x " << dstRows << " rows, topK " << k
+                  << ", " << toString(level) << ", " << threads
+                  << " threads";
+            }
+          }
+        }
+      }
+    }
+  }
+  setSimdLevel(saved);
 }
 
 class RansacOutliers : public ::testing::TestWithParam<double> {};

@@ -614,5 +614,36 @@ TEST(ObservabilityContract, TrackerStepComputesEachImageMimOnce) {
   EXPECT_EQ(mimSpans, 2);  // ego + peer; the relaxed rung reuses both
 }
 
+TEST(ObservabilityContract, TrackerStepMatchesEachYawOnce) {
+  const FramePair& pair = fixturePair();
+  PoseTracker tracker;
+  const BBAlign aligner(tracker.config().aligner);
+  const CarPerceptionData ego =
+      aligner.makeCarData(pair.egoCloud, pair.egoDets);
+  const CarPerceptionData other =
+      aligner.makeCarData(pair.otherCloud, pair.otherDets);
+  // As above: rung 0 fails the innovation gate, so the relaxed rung runs
+  // on the same images and the same yaw candidates.
+  tracker.acceptExternalPose(Pose2{Vec2{40.0, -40.0}, 1.0});
+
+  obs::TraceRecorder rec;
+  TrackerReport rep;
+  {
+    ScopedTrace installT(rec);
+    Rng rng(3);
+    (void)tracker.update(other, ego, rng, &rep);
+  }
+  ASSERT_TRUE(rep.relaxedAttempted);
+  ASSERT_GT(rep.recovery.yawCandidates, 0);
+  ASSERT_EQ(rep.relaxedRecovery.yawCandidates, rep.recovery.yawCandidates);
+
+  const std::vector<obs::ExportedEvent> events = rec.events();
+  const auto matchSpans = std::count_if(
+      events.begin(), events.end(),
+      [](const obs::ExportedEvent& e) { return e.name == "match"; });
+  // Rung 0 ranks each yaw deep enough for rung 1, which only reads.
+  EXPECT_EQ(matchSpans, rep.recovery.yawCandidates);
+}
+
 }  // namespace
 }  // namespace bba

@@ -4,8 +4,10 @@
 // bits, not within a tolerance.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -16,6 +18,7 @@
 #include "dataset/generator.hpp"
 #include "features/descriptor.hpp"
 #include "features/mim.hpp"
+#include "obs/trace.hpp"
 #include "signal/fft.hpp"
 #include "signal/log_gabor.hpp"
 #include "stream/pose_tracker.hpp"
@@ -43,11 +46,16 @@ std::vector<SimdLevel> dispatchableLevels() {
   return levels;
 }
 
-template <typename T, typename A>
-bool bitsEqual(const std::vector<T, A>& a, const std::vector<T, A>& b) {
+template <typename T>
+bool bitsEqual(std::span<const T> a, std::span<const T> b) {
   return a.size() == b.size() &&
          (a.empty() ||
           std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
+}
+
+template <typename T, typename A>
+bool bitsEqual(const std::vector<T, A>& a, const std::vector<T, A>& b) {
+  return bitsEqual(std::span<const T>(a), std::span<const T>(b));
 }
 
 /// The pinned seed-4242 frame pair every identity test runs on: a real
@@ -296,6 +304,7 @@ TEST(ImageFeatures, SuppliedRecoverIsByteIdenticalToInline) {
 struct MemoRun {
   std::vector<PoseRecoveryResult> results;
   std::vector<PoseRecoveryReport> reports;
+  std::vector<long> matchSpans;  ///< matchDescriptors calls per recover()
 };
 
 /// Run one recover() per aligner, in order, on the pinned pair from one
@@ -309,9 +318,16 @@ MemoRun runSequence(const PinnedPair& pair,
   Rng rng(7);
   for (const BBAlign* aligner : aligners) {
     PoseRecoveryReport rep;
+    obs::TraceRecorder rec;
+    obs::installTraceRecorder(&rec);
     out.results.push_back(aligner->recover(pair.other, pair.ego, rng, &rep,
                                            nullptr, ego, memo));
+    obs::installTraceRecorder(nullptr);
     out.reports.push_back(rep);
+    const std::vector<obs::ExportedEvent> events = rec.events();
+    out.matchSpans.push_back(std::count_if(
+        events.begin(), events.end(),
+        [](const obs::ExportedEvent& e) { return e.name == "match"; }));
   }
   return out;
 }
@@ -345,6 +361,9 @@ TEST(ImageFeatures, RelaxedRungReusesPrimaryFeaturesByteIdentically) {
   const std::vector<const BBAlign*> calls{&primary, &relaxed, &wide};
   const MemoRun fresh = runSequence(pair, calls, nullptr, nullptr);
   ImageFeatures memo;
+  // Ranked as deep as the relaxed rung reads, as PoseTracker does.
+  memo.rankDepth = std::max(primary.config().matching.topK,
+                            relaxed.config().matching.topK);
   const MemoRun shared = runSequence(pair, calls, ego.get(), &memo);
   expectSameRuns(fresh, shared);
 
@@ -356,6 +375,16 @@ TEST(ImageFeatures, RelaxedRungReusesPrimaryFeaturesByteIdentically) {
   EXPECT_EQ(yaws(1), yaws(0));
   EXPECT_GT(memo.passes.size(), yaws(0));
   EXPECT_LT(memo.passes.size(), yaws(0) + yaws(2));
+  // Matching follows the passes: the relaxed rung read every yaw's ranked
+  // list and matched nothing; the wider spread matched only its new yaws.
+  for (std::size_t i = 0; i < calls.size(); ++i) {
+    EXPECT_EQ(fresh.matchSpans[i], static_cast<long>(yaws(i))) << i;
+  }
+  EXPECT_EQ(shared.matchSpans[0], static_cast<long>(yaws(0)));
+  EXPECT_EQ(shared.matchSpans[1], 0);
+  EXPECT_EQ(shared.matchSpans[2],
+            static_cast<long>(memo.passes.size() - yaws(0)));
+  EXPECT_EQ(memo.ranked.size(), memo.passes.size());
 }
 
 TEST(ImageFeatures, PeerSideReadsFeaturesBuiltForTheEgoSide) {
