@@ -1,10 +1,7 @@
 #include "baselines/icp.hpp"
 
-#include <cmath>
 #include <vector>
 
-#include "geom/kabsch.hpp"
-#include "spatial/kdtree.hpp"
 #include "spatial/voxel.hpp"
 
 namespace bba {
@@ -26,49 +23,17 @@ std::vector<Vec2> toPlanar(const PointCloud& cloud, double minZ,
 
 IcpResult icp2d(const PointCloud& src, const PointCloud& dst,
                 const Pose2& initialGuess, const IcpParams& prm) {
-  IcpResult result;
-  result.transform = initialGuess;
-
   const std::vector<Vec2> srcPts =
       toPlanar(src, prm.minZ, prm.downsampleCell);
-  const std::vector<Vec2> dstPts =
-      toPlanar(dst, prm.minZ, prm.downsampleCell);
-  if (srcPts.size() < 8 || dstPts.size() < 8) return result;
-
-  std::vector<KdTree2::Point> dstArr;
-  dstArr.reserve(dstPts.size());
-  for (const Vec2& p : dstPts) dstArr.push_back({p.x, p.y});
-  const KdTree2 tree(std::move(dstArr));
-
-  const double maxD2 =
-      prm.maxCorrespondenceDistance * prm.maxCorrespondenceDistance;
-
-  for (int it = 0; it < prm.maxIterations; ++it) {
-    result.iterations = it + 1;
-    std::vector<Vec2> pairedSrc, pairedDst;
-    double sq = 0.0;
-    for (const Vec2& p : srcPts) {
-      const Vec2 tp = result.transform.apply(p);
-      const auto nn = tree.nearest({tp.x, tp.y});
-      if (nn.squaredDistance > maxD2) continue;
-      pairedSrc.push_back(tp);
-      pairedDst.push_back(dstPts[nn.index]);
-      sq += nn.squaredDistance;
-    }
-    result.correspondences = static_cast<int>(pairedSrc.size());
-    if (pairedSrc.size() < 3) return result;
-    result.rmse = std::sqrt(sq / static_cast<double>(pairedSrc.size()));
-
-    const Pose2 delta = estimateRigid2D(pairedSrc, pairedDst);
-    result.transform = delta.compose(result.transform);
-
-    if (delta.t.norm() < prm.translationEpsilon &&
-        std::abs(delta.theta) < prm.rotationEpsilonRad) {
-      result.converged = true;
-      break;
-    }
-  }
-  return result;
+  std::vector<KdTree2::Point> dstPts;
+  for (const Vec2& p : toPlanar(dst, prm.minZ, prm.downsampleCell))
+    dstPts.push_back({p.x, p.y});
+  if (srcPts.size() < 8 || dstPts.size() < 8)
+    return IcpResult{.transform = initialGuess};
+  return icpToTree(srcPts, KdTree2(std::move(dstPts)), initialGuess,
+                   {.maxIterations = prm.maxIterations,
+                    .maxPairDistance = prm.maxCorrespondenceDistance,
+                    .minPairs = 3});
 }
 
 }  // namespace bba

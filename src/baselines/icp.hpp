@@ -2,6 +2,7 @@
 
 #include "geom/pose2.hpp"
 #include "pointcloud/point_cloud.hpp"
+#include "spatial/kdtree.hpp"
 
 namespace bba {
 
@@ -13,24 +14,14 @@ struct IcpParams {
   int maxIterations = 50;
   /// Reject correspondences farther than this (meters).
   double maxCorrespondenceDistance = 5.0;
-  /// Convergence: stop when the pose update is below these thresholds.
-  double translationEpsilon = 1e-3;
-  double rotationEpsilonRad = 1e-4;
   /// Voxel size for pre-downsampling (0 disables).
   double downsampleCell = 0.8;
   /// Ignore near-ground returns (they carry no registration signal).
   double minZ = 0.3;
 };
 
-struct IcpResult {
-  Pose2 transform;  ///< src -> dst
-  int iterations = 0;
-  double rmse = 0.0;
-  int correspondences = 0;
-  bool converged = false;
-};
-
-/// Align `src` to `dst` starting from `initialGuess`.
+/// Align `src` to `dst` starting from `initialGuess` (icpToTree() over the
+/// planar points, at least 3 pairs per iteration).
 [[nodiscard]] IcpResult icp2d(const PointCloud& src, const PointCloud& dst,
                               const Pose2& initialGuess,
                               const IcpParams& params = {});

@@ -8,7 +8,6 @@
 #include "common/assert.hpp"
 #include "features/mim.hpp"
 #include "geom/iou.hpp"
-#include "geom/kabsch.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "spatial/kdtree.hpp"
@@ -119,12 +118,6 @@ DescriptorSet BBAlign::extractFeatures(const ImageF& bvImage,
   return pass;
 }
 
-DescriptorSet BBAlign::describe(const ImageF& bvImage,
-                                double fixedAngle) const {
-  ImageFeatures features;
-  return extractFeatures(bvImage, features, fixedAngle, nullptr);
-}
-
 std::shared_ptr<const ImageFeatures> BBAlign::computeEgoFeatures(
     const CarPerceptionData& ego) const {
   BBA_SPAN("ego-features");
@@ -212,37 +205,20 @@ class OverlapScorer {
 /// pose with a few dozen points; this polish uses every occupied pixel.
 Pose2 icpPolishBv(const std::vector<Vec2>& srcPts, const ImageF& egoBv,
                   const BevParams& bev, const Pose2& init) {
-  std::vector<Vec2> dstPts;
-  std::vector<KdTree2::Point> arr;
+  std::vector<KdTree2::Point> dstPts;
   for (int y = 0; y < egoBv.height(); ++y) {
     for (int x = 0; x < egoBv.width(); ++x) {
       if (egoBv(x, y) <= kOccupiedIntensity) continue;
       const Vec2 m = bev.toMeters(
           Vec2{static_cast<double>(x), static_cast<double>(y)});
-      dstPts.push_back(m);
-      arr.push_back({m.x, m.y});
+      dstPts.push_back({m.x, m.y});
     }
   }
   if (srcPts.size() < 20 || dstPts.size() < 20) return init;
-  const KdTree2 tree(std::move(arr));
-
-  Pose2 T = init;
-  constexpr double kMaxDist2 = 2.5 * 2.5;
-  for (int iter = 0; iter < 12; ++iter) {
-    std::vector<Vec2> a, b;
-    for (const Vec2& p : srcPts) {
-      const Vec2 tp = T.apply(p);
-      const auto nn = tree.nearest({tp.x, tp.y});
-      if (nn.squaredDistance > kMaxDist2) continue;
-      a.push_back(tp);
-      b.push_back(dstPts[nn.index]);
-    }
-    if (a.size() < 20) break;
-    const Pose2 delta = estimateRigid2D(a, b);
-    T = delta.compose(T);
-    if (delta.t.norm() < 1e-3 && std::abs(delta.theta) < 1e-4) break;
-  }
-  return T;
+  return icpToTree(srcPts, KdTree2(std::move(dstPts)), init,
+                   {.maxIterations = 12, .maxPairDistance = 2.5,
+                    .minPairs = 20})
+      .transform;
 }
 
 /// Greedy nearest-center box pairing: each of the other car's boxes, in
@@ -471,11 +447,13 @@ PoseRecoveryResult BBAlign::recover(const CarPerceptionData& other,
   // Each side's features come from the caller when it holds them (the
   // frame's shared ego features; the tracker step's peer memo) and are
   // computed here otherwise, so the report's stage times cover exactly the
-  // work this call did. A pass's ranked match lists depend on the ego
-  // value as well, so the peer memo keeps them only when the caller holds
-  // both values, and then only for the one ego value it first ranked
+  // work this call did. Every yaw is matched through the peer memo's
+  // ranked lists, this call's own memo when the caller brings none. The
+  // lists depend on the ego value as well, so a caller-held memo needs a
+  // caller-held ego value, and serves only the one it first ranked
   // against.
-  const bool keepRanked = egoFeatures != nullptr && otherFeatures != nullptr;
+  BBA_ASSERT_MSG(otherFeatures == nullptr || egoFeatures != nullptr,
+                 "a caller-held peer memo needs a caller-held ego value");
   ImageFeatures egoLocal;
   if (egoFeatures == nullptr) {
     egoLocal.descriptors = extractFeatures(ego.bvImage, egoLocal, 0.0, times);
@@ -487,12 +465,10 @@ PoseRecoveryResult BBAlign::recover(const CarPerceptionData& other,
   }
   ImageFeatures otherLocal;
   if (otherFeatures == nullptr) otherFeatures = &otherLocal;
-  if (keepRanked) {
-    if (otherFeatures->rankedAgainst == nullptr)
-      otherFeatures->rankedAgainst = egoFeatures;
-    BBA_ASSERT_MSG(otherFeatures->rankedAgainst == egoFeatures,
-                   "peer features ranked against another ego value");
-  }
+  if (otherFeatures->rankedAgainst == nullptr)
+    otherFeatures->rankedAgainst = egoFeatures;
+  BBA_ASSERT_MSG(otherFeatures->rankedAgainst == egoFeatures,
+                 "peer features ranked against another ego value");
   // MIM and keypoints only: the peer's passes are per yaw candidate.
   extractFeatures(other.bvImage, *otherFeatures, std::nullopt, times);
   const DescriptorSet& descEgo = egoFeatures->descriptors;
@@ -546,30 +522,25 @@ PoseRecoveryResult BBAlign::recover(const CarPerceptionData& other,
     // yaw is the other->ego rotation (ego pixels = R(yaw) * other pixels
     // + shift); sampling the other image's patches with offsets rotated by
     // -yaw reads the content that ego's unrotated offsets read. Each pass
-    // is computed on the first request for its yaw.
+    // is computed on the first request for its yaw, and ranked then at the
+    // memo's depth; every call reads its own topK prefix of each row.
     auto pass = otherFeatures->passes.find(yaw);
     if (pass == otherFeatures->passes.end()) {
-      pass = otherFeatures->passes
-                 .emplace(yaw, extractFeatures(other.bvImage, *otherFeatures,
-                                               -yaw, times))
-                 .first;
+      ImageFeatures::YawPass added;
+      added.descriptors =
+          extractFeatures(other.bvImage, *otherFeatures, -yaw, times);
+      pass = otherFeatures->passes.emplace(yaw, std::move(added)).first;
     }
-    const DescriptorSet& descOther = pass->second;
+    ImageFeatures::YawPass& yawPass = pass->second;
+    const DescriptorSet& descOther = yawPass.descriptors;
     lap.lap();
-    std::vector<Match> matches;
-    if (keepRanked) {
-      // Ranked once per yaw at the memo's depth; every call reads its own
-      // topK prefix of each row.
-      ImageFeatures::RankedMatches& ranked = otherFeatures->ranked[yaw];
-      if (ranked.depth < cfg_.matching.topK) {
-        ranked.depth = std::max(cfg_.matching.topK, otherFeatures->rankDepth);
-        ranked.matches = matchDescriptors(descOther, descEgo,
-                                          MatchParams{.topK = ranked.depth});
-      }
-      matches = firstMatchesPerRow(ranked.matches, cfg_.matching.topK);
-    } else {
-      matches = matchDescriptors(descOther, descEgo, cfg_.matching);
+    if (yawPass.depth < cfg_.matching.topK) {
+      yawPass.depth = std::max(cfg_.matching.topK, otherFeatures->rankDepth);
+      yawPass.ranked = matchDescriptors(descOther, descEgo,
+                                        MatchParams{.topK = yawPass.depth});
     }
+    const std::vector<Match> matches =
+        firstMatchesPerRow(yawPass.ranked, cfg_.matching.topK);
     rep.msMatching += lap.lap();
 
     std::vector<Vec2> src, dst;

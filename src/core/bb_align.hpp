@@ -153,33 +153,32 @@ struct PoseRecoveryResult {
 /// to one image, and share it only between aligners whose configs agree
 /// on every feature-side field (see relaxedRecoveryConfig).
 ///
-/// The peer value of a step also keeps each yaw pass's ranked match lists,
-/// which depend on the ego value too: recover() binds them to the first
-/// caller-held ego value it ranks against (`rankedAgainst`) and asserts
-/// that every later call brings the same one. The tracker keeps its peer
-/// value for one step only, so the lists, like the rest of it, die with
-/// the step.
+/// On the peer side, recover() also keeps each yaw pass's ranked match
+/// list, which depends on the ego value too: it binds the value to the
+/// first ego value it ranks against (`rankedAgainst`) and asserts that
+/// every later call brings the same one. The tracker keeps its peer value
+/// for one step only, so the lists, like the rest of it, die with the
+/// step; a recover() called without a peer value ranks into one of its
+/// own.
 struct ImageFeatures {
   MimResult mim;  ///< empty until the features are computed
   std::vector<Keypoint> keypoints;
   /// The pass sampled at angle 0: what the ego side is matched against and
   /// what the keyframe map indexes (computeEgoFeatures() fills it).
   DescriptorSet descriptors;
-  /// The passes the peer side adds on demand, one per relative-yaw
-  /// candidate (sampled at -yaw), keyed by that yaw.
-  std::map<double, DescriptorSet> passes;
 
-  /// One pass's matches against the ego pass, as matchDescriptors()
-  /// returns them at topK = depth.
-  struct RankedMatches {
+  /// What the peer side adds on demand for one relative-yaw candidate.
+  struct YawPass {
+    DescriptorSet descriptors;  ///< the pass sampled at -yaw
+    /// The pass's matches against the ego pass, as matchDescriptors()
+    /// returns them at topK = depth; a call whose topK is at most `depth`
+    /// reads each row's first topK entries (firstMatchesPerRow).
+    std::vector<Match> ranked;
     int depth = 0;
-    std::vector<Match> matches;
   };
-  /// Ranked lists of the passes, keyed like `passes`; a call whose topK
-  /// is at most a list's depth reads each row's first topK entries
-  /// (firstMatchesPerRow) and matches nothing.
-  std::map<double, RankedMatches> ranked;
-  /// The ego value every list in `ranked` was ranked against.
+  /// One entry per yaw candidate, keyed by that yaw.
+  std::map<double, YawPass> passes;
+  /// The ego value every ranked list in `passes` was ranked against.
   const ImageFeatures* rankedAgainst = nullptr;
   /// How deep a list is ranked when first computed, when that exceeds the
   /// calling aligner's topK: the deepest topK among the aligners that will
@@ -229,8 +228,10 @@ class BBAlign {
   /// where it does not. Either must come from a config whose feature-side
   /// fields equal this aligner's — then the result is byte-identical to
   /// computing them inline. Without either argument, recover() computes
-  /// that side's features itself. With both, the memo also keeps each
-  /// yaw's ranked match lists, bound to `egoFeatures` (see ImageFeatures).
+  /// that side's features itself. Every yaw is matched through the memo's
+  /// ranked lists, which are bound to the ego value (see ImageFeatures):
+  /// a caller-held memo therefore needs a caller-held `egoFeatures`
+  /// (asserted).
   [[nodiscard]] PoseRecoveryResult recover(
       const CarPerceptionData& other, const CarPerceptionData& ego, Rng& rng,
       PoseRecoveryReport* report = nullptr,
@@ -243,13 +244,6 @@ class BBAlign {
   /// the pipeline (see ImageFeatures).
   [[nodiscard]] std::shared_ptr<const ImageFeatures> computeEgoFeatures(
       const CarPerceptionData& ego) const;
-
-  /// Stage-1-internal product: keypoints + descriptors of one BV image.
-  /// `fixedAngle` applies when descriptor.rotationMode == FixedAngle.
-  /// Only tests call it: they pin the descriptor pass across thread
-  /// counts and SIMD levels.
-  [[nodiscard]] DescriptorSet describe(const ImageF& bvImage,
-                                       double fixedAngle = 0.0) const;
 
   /// The image's MIM through this aligner's Log-Gabor bank (exposed for
   /// tests and the stage-wise experiments).

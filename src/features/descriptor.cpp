@@ -404,14 +404,16 @@ namespace {
 
 // ---- squared-distance kernels --------------------------------------------
 // Fixed 8-virtual-lane blocked reduction: lane l accumulates elements
-// i % 8 == l, and both paths collapse the 8 partials with the same
-// pairwise tree — so scalar (8 scalar accumulators) and AVX2 (1x8 lanes)
-// are bit-identical. Descriptors are grid*grid*no floats (192 by default),
-// a multiple of 8; other sizes take the sequential fallback. The 4-row
-// kernels give each of their 8 pairs its own accumulator with exactly
-// this order and tree, so a pair's distance is the same whichever kernel
-// computes it. No kernel fuses the multiply into the add: an FMA rounds
-// once where the reference rounds twice.
+// i % 8 == l, and the 8 partials collapse with one pairwise tree (hsum8).
+// Descriptors are grid*grid*no floats (192 by default), a multiple of 8;
+// other sizes take the sequential fallback. The 4-row kernel gives each of
+// its 8 pairs its own accumulator with exactly this order and tree, so a
+// pair's distance is the same whichever kernel computes it. Each kernel is
+// one always-inline body, compiled once for the scalar level and once
+// under target("avx2"), where GCC turns the 8 lanes into one register:
+// the same operations in the same order, so the two levels agree bit for
+// bit. No body fuses a multiply into an add (the library builds with
+// -ffp-contract=off): an FMA rounds once where the reference rounds twice.
 
 float hsum8(const float* acc) {
   const float s01 = acc[0] + acc[1];
@@ -430,20 +432,23 @@ float distance2Sequential(const float* a, const float* b, std::size_t n) {
   return s;
 }
 
-float distance2Blocked8Scalar(const float* a, const float* b, std::size_t n) {
+[[gnu::always_inline]] inline float distance2Blocked8(const float* a,
+                                                      const float* b,
+                                                      std::size_t n) {
   float acc[8] = {};
   for (std::size_t i = 0; i < n; i += 8) {
-    for (int l = 0; l < 8; ++l) {
-      const float d = a[i + static_cast<std::size_t>(l)] -
-                      b[i + static_cast<std::size_t>(l)];
+    for (std::size_t l = 0; l < 8; ++l) {
+      const float d = a[i + l] - b[i + l];
       acc[l] += d * d;
     }
   }
   return hsum8(acc);
 }
 
-void distance2Rows4Scalar(const float* a, const float* f, const float* b,
-                          std::size_t n, float* out) {
+[[gnu::always_inline]] inline void distance2Rows4(const float* a,
+                                                  const float* f,
+                                                  const float* b,
+                                                  std::size_t n, float* out) {
   float acc[8][8] = {};
   for (std::size_t i = 0; i < n; i += 8) {
     for (std::size_t r = 0; r < 4; ++r) {
@@ -464,15 +469,7 @@ void distance2Rows4Scalar(const float* a, const float* f, const float* b,
 __attribute__((target("avx2"))) float distance2Blocked8Avx2(const float* a,
                                                             const float* b,
                                                             std::size_t n) {
-  __m256 acc = _mm256_setzero_ps();
-  for (std::size_t i = 0; i < n; i += 8) {
-    const __m256 d =
-        _mm256_sub_ps(_mm256_loadu_ps(a + i), _mm256_loadu_ps(b + i));
-    acc = _mm256_add_ps(acc, _mm256_mul_ps(d, d));
-  }
-  float lanes[8];
-  _mm256_storeu_ps(lanes, acc);
-  return hsum8(lanes);
+  return distance2Blocked8(a, b, n);
 }
 
 __attribute__((target("avx2"))) void distance2Rows4Avx2(const float* a,
@@ -480,24 +477,7 @@ __attribute__((target("avx2"))) void distance2Rows4Avx2(const float* a,
                                                         const float* b,
                                                         std::size_t n,
                                                         float* out) {
-  __m256 acc[8];
-  for (__m256& v : acc) v = _mm256_setzero_ps();
-  for (std::size_t i = 0; i < n; i += 8) {
-    const __m256 va = _mm256_loadu_ps(a + i);
-    const __m256 vf = _mm256_loadu_ps(f + i);
-    for (std::size_t r = 0; r < 4; ++r) {
-      const __m256 row = _mm256_loadu_ps(b + r * n + i);
-      const __m256 da = _mm256_sub_ps(va, row);
-      const __m256 df = _mm256_sub_ps(vf, row);
-      acc[r] = _mm256_add_ps(acc[r], _mm256_mul_ps(da, da));
-      acc[4 + r] = _mm256_add_ps(acc[4 + r], _mm256_mul_ps(df, df));
-    }
-  }
-  float lanes[8];
-  for (int k = 0; k < 8; ++k) {
-    _mm256_storeu_ps(lanes, acc[k]);
-    out[k] = hsum8(lanes);
-  }
+  distance2Rows4(a, f, b, n, out);
 }
 
 #endif  // BBA_DESC_X86
@@ -513,7 +493,7 @@ float descriptorDistance2(std::span<const float> a, std::span<const float> b) {
       return distance2Blocked8Avx2(a.data(), b.data(), n);
     }
 #endif
-    return distance2Blocked8Scalar(a.data(), b.data(), n);
+    return distance2Blocked8(a.data(), b.data(), n);
   }
   return distance2Sequential(a.data(), b.data(), n);
 }
@@ -527,7 +507,7 @@ void descriptorDistance2x4(const float* a, const float* aFlipped,
       return;
     }
 #endif
-    distance2Rows4Scalar(a, aFlipped, b, n, out);
+    distance2Rows4(a, aFlipped, b, n, out);
     return;
   }
   for (std::size_t r = 0; r < 4; ++r) {

@@ -375,15 +375,17 @@ std::vector<SessionFrameResult> CooperationService::processFrame(
   // one immutable ImageFeatures instead of computing its own, so the frame
   // pays one ego feature pipeline instead of one per peer. The sessions'
   // results are byte-identical to computing them inline, since the shared
-  // features come from the same deterministic pipeline.
-  // Skipped when the ego payload is absent or mis-sized (callers whose
-  // every input coasts may legitimately pass an empty ego).
-  // Skipped entirely when no session was granted a slot: an all-skipped/
-  // all-shed/all-coasting frame must cost no ego pipeline either.
+  // features come from the same deterministic pipeline. Whether the ego
+  // can be aligned against is decided once, here: an absent or mis-sized
+  // ego image (callers whose every input coasts may legitimately pass an
+  // empty ego) gets no features, and its granted sessions hold their
+  // tracks below. No features either when no session was granted a slot:
+  // an all-skipped/all-shed/all-coasting frame costs no ego pipeline.
+  const int imageSize = cfg_.tracker.aligner.bev.imageSize();
+  const bool egoUsable = ego.bvImage.width() == imageSize &&
+                         ego.bvImage.height() == imageSize;
   const ImageFeatures* sharedEgo = nullptr;
-  const int egoExpected = cfg_.tracker.aligner.bev.imageSize();
-  if (!grantedSlots.empty() && ego.bvImage.width() == egoExpected &&
-      ego.bvImage.height() == egoExpected) {
+  if (!grantedSlots.empty() && egoUsable) {
     BBA_SPAN("service.ego-features");
     sharedEgo = &frameEgoFeatures(ego);
   }
@@ -439,11 +441,17 @@ std::vector<SessionFrameResult> CooperationService::processFrame(
       session.haveLastMeta = true;
       session.lastFrameIndex = msg.frameIndex;
       session.lastCaptureMicros = msg.captureTimeMicros;
-      const int expected = cfg_.tracker.aligner.bev.imageSize();
-      if (msg.bvImage.empty() || msg.bvImage.width() != expected ||
-          msg.bvImage.height() != expected) {
+      if (msg.bvImage.empty() || msg.bvImage.width() != imageSize ||
+          msg.bvImage.height() != imageSize) {
         res.payloadMismatch = true;
         res.track = session.tracker.coast(&res.report);
+        continue;
+      }
+      if (!egoUsable) {
+        // A good payload with nothing to align it against: the peer did
+        // nothing wrong, so the track is held without a miss or a penalty.
+        res.egoUnusable = true;
+        res.track = session.tracker.skipFrame(&res.report);
         continue;
       }
       if (cfg_.usePosePriors && msg.hasPosePrior &&

@@ -88,6 +88,10 @@ struct SessionFrameResult {
   /// The decoded message carried no BV image or one whose dimensions do
   /// not match this service's aligner; the frame was coasted.
   bool payloadMismatch = false;
+  /// The payload decoded and passed the replay and size checks, but the
+  /// frame's ego image is empty or mis-sized: nothing was aligned, and the
+  /// session held its track (skipFrame(): no miss, no health penalty).
+  bool egoUnusable = false;
   /// The session was quarantined this frame: nothing was decoded or
   /// tracked (track/report hold their defaults).
   bool quarantined = false;

@@ -1,9 +1,11 @@
 #include "spatial/kdtree.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
 
 #include "common/assert.hpp"
+#include "geom/kabsch.hpp"
 
 namespace bba {
 
@@ -69,6 +71,38 @@ void KdTree2::nearestRec(int node, const Point& query, Neighbor& best) const {
   const int far = delta < 0.0 ? n.right : n.left;
   nearestRec(near, query, best);
   if (delta * delta < best.squaredDistance) nearestRec(far, query, best);
+}
+
+IcpResult icpToTree(const std::vector<Vec2>& src, const KdTree2& dst,
+                    const Pose2& init, const IcpLoopParams& prm) {
+  IcpResult result;
+  result.transform = init;
+  const double maxD2 = prm.maxPairDistance * prm.maxPairDistance;
+  for (int it = 0; it < prm.maxIterations; ++it) {
+    result.iterations = it + 1;
+    std::vector<Vec2> pairedSrc, pairedDst;
+    double sq = 0.0;
+    for (const Vec2& p : src) {
+      const Vec2 tp = result.transform.apply(p);
+      const auto nn = dst.nearest({tp.x, tp.y});
+      if (nn.squaredDistance > maxD2) continue;
+      const KdTree2::Point& q = dst.point(nn.index);
+      pairedSrc.push_back(tp);
+      pairedDst.push_back(Vec2{q[0], q[1]});
+      sq += nn.squaredDistance;
+    }
+    result.correspondences = static_cast<int>(pairedSrc.size());
+    if (pairedSrc.size() < prm.minPairs) break;
+    result.rmse = std::sqrt(sq / static_cast<double>(pairedSrc.size()));
+
+    const Pose2 delta = estimateRigid2D(pairedSrc, pairedDst);
+    result.transform = delta.compose(result.transform);
+    if (delta.t.norm() < 1e-3 && std::abs(delta.theta) < 1e-4) {
+      result.converged = true;
+      break;
+    }
+  }
+  return result;
 }
 
 }  // namespace bba

@@ -1,6 +1,9 @@
 // baselines: VIPS spectral graph matching, 2-D ICP.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+
 #include "baselines/icp.hpp"
 #include "baselines/vips.hpp"
 #include "common/rng.hpp"
@@ -87,6 +90,12 @@ PointCloud gridCloud(Rng& rng, int n = 300) {
   return c;
 }
 
+std::uint64_t bitsOf(double v) {
+  std::uint64_t u = 0;
+  std::memcpy(&u, &v, sizeof u);
+  return u;
+}
+
 TEST(Icp, ConvergesFromGoodInitialGuess) {
   Rng rng(10);
   const PointCloud dst = gridCloud(rng);
@@ -100,6 +109,14 @@ TEST(Icp, ConvergesFromGoodInitialGuess) {
   EXPECT_LT((r.transform.t - truth.t).norm(), 0.15);
   EXPECT_LT(angularDistance(r.transform.theta, truth.theta), 0.02);
   EXPECT_LT(r.rmse, 0.2);
+  // icp2d and the BV polish run one loop (icpToTree); these bits were
+  // captured from icp2d's own loop at 22c3ca5, before it was shared.
+  EXPECT_EQ(bitsOf(r.transform.t.x), 0x3fffffffffffffffULL);
+  EXPECT_EQ(bitsOf(r.transform.t.y), 0xbff8000000000000ULL);
+  EXPECT_EQ(bitsOf(r.transform.theta), 0x3fb47ae147ae147aULL);
+  EXPECT_EQ(bitsOf(r.rmse), 0x3cf03d69b6616ccfULL);
+  EXPECT_EQ(r.iterations, 8);
+  EXPECT_EQ(r.correspondences, 300);
 }
 
 TEST(Icp, FailsFromFarInitialGuess) {

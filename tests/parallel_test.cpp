@@ -228,7 +228,7 @@ PipelineOutputs runPipeline(const BBAlign& aligner, const FramePair& pair,
       aligner.makeCarData(pair.otherCloud, pair.otherDets);
   Rng rng(1234);
   return PipelineOutputs{aligner.computeImageMim(ego.bvImage),
-                         aligner.describe(ego.bvImage),
+                         aligner.computeEgoFeatures(ego)->descriptors,
                          aligner.recover(other, ego, rng)};
 }
 

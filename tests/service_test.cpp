@@ -82,6 +82,44 @@ TEST(ServiceDecode, CreatesSessionsAndCountsCauses) {
   EXPECT_EQ(rep.aggregate.payloadMismatch, 1);
 }
 
+TEST(ServiceDecode, UnusableEgoHoldsTheGrantedSession) {
+  // A good full-size payload meets an empty, then a mis-sized, ego image.
+  // Nothing can be aligned, so the session holds its track (skipFrame)
+  // with the reason on its result: no miss, no health penalty, no throw.
+  CooperationService svc;
+  const int size = svc.config().tracker.aligner.bev.imageSize();
+  CarPerceptionData peer;
+  peer.bvImage = ImageF(size, size);
+  peer.bvImage(size / 2, size / 2) = 0.5f;
+  const CarPerceptionData emptyEgo;
+  const CarPerceptionData smallEgo{ImageF(8, 8), {}};
+  int frames = 0;
+  for (const CarPerceptionData* ego : {&emptyEgo, &smallEgo}) {
+    const std::vector<std::uint8_t> payload =
+        svc.sendFrame(peer, 1, static_cast<std::uint32_t>(frames));
+    std::vector<SessionFrameResult> results;
+    ASSERT_NO_THROW(results = svc.processFrame(*ego, {{1, &payload}}));
+    ++frames;
+    ASSERT_EQ(results.size(), 1u);
+    const SessionFrameResult& r = results[0];
+    EXPECT_TRUE(r.received);
+    EXPECT_EQ(r.decodeError, wire::DecodeError::None);
+    EXPECT_FALSE(r.replayRejected);
+    EXPECT_FALSE(r.payloadMismatch);
+    EXPECT_TRUE(r.egoUnusable);
+    EXPECT_TRUE(r.report.schedulerSkipped);
+    EXPECT_EQ(r.report.consecutiveMisses, 0);
+    EXPECT_EQ(r.track.outcome, TrackerOutcome::Bootstrapping);
+    EXPECT_EQ(r.health, PeerHealth::Healthy);
+    EXPECT_EQ(svc.framesProcessed(), frames);
+  }
+  EXPECT_EQ(svc.sessionCount(), 1);
+  const ServiceReport rep = svc.report();
+  ASSERT_EQ(rep.sessions.size(), 1u);
+  EXPECT_EQ(rep.sessions[0].decodeOk, 2);
+  EXPECT_EQ(rep.sessions[0].suspicion, 0);
+}
+
 TEST(ServiceDecode, DuplicatePeerIdsAreTypedRejections) {
   // PR 10: a repeated peer id within one call is traffic, not a bug — the
   // first occurrence is processed, every later one is a typed rejection

@@ -11,6 +11,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/assert.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "common/simd.hpp"
@@ -210,15 +211,21 @@ TEST(SimdIdentity, DescriptorsByteIdenticalAcrossLevels) {
     cfg.descriptor.patchSize = patchSize;
     const BBAlign aligner(cfg);
     const PinnedPair& pair = pinnedPair(aligner);
+    // The peer image's pass at fixedAngle, every stage run at the current
+    // level.
+    const auto describe = [&] {
+      const auto feats = aligner.computeEgoFeatures(pair.other);
+      return computeDescriptors(feats->mim, feats->keypoints, fixedAngle,
+                                cfg.descriptor);
+    };
 
     setSimdLevel(SimdLevel::Scalar);
-    const DescriptorSet ref = aligner.describe(pair.other.bvImage, fixedAngle);
+    const DescriptorSet ref = describe();
     ASSERT_GT(ref.size(), 0u) << "patch " << patchSize;
 
     for (SimdLevel level : dispatchableLevels()) {
       setSimdLevel(level);
-      const DescriptorSet probe =
-          aligner.describe(pair.other.bvImage, fixedAngle);
+      const DescriptorSet probe = describe();
       ASSERT_EQ(probe.size(), ref.size())
           << toString(level) << " patch " << patchSize;
       for (std::size_t i = 0; i < ref.size(); ++i) {
@@ -384,7 +391,23 @@ TEST(ImageFeatures, RelaxedRungReusesPrimaryFeaturesByteIdentically) {
   EXPECT_EQ(shared.matchSpans[1], 0);
   EXPECT_EQ(shared.matchSpans[2],
             static_cast<long>(memo.passes.size() - yaws(0)));
-  EXPECT_EQ(memo.ranked.size(), memo.passes.size());
+  // Every pass holds its ranked list, at the memo's depth.
+  for (const auto& [yaw, pass] : memo.passes) {
+    EXPECT_EQ(pass.depth, memo.rankDepth) << yaw;
+  }
+}
+
+TEST(ImageFeatures, CallerHeldMemoNeedsACallerHeldEgoValue) {
+  // A memo's ranked lists are bound to the ego value they were ranked
+  // against, so recover() rejects a memo that comes without one.
+  const BBAlign aligner;
+  const PinnedPair& pair = pinnedPair(aligner);
+  ImageFeatures memo;
+  Rng rng(7);
+  EXPECT_THROW((void)aligner.recover(pair.other, pair.ego, rng, nullptr,
+                                     nullptr, nullptr, &memo),
+               AssertionError);
+  EXPECT_TRUE(memo.passes.empty());
 }
 
 TEST(ImageFeatures, PeerSideReadsFeaturesBuiltForTheEgoSide) {
@@ -401,11 +424,12 @@ TEST(ImageFeatures, PeerSideReadsFeaturesBuiltForTheEgoSide) {
         aligner.recover(pair.other, pair.ego, rngInline, &repInline);
 
     ImageFeatures asPeer = *aligner.computeEgoFeatures(pair.other);
+    const auto ego = aligner.computeEgoFeatures(pair.ego);
     Rng rngSupplied(7);
     PoseRecoveryReport repSupplied;
     const PoseRecoveryResult suppliedRun =
         aligner.recover(pair.other, pair.ego, rngSupplied, &repSupplied,
-                        nullptr, nullptr, &asPeer);
+                        nullptr, ego.get(), &asPeer);
 
     EXPECT_EQ(std::memcmp(&suppliedRun.estimate, &inlineRun.estimate,
                           sizeof inlineRun.estimate),

@@ -17,7 +17,9 @@
 # where a frame's time went, use run.sh --trace and bench/e2e/ledger.py).
 # Exits with compare.py's status: 1 on any `regression` or `incorrect`
 # row, else 0 (an `unresolved` row does not fail). Exits 2 on a usage
-# error, a run that wrote no result, or a build-bench/ that is not Release.
+# error, a run that wrote no result, a run that lacks one of
+# BENCHMARK.json's workloads (compare.py judges only the workloads every
+# run carries), or a build-bench/ that is not Release.
 set -euo pipefail
 
 # Three pairs at the benchmark's own run length (BENCHMARK.json
@@ -46,12 +48,29 @@ run_side() {
   local tree="$root"
   [ "$1" = parent ] && tree="$work/parent"
   local out="$work/runs/$1/$2.json" log="$work/runs/$1-$2.log"
+  # The parent's tree has no .git, so run.sh's commit lookup would climb to
+  # this checkout and label the parent's runs with its HEAD; stopped at
+  # build-ab-gate/, the lookup fails and run.sh records `unknown`.
+  local ceiling=""
+  [ "$1" = parent ] && ceiling="$work"
   echo "ab_gate: pair $2/$PAIRS: $1"
-  "$tree/bench/e2e/run.sh" --seconds "$RUN_SECONDS" --out "$out" >"$log" 2>&1 ||
-    true
+  GIT_CEILING_DIRECTORIES="$ceiling" "$tree/bench/e2e/run.sh" \
+    --seconds "$RUN_SECONDS" --out "$out" >"$log" 2>&1 || true
   if [ ! -s "$out" ]; then
     tail -n 20 "$log" >&2
     echo "ab_gate: the $1 run wrote no result (log: $log)" >&2
+    exit 2
+  fi
+  local missing
+  missing="$(python3 -c '
+import json, sys
+run = json.load(open(sys.argv[1]))["workloads"]
+spec = json.load(open(sys.argv[2]))["workloads"]
+print(" ".join(w["name"] for w in spec if w["name"] not in run))
+' "$out" "$root/BENCHMARK.json")"
+  if [ -n "$missing" ]; then
+    echo "ab_gate: the $1 run of pair $2 lacks workload(s): $missing" \
+      "(log: $log)" >&2
     exit 2
   fi
   # run.sh configures build-bench/ only once, so an old tree keeps
