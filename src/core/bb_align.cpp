@@ -132,6 +132,13 @@ namespace {
 /// overlap verifier's and the ICP polish's point sets).
 constexpr float kOccupiedIntensity = 0.02f;
 
+/// YawSearch::StopAtDecisivePrior's overlap bar: the prior's candidates end
+/// the yaw search when their best verified hypothesis scores at least this
+/// (and has more than successInliersBv inliers). On prior-seeded tracker
+/// calls the best verified overlap of the prior's candidates was 0.46-0.65
+/// where they won, and that of the other candidates 0.15-0.31.
+constexpr double kDecisiveOverlap = 0.4;
+
 /// Occupancy-overlap verifier for stage-1 hypotheses: projects the other
 /// car's occupied BV pixels through a candidate transform and measures the
 /// fraction landing on (3x3-dilated) occupied ego pixels.
@@ -410,6 +417,8 @@ void recordRecoveryMetrics(const PoseRecoveryReport& rep) {
       break;
   }
   reg->counter("stage1.ransac_iterations").add(rep.ransacBvIterations);
+  reg->counter("stage1.yaw_candidates_skipped")
+      .add(rep.yawCandidatesListed - rep.yawCandidates);
   reg->counter("stage2.ransac_iterations").add(rep.ransacBoxIterations);
   reg->histogram("stage1.keypoints").observe(rep.keypointsEgo);
   reg->histogram("stage1.keypoints").observe(rep.keypointsOther);
@@ -435,7 +444,8 @@ PoseRecoveryResult BBAlign::recover(const CarPerceptionData& other,
                                     PoseRecoveryReport* report,
                                     const Pose2* posePrior,
                                     const ImageFeatures* egoFeatures,
-                                    ImageFeatures* otherFeatures) const {
+                                    ImageFeatures* otherFeatures,
+                                    YawSearch yawSearch) const {
   BBA_SPAN("recover");
   PoseRecoveryResult result;
   PoseRecoveryReport rep;
@@ -482,6 +492,9 @@ PoseRecoveryResult BBAlign::recover(const CarPerceptionData& other,
   // descriptor pass for the other image (per-keypoint normalization would
   // inject orientation jitter on blob features like tree tops).
   std::vector<double> yawCands{0.0};
+  // How many entries head the list because of the prior: the candidates a
+  // YawSearch::StopAtDecisivePrior call evaluates before it may stop.
+  std::size_t priorCands = 0;
   const bool fixedMode =
       cfg_.descriptor.rotationMode == RotationMode::FixedAngle;
   if (fixedMode) {
@@ -489,8 +502,9 @@ PoseRecoveryResult BBAlign::recover(const CarPerceptionData& other,
         egoFeatures->mim, otherFeatures->mim, cfg_.yawCandidates);
     // A caller-side pose prior (streaming tracker prediction) becomes the
     // first candidate evaluated; the histogram peaks still follow, so a
-    // wrong prior costs one extra candidate but can never hide the
-    // histogram-derived hypotheses.
+    // wrong prior costs its extra candidates but cannot hide the
+    // histogram-derived ones: only a decisive hypothesis among the prior's
+    // own candidates may end the search early (YawSearch).
     if (posePrior) peaks.insert(peaks.begin(), posePrior->theta);
     yawCands.clear();
     for (const double peak : peaks) {
@@ -509,6 +523,7 @@ PoseRecoveryResult BBAlign::recover(const CarPerceptionData& other,
         }
         if (!dup) yawCands.push_back(yaw);
       }
+      if (posePrior && priorCands == 0) priorCands = yawCands.size();
     }
     if (yawCands.empty()) yawCands.push_back(0.0);
   }
@@ -517,8 +532,19 @@ PoseRecoveryResult BBAlign::recover(const CarPerceptionData& other,
   VerifiedRansacResult bestVerified;
   int bestMatches = 0;
   int bestDescOther = 0;
-  rep.yawCandidates = static_cast<int>(yawCands.size());
-  for (const double yaw : yawCands) {
+  rep.yawCandidatesListed = static_cast<int>(yawCands.size());
+  for (std::size_t c = 0; c < yawCands.size(); ++c) {
+    if (yawSearch == YawSearch::StopAtDecisivePrior && c == priorCands &&
+        bestVerified.verifierScore >= kDecisiveOverlap &&
+        bestVerified.ransac.inlierCount > cfg_.successInliersBv) {
+      // Decisive: skip the rest, each skipped candidate taking the one draw
+      // its RANSAC would have taken, so the caller's stream stays where a
+      // full search leaves it.
+      rng.engine().discard(yawCands.size() - c);
+      break;
+    }
+    ++rep.yawCandidates;
+    const double yaw = yawCands[c];
     // yaw is the other->ego rotation (ego pixels = R(yaw) * other pixels
     // + shift); sampling the other image's patches with offsets rotated by
     // -yaw reads the content that ego's unrotated offsets read. Each pass
@@ -577,9 +603,15 @@ PoseRecoveryResult BBAlign::recover(const CarPerceptionData& other,
     rep.msRansacBv += lap.lap();
     rep.ransacBvIterations += prm.iterations;
     if (verified.verifierScore > bestVerified.verifierScore) {
+      rep.yawRunnerUpOverlap =
+          std::max(rep.yawRunnerUpOverlap, bestVerified.verifierScore);
+      rep.yawWinner = static_cast<int>(c);
       bestVerified = verified;
       bestMatches = static_cast<int>(matches.size());
       bestDescOther = static_cast<int>(descOther.size());
+    } else {
+      rep.yawRunnerUpOverlap =
+          std::max(rep.yawRunnerUpOverlap, verified.verifierScore);
     }
   }
 

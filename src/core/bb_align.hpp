@@ -186,6 +186,12 @@ struct ImageFeatures {
   int rankDepth = 0;
 };
 
+/// How far recover() searches its global-yaw candidates (see recover()).
+enum class YawSearch {
+  Full,                 ///< evaluate every listed candidate
+  StopAtDecisivePrior,  ///< stop after the prior's own candidates when decisive
+};
+
 /// The BB-Align two-stage pose recovery framework (Algorithm 1).
 ///
 /// Typical use:
@@ -217,10 +223,24 @@ class BBAlign {
   /// `posePrior` (optional) is a caller-side predicted other -> ego
   /// transform: a streaming tracker (src/stream) supplies its
   /// constant-velocity motion prediction so the global-yaw search starts
-  /// from the predicted rotation. The prior only *seeds* the search — an
-  /// extra yaw candidate, evaluated first — and never gates, replaces or
-  /// biases the measurement itself: without it the same candidate set is
-  /// simply discovered (or not) from the orientation histograms alone.
+  /// from the predicted rotation. The prior's yaw, spread by
+  /// +-yawSpreadDeg, heads the candidate list; each histogram peak and its
+  /// spread follow. The prior never gates, replaces or biases a
+  /// measurement.
+  ///
+  /// `yawSearch` decides whether the prior may also end the search. With
+  /// YawSearch::StopAtDecisivePrior and a prior, the search stops once the
+  /// prior's own candidates are evaluated if their best verified
+  /// hypothesis is decisive: a verifier overlap of at least 0.4
+  /// (kDecisiveOverlap) and more than this config's successInliersBv
+  /// refined inliers. The remaining candidates' descriptor passes,
+  /// matching and RANSAC are skipped. Every listed candidate owns exactly
+  /// one draw of `rng`, evaluated or skipped, so stage 2 and later calls
+  /// draw what a full search would have them draw, and the stop changes a
+  /// result only where a skipped candidate would have won. PoseTracker
+  /// asks for it on its motion prediction (rungs 0 and 1); relocalization
+  /// against a dead-reckoned map prior, and every call without a prior,
+  /// search in full.
   ///
   /// `egoFeatures` (optional) supplies `ego`'s features as
   /// computeEgoFeatures() builds them. `otherFeatures` (optional) is the
@@ -237,7 +257,8 @@ class BBAlign {
       PoseRecoveryReport* report = nullptr,
       const Pose2* posePrior = nullptr,
       const ImageFeatures* egoFeatures = nullptr,
-      ImageFeatures* otherFeatures = nullptr) const;
+      ImageFeatures* otherFeatures = nullptr,
+      YawSearch yawSearch = YawSearch::Full) const;
 
   /// The image's features with their angle-0 pass, exactly as recover()
   /// computes the ego side inline — the sharable, peer-independent half of

@@ -245,6 +245,10 @@ VerifiedRansacResult ransacRigid2DVerified(
   const Gate gate{srcOrientations, dstOrientations,
                   prm.orientationToleranceRad};
   VerifiedRansacResult best;
+  // Exactly one draw per call, taken before any early return: a caller
+  // that skips a call can advance its stream by one in its place
+  // (BBAlign::recover's decisive-prior stop does).
+  const std::uint64_t base = rng.engine()();
   const int n = static_cast<int>(src.size());
   if (n < 2) return best;
 
@@ -253,7 +257,6 @@ VerifiedRansacResult ransacRigid2DVerified(
   // the dedup order, so computing them eagerly (including for hypotheses a
   // serial loop would have skipped as near-duplicates) changes wall-clock
   // cost but not any result.
-  const std::uint64_t base = rng.engine()();
   const std::int64_t iters = prm.iterations;
   std::vector<std::vector<RansacCandidate>> buckets(
       static_cast<std::size_t>(chunkCount(0, iters, kIterGrain)));

@@ -80,7 +80,9 @@ using PoseVerifier = std::function<double(const Pose2&)>;
 /// not the highest-inlier one — wins, then gets least-squares refined.
 /// This is how BB-Align's stage 1 survives repetitive road corridors where
 /// impostor consensus sets out-count the true pose. `verifierScore` of the
-/// returned result is the winner's score (-1 if nothing qualified).
+/// returned result is the winner's score (-1 if nothing qualified). Every
+/// call takes exactly one draw from `rng`, also with fewer than 2
+/// correspondences.
 struct VerifiedRansacResult {
   RansacResult ransac;
   double verifierScore = -1.0;

@@ -43,7 +43,9 @@ std::string PoseRecoveryReport::toJson(bool includeTimings) const {
       buf, sizeof buf,
       "\"stage1\":{\"keypoints_ego\":%d,\"keypoints_other\":%d,"
       "\"descriptors_ego\":%d,\"descriptors_other\":%d,"
-      "\"yaw_candidates\":%d,\"descriptor_matches\":%d,"
+      "\"yaw_candidates\":%d,\"yaw_candidates_listed\":%d,"
+      "\"yaw_winner\":%d,\"yaw_runner_up_overlap\":%.6f,"
+      "\"descriptor_matches\":%d,"
       "\"ransac_iterations\":%lld,\"inliers_bv\":%d,\"overlap_score\":%.6f},"
       "\"stage2\":{\"box_pairs\":%d,\"ransac_iterations\":%lld,"
       "\"inliers_box\":%d},"
@@ -53,7 +55,8 @@ std::string PoseRecoveryReport::toJson(bool includeTimings) const {
       "\"corner_residual\":%.6f,\"box_iou\":%.6f,\"boxes_compared\":%d,"
       "\"score\":%.6f}}",
       keypointsEgo, keypointsOther, descriptorsEgo, descriptorsOther,
-      yawCandidates, descriptorMatches,
+      yawCandidates, yawCandidatesListed, yawWinner, yawRunnerUpOverlap,
+      descriptorMatches,
       static_cast<long long>(ransacBvIterations), inliersBv, overlapScore,
       boxPairs, static_cast<long long>(ransacBoxIterations), inliersBox,
       stage1Ok ? "true" : "false", stage2Ok ? "true" : "false",

@@ -72,6 +72,15 @@ struct PoseRecoveryReport {
   int descriptorsEgo = 0;    ///< keypoints surviving descriptor extraction
   int descriptorsOther = 0;  ///< same, for the winning yaw candidate
   int yawCandidates = 0;     ///< global-yaw hypotheses evaluated
+  /// Global-yaw hypotheses listed; those past `yawCandidates` were skipped
+  /// by the decisive-prior stop (BBAlign::recover's YawSearch).
+  int yawCandidatesListed = 0;
+  /// List index of the candidate whose verified hypothesis won stage 1;
+  /// -1 when no candidate verified one.
+  int yawWinner = -1;
+  /// Best verified overlap among the other evaluated candidates: the
+  /// runner-up to the winner's overlapScore; -1 when none verified.
+  double yawRunnerUpOverlap = -1.0;
   int descriptorMatches = 0; ///< matches fed to RANSAC (winning candidate)
   std::int64_t ransacBvIterations = 0;  ///< total across yaw candidates
   int inliersBv = 0;

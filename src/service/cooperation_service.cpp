@@ -163,8 +163,9 @@ struct CooperationService::Session : PeerRecord {
   std::uint64_t peerId;
   PoseTracker tracker;
   Rng rng;
-  /// Frames since this session was last granted a recover slot (see
-  /// admission.hpp: resets on grant, so the shed rotation cannot starve).
+  /// Frames since this session was last granted a recover slot on a
+  /// frame with a usable ego image (see admission.hpp: resets on grant, so
+  /// the shed rotation cannot starve).
   int staleness = 0;
   /// Consecutive service frames the peer has been absent from the inputs
   /// (the reaper's clock; resets whenever the peer appears).
@@ -355,7 +356,8 @@ std::vector<SessionFrameResult> CooperationService::processFrame(
   // — no wall clock, no thread count — so results stay byte-identical at
   // any BBA_THREADS. Staleness resets on GRANT (not on lock): a session
   // that keeps failing still rotates through, and no session waits more
-  // than ceil(sessions/budget) frames.
+  // than ceil(sessions/budget) frames. A grant on a frame whose ego is
+  // unusable does not count: nothing was aligned.
   const std::vector<std::size_t> grantedSlots =
       grantRecoverSlots(candidates, effectiveRecoverBudget(cfg_.budget));
   std::vector<char> granted(inputs.size(), 0);
@@ -366,24 +368,27 @@ std::vector<SessionFrameResult> CooperationService::processFrame(
     // Once per frame: the budget was insufficient for the admitted set.
     BBA_COUNTER_ADD("service.budget_exhausted", 1);
   }
+  // Whether the ego can be aligned against is decided once, here: an
+  // absent or mis-sized ego image (callers whose every input coasts may
+  // legitimately pass an empty ego) gets no features, and its granted
+  // sessions hold their tracks below. No recover() runs for them, so they
+  // age like shed sessions instead of resetting.
+  const int imageSize = cfg_.tracker.aligner.bev.imageSize();
+  const bool egoUsable = ego.bvImage.width() == imageSize &&
+                         ego.bvImage.height() == imageSize;
   for (std::size_t i = 0; i < inputs.size(); ++i) {
     if (bySlot[i] != nullptr)
-      bySlot[i]->staleness = granted[i] ? 0 : bySlot[i]->staleness + 1;
+      bySlot[i]->staleness =
+          granted[i] && egoUsable ? 0 : bySlot[i]->staleness + 1;
   }
 
   // Frame-scoped ego-feature sharing: every session borrows the frame's
   // one immutable ImageFeatures instead of computing its own, so the frame
   // pays one ego feature pipeline instead of one per peer. The sessions'
   // results are byte-identical to computing them inline, since the shared
-  // features come from the same deterministic pipeline. Whether the ego
-  // can be aligned against is decided once, here: an absent or mis-sized
-  // ego image (callers whose every input coasts may legitimately pass an
-  // empty ego) gets no features, and its granted sessions hold their
-  // tracks below. No features either when no session was granted a slot:
-  // an all-skipped/all-shed/all-coasting frame costs no ego pipeline.
-  const int imageSize = cfg_.tracker.aligner.bev.imageSize();
-  const bool egoUsable = ego.bvImage.width() == imageSize &&
-                         ego.bvImage.height() == imageSize;
+  // features come from the same deterministic pipeline. No features when
+  // no session was granted a slot: an all-skipped/all-shed/all-coasting
+  // frame costs no ego pipeline.
   const ImageFeatures* sharedEgo = nullptr;
   if (!grantedSlots.empty() && egoUsable) {
     BBA_SPAN("service.ego-features");

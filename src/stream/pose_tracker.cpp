@@ -302,7 +302,9 @@ bool PoseTracker::tryRelocalize(const CarPerceptionData& ego,
     if (kf == nullptr || kf->payload.bvImage.empty()) continue;  // index-only
     ++attempts;
     // The keyframe plays the "other" car. Expected keyframe -> ego
-    // transform from the two global poses: T = G_ego^-1 * G_kf.
+    // transform from the two global poses: T = G_ego^-1 * G_kf. It seeds
+    // the yaw search but never ends it: dead-reckoned, it may have drifted,
+    // so every candidate is evaluated (YawSearch::Full).
     const Pose2 expected = prior.inverse().compose(kf->globalPose);
     const PoseRecoveryResult r = primary_.recover(
         kf->payload, ego, rng, &rep.relocalization, &expected, &egoFeatures);
@@ -455,10 +457,11 @@ TrackerResult PoseTracker::update(const CarPerceptionData& other,
     return out;
   };
 
-  // Rung 0: the primary measurement.
+  // Rung 0: the primary measurement. Rungs 0 and 1 let the prediction end
+  // the yaw search once its own candidates are decisive (recover()).
   const PoseRecoveryResult primary =
       primary_.recover(other, ego, rng, &rep.recovery, posePrior, egoFeatures,
-                       &otherFeatures);
+                       &otherFeatures, YawSearch::StopAtDecisivePrior);
   if (prediction && primary.success) {
     const PoseError innov = poseError(primary.estimate, *prediction);
     rep.innovationTranslation = innov.translation;
@@ -481,7 +484,8 @@ TrackerResult PoseTracker::update(const CarPerceptionData& other,
     rep.relaxedAttempted = true;
     const PoseRecoveryResult retried =
         relaxed_.recover(other, ego, rng, &rep.relaxedRecovery, posePrior,
-                         egoFeatures, &otherFeatures);
+                         egoFeatures, &otherFeatures,
+                         YawSearch::StopAtDecisivePrior);
     if (retried.success && withinGate(retried.estimate) &&
         !validated(retried)) {
       rep.validationRejected = true;

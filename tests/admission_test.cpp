@@ -229,7 +229,10 @@ FleetRun runTinyFleet(int threads, int peers, int budget, int frames,
   ServiceConfig cfg;
   cfg.budget = {.frameDeadlineMs = budget * kAssumedRecoverCostMs};
   CooperationService svc(cfg);
-  const CarPerceptionData ego;
+  // A blank ego image of the aligner's size: a grant counts as service (and
+  // resets the session's staleness) only on a frame with a usable ego.
+  const int size = cfg.tracker.aligner.bev.imageSize();
+  const CarPerceptionData ego{ImageF(size, size), {}};
 
   FleetRun run;
   for (int f = 0; f < frames; ++f) {

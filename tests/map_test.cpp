@@ -437,6 +437,12 @@ TEST(MapReloc, TrackLostTrackerRelocalizesFromMapWithNoPeer) {
   ASSERT_TRUE(t.poseValid);
   EXPECT_TRUE(rep.relocalizationAccepted);
   EXPECT_NE(rep.relocalizationKeyframe, 0u);
+  // The map-derived prior is dead-reckoned and may have drifted, so it
+  // seeds the yaw search but never ends it: every listed candidate runs,
+  // the histogram peaks' too.
+  EXPECT_GT(rep.relocalization.yawCandidatesListed, 3);
+  EXPECT_EQ(rep.relocalization.yawCandidates,
+            rep.relocalization.yawCandidatesListed);
   // The reported pose is the ego GLOBAL pose in the map frame.
   EXPECT_LT(poseError(t.pose, gt9).translation, 2.0);
   // ...and the odometry prior was refreshed to the recovered pose.

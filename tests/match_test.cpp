@@ -490,5 +490,22 @@ TEST(RansacVerified, VerifierOverridesInlierCount) {
   EXPECT_LT((v.ransac.transform.t - truth.t).norm(), 0.5);
 }
 
+TEST(RansacVerified, TooFewPointsStillTakeOneDraw) {
+  // A call owns exactly one draw of the caller's stream whatever its input,
+  // so a caller that skips a call can advance its stream in its place.
+  const std::vector<Vec2> none;
+  const std::vector<Vec2> one{{1, 1}};
+  for (const std::vector<Vec2>* pts : {&none, &one}) {
+    Rng rng(5);
+    Rng expected(5);
+    (void)expected.engine()();
+    const VerifiedRansacResult v = ransacRigid2DVerified(
+        *pts, *pts, {}, rng, [](const Pose2&) { return 1.0; });
+    EXPECT_FALSE(v.ransac.ok);
+    EXPECT_EQ(v.verifierScore, -1.0);
+    EXPECT_EQ(rng.engine()(), expected.engine()()) << pts->size() << " points";
+  }
+}
+
 }  // namespace
 }  // namespace bba

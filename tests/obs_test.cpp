@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cstdio>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
@@ -459,6 +460,38 @@ TEST(Report, JsonIsSyntacticallyValid) {
   EXPECT_NE(json.find("\"failure\""), std::string::npos);
 }
 
+TEST(Report, StageOneBlockShowsTheYawSearch) {
+  // A real recover(): the stage1 block says how many yaw candidates were
+  // listed and evaluated, which one won and how close the runner-up came.
+  const FramePair& pair = fixturePair();
+  const BBAlign aligner;
+  const CarPerceptionData ego =
+      aligner.makeCarData(pair.egoCloud, pair.egoDets);
+  const CarPerceptionData other =
+      aligner.makeCarData(pair.otherCloud, pair.otherDets);
+  Rng rng(3);
+  PoseRecoveryReport rep;
+  const PoseRecoveryResult r = aligner.recover(other, ego, rng, &rep);
+  ASSERT_TRUE(r.success);
+  EXPECT_GT(rep.yawCandidates, 0);
+  EXPECT_LE(rep.yawCandidates, rep.yawCandidatesListed);
+  EXPECT_GE(rep.yawWinner, 0);
+  EXPECT_LT(rep.yawWinner, rep.yawCandidates);
+  EXPECT_LE(rep.yawRunnerUpOverlap, rep.overlapScore);
+
+  const std::string json = rep.toJson(false);
+  EXPECT_TRUE(JsonChecker(json).valid()) << json;
+  const auto stage1 = json.substr(json.find("\"stage1\":{"));
+  const std::string block = stage1.substr(0, stage1.find('}'));
+  char expect[160];
+  std::snprintf(expect, sizeof expect,
+                "\"yaw_candidates\":%d,\"yaw_candidates_listed\":%d,"
+                "\"yaw_winner\":%d,\"yaw_runner_up_overlap\":%.6f",
+                rep.yawCandidates, rep.yawCandidatesListed, rep.yawWinner,
+                rep.yawRunnerUpOverlap);
+  EXPECT_NE(block.find(expect), std::string::npos) << block;
+}
+
 // ---- end-to-end contract ---------------------------------------------------
 
 TEST(ObservabilityContract, PosesByteIdenticalWithAndWithoutObservers) {
@@ -636,6 +669,11 @@ TEST(ObservabilityContract, TrackerStepMatchesEachYawOnce) {
   ASSERT_TRUE(rep.relaxedAttempted);
   ASSERT_GT(rep.recovery.yawCandidates, 0);
   ASSERT_EQ(rep.relaxedRecovery.yawCandidates, rep.recovery.yawCandidates);
+  // The prediction is far from the truth, so its own candidates decide
+  // nothing and neither rung stops early.
+  EXPECT_EQ(rep.recovery.yawCandidates, rep.recovery.yawCandidatesListed);
+  EXPECT_EQ(rep.relaxedRecovery.yawCandidates,
+            rep.relaxedRecovery.yawCandidatesListed);
 
   const std::vector<obs::ExportedEvent> events = rec.events();
   const auto matchSpans = std::count_if(

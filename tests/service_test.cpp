@@ -120,6 +120,39 @@ TEST(ServiceDecode, UnusableEgoHoldsTheGrantedSession) {
   EXPECT_EQ(rep.sessions[0].suspicion, 0);
 }
 
+TEST(ServiceDecode, UnusableEgoGrantKeepsItsPlaceInLine) {
+  // One recover slot, two peers, and ego images good, empty, good. The
+  // second frame's grant meets the empty ego, so nothing is aligned and
+  // that session ages like the shed one instead of going to the back of
+  // the line: the third frame's slot is its again.
+  ServiceConfig cfg;
+  cfg.budget = {.frameDeadlineMs = kAssumedRecoverCostMs};  // one slot
+  CooperationService svc(cfg);
+  const int size = cfg.tracker.aligner.bev.imageSize();
+  CarPerceptionData peer;
+  peer.bvImage = ImageF(size, size);
+  peer.bvImage(size / 2, size / 2) = 0.5f;
+  const CarPerceptionData goodEgo = peer;
+  const CarPerceptionData emptyEgo;
+  std::vector<std::uint64_t> granted;
+  std::uint32_t frame = 0;
+  for (const CarPerceptionData* ego : {&goodEgo, &emptyEgo, &goodEgo}) {
+    const std::vector<std::uint8_t> a = svc.sendFrame(peer, 1, frame);
+    const std::vector<std::uint8_t> b = svc.sendFrame(peer, 2, frame);
+    const std::vector<SessionFrameResult> results =
+        svc.processFrame(*ego, {{1, &a}, {2, &b}});
+    ASSERT_EQ(results.size(), 2u);
+    for (const SessionFrameResult& r : results) {
+      ASSERT_TRUE(r.received);
+      if (r.shed) continue;
+      granted.push_back(r.peerId);
+      EXPECT_EQ(r.egoUnusable, ego == &emptyEgo) << "frame " << frame;
+    }
+    ++frame;
+  }
+  EXPECT_EQ(granted, (std::vector<std::uint64_t>{1, 2, 2}));
+}
+
 TEST(ServiceDecode, DuplicatePeerIdsAreTypedRejections) {
   // PR 10: a repeated peer id within one call is traffic, not a bug — the
   // first occurrence is processed, every later one is a typed rejection

@@ -9,8 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -18,6 +21,7 @@
 #include "dataset/fault.hpp"
 #include "dataset/sequence.hpp"
 #include "geom/pose2.hpp"
+#include "obs/metrics.hpp"
 
 namespace bba {
 namespace {
@@ -790,6 +794,74 @@ TEST(PoseTrackerStream, RelaxedRetryRungEngagesOnDegradedPayload) {
   const PoseError e =
       poseError(tracked[2].result.pose, frames[2].gtDeliveredOtherToEgo);
   EXPECT_LT(e.translation, 1.0);
+}
+
+/// One tracker step of runTracker(faultedSequence(), 1) as a full yaw
+/// search produces it, every listed candidate evaluated: outcome, pose
+/// bits, and the next draw of the tracker's Rng after the step.
+struct PinnedStep {
+  TrackerOutcome outcome;
+  std::uint64_t x, y, theta;
+  std::uint64_t nextDraw;
+};
+
+TEST(PoseTrackerStream, DecisivePriorStopKeepsTheFullSearchOutputs) {
+  // Captured from the full search. A step whose prediction's candidates
+  // are decisive skips the rest and advances the Rng once per skipped
+  // candidate, so every step still matches the full search bit for bit.
+  static constexpr PinnedStep kFullSearch[] = {
+      {TrackerOutcome::Recovered, 0x403d98b99464eb79, 0x400daaffee3e67c0,
+       0x3fbc966052355b8b, 0xab9e98c30a49e129},
+      {TrackerOutcome::Extrapolated, 0x403d98b99464eb79, 0x400daaffee3e67c0,
+       0x3fbc966052355b8b, 0xab9e98c30a49e129},
+      {TrackerOutcome::Recovered, 0x403e1fb382c88b14, 0x400d0d22975b142f,
+       0x3fbb08fa28575455, 0x41e790fb0ae85390},
+      {TrackerOutcome::Extrapolated, 0x403e633079fa5ae2, 0x400cbe33ebe96a66,
+       0x3fba4247136850ba, 0x41e790fb0ae85390},
+      {TrackerOutcome::Recovered, 0x403e9bf7aa134809, 0x40102fbdaa27ce9c,
+       0x3fbc3431bb5cef9f, 0xef42b97ad676ee8e},
+      {TrackerOutcome::Recovered, 0x403ed7d7eca5ae9f, 0x4010e6b909f1e90d,
+       0x3fbd750f8dbc6eed, 0x167e1cbf0c28123b},
+      {TrackerOutcome::Recovered, 0x403eedd5c2d5067d, 0x400fa0cc2e54b91d,
+       0x3fbb1432ccc0f94d, 0x3407da31f082488c},
+      {TrackerOutcome::Recovered, 0x403f25323ef5511d, 0x40118b3668e24d2f,
+       0x3fbbcb75093d01cb, 0x697517ad24f0f873},
+  };
+  const std::vector<StreamFrame>& frames = faultedSequence();
+  ASSERT_EQ(frames.size(), std::size(kFullSearch));
+  PoseTracker tracker;
+  Rng rng(11);
+  obs::MetricsRegistry reg;
+  obs::installMetricsRegistry(&reg);
+  int stopped = 0;
+  int skipped = 0;
+  for (std::size_t k = 0; k < frames.size(); ++k) {
+    TrackerReport rep;
+    const TrackerResult r = tracker.processFrame(frames[k], rng, &rep);
+    const PinnedStep& want = kFullSearch[k];
+    EXPECT_EQ(r.outcome, want.outcome) << "frame " << k;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(r.pose.t.x), want.x) << k;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(r.pose.t.y), want.y) << k;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(r.pose.theta), want.theta) << k;
+    Rng next = rng;
+    EXPECT_EQ(next.engine()(), want.nextDraw) << "frame " << k;
+    if (!rep.remoteReceived) continue;
+    for (const PoseRecoveryReport* call :
+         {&rep.recovery, rep.relaxedAttempted ? &rep.relaxedRecovery
+                                               : nullptr}) {
+      if (call == nullptr) continue;
+      EXPECT_LE(call->yawCandidates, call->yawCandidatesListed) << k;
+      // Bootstrap: no prediction, so nothing may end the search.
+      if (!rep.predictionAvailable) {
+        EXPECT_EQ(call->yawCandidates, call->yawCandidatesListed) << k;
+      }
+      stopped += call->yawCandidates < call->yawCandidatesListed ? 1 : 0;
+      skipped += call->yawCandidatesListed - call->yawCandidates;
+    }
+  }
+  obs::installMetricsRegistry(nullptr);
+  EXPECT_GT(stopped, 0);
+  EXPECT_EQ(reg.counter("stage1.yaw_candidates_skipped").value(), skipped);
 }
 
 TEST(PoseTrackerStream, TrackLossThenRebootstrap) {

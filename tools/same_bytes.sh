@@ -24,9 +24,11 @@
 #                   (fusion and AP through the public API), with the wall
 #                   times on its scene lines masked
 #   scenario-mini   the CI scenario mini-matrix JSON (--out)
-# Exits 0 when all are identical; otherwise exits 1 and names the first
-# output that differs, with the head of its diff. Exits 2 on a usage or
-# build error.
+# Every output is compared, and each one that differs is named with the
+# head of its diff, so a change expected to move one output still has the
+# others checked; the working tree's smoke must also end in `smoke OK`.
+# Exits 0 when all are identical and the smoke passed, 1 otherwise (after
+# listing every difference), 2 on a usage or build error.
 set -euo pipefail
 
 if [ $# -ne 1 ]; then
@@ -100,27 +102,31 @@ fi
 echo "same_bytes: running the working tree's outputs"
 collect "$root" "$work/head-build" "$work/out-head"
 
+failed=""
 for name in smoke-default smoke-scalar $benches quickstart \
   cooperative-detection scenario-mini; do
   a="$work/out-parent/$name"
   b="$work/out-head/$name"
   if [ ! -s "$a" ] || [ ! -s "$b" ]; then
     echo "same_bytes: FAIL $name: empty output (see $work/out-*/)" >&2
-    exit 1
-  fi
-  if ! cmp -s "$a" "$b"; then
-    echo "same_bytes: FAIL first difference in $name" >&2
+    failed="$failed $name"
+  elif ! cmp -s "$a" "$b"; then
+    echo "same_bytes: FAIL $name differs:" >&2
     diff "$a" "$b" | head -n 20 >&2 || true
-    exit 1
+    failed="$failed $name"
   fi
 done
 for log in smoke-default smoke-scalar; do
   if ! grep -q '^smoke OK$' "$work/out-head/$log.log"; then
     echo "same_bytes: FAIL $log: the working tree's smoke did not pass" >&2
     tail -n 20 "$work/out-head/$log.log" >&2
-    exit 1
+    failed="$failed $log.log"
   fi
 done
 cat "$work/out-head/smoke-default"
 grep -h 'quality.wrong_pose_frac' "$work/out-head/smoke-default.log" | grep '^reloc' || true
+if [ -n "$failed" ]; then
+  echo "same_bytes: FAIL against $parent_commit:$failed" >&2
+  exit 1
+fi
 echo "same_bytes: OK, every output matches $parent_commit"
